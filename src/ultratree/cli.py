@@ -3,6 +3,9 @@
 Every verb maps to one library pipeline and prints deterministic JSON (or
 DOT).  Exit codes: 0 for success or a positive decision, 1 for a negative
 decision, 2 for input errors.
+
+`check` runs one ultrametricity test, the strong triangle scan; the test
+suite cross-checks it against the threshold-graph test.
 """
 
 from __future__ import annotations
@@ -38,9 +41,7 @@ def _load_space(path: str) -> core.Space:
 def _load_ultrametric(path: str) -> core.FiniteUltrametricSpace:
     space = _load_space(path)
     if not isinstance(space, core.FiniteUltrametricSpace):
-        ok, witness = core.is_ultrametric_triangle(space)
-        assert not ok
-        i, j, k = witness
+        i, j, k = space._strong_witness
         raise InputError(
             f"{path}: not ultrametric, witness triple "
             f"({space.names[i]},{space.names[j]},{space.names[k]})"
@@ -62,17 +63,15 @@ def _emit(obj) -> None:
 def _cmd_check(args) -> int:
     obj = _load_json(args.space)
     try:
-        names = obj["points"]
-        matrix = [[core.parse_rational(v) for v in row] for row in obj["matrix"]]
-        ok, witness = core.is_ultrametric_triangle(matrix)
-        agree = core.is_ultrametric_multipartite(matrix)
+        # validated and ranked with the file's own names, but with no
+        # triangle inequality required: check decides matrices that fail it
+        ranked = core._RankedMatrix(obj["points"], obj["matrix"])
     except (ValueError, TypeError, KeyError) as exc:
         raise InputError(f"{args.space}: {exc}") from exc
-    if ok != agree:
-        raise AssertionError("ultrametricity tests disagree")
+    ok, witness = core.is_ultrametric_triangle(ranked)
     _emit({
         "ultrametric": ok,
-        "witness": None if witness is None else [names[i] for i in witness],
+        "witness": None if witness is None else [ranked.names[i] for i in witness],
     })
     return 0 if ok else 1
 
@@ -297,3 +296,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -123,7 +123,26 @@ def _weak_triangle_witness(matrix) -> Optional[tuple[int, int, int]]:
     return None
 
 
-class FiniteMetricSpace:
+class _RankedMatrix:
+    """Named points and a parsed, validated and ranked distance matrix.
+
+    The one path from raw input to a rank matrix: every space is built
+    through it, and the ultrametricity tests accept it as it is, since
+    they need no triangle inequality.
+    """
+
+    __slots__ = ("names", "matrix", "distance_values", "rank")
+
+    def __init__(self, names: Iterable[str], matrix):
+        names = tuple(str(x) for x in names)
+        mat = tuple(tuple(parse_rational(v) for v in row) for row in matrix)
+        _basic_validate(names, mat)
+        self.names = names
+        self.matrix = mat
+        self.distance_values, self.rank = _rank_of(mat)
+
+
+class FiniteMetricSpace(_RankedMatrix):
     """A finite metric space with named points and exact rational distances.
 
     Immutable after construction.  `distance_values` is the sorted distance
@@ -131,35 +150,27 @@ class FiniteMetricSpace:
     it.
     """
 
-    __slots__ = ("names", "matrix", "distance_values", "rank")
+    __slots__ = ("_strong_witness",)  # first strong-triangle violation, or None
 
-    def __init__(self, names: Iterable[str], matrix, *, _strong: bool = False):
-        names = tuple(str(x) for x in names)
-        mat = tuple(tuple(parse_rational(v) for v in row) for row in matrix)
-        _basic_validate(names, mat)
-        values, rank = _rank_of(mat)
-        if _strong:
-            w = _strong_triangle_witness(rank)
-            if w is not None:
-                i, j, k = w
-                raise SpaceValidationError(
-                    "strong-triangle", w,
-                    f"strong triangle fails on ({names[i]},{names[j]},{names[k]}): "
-                    f"{mat[i][j]}, {mat[i][k]}, {mat[j][k]}",
-                )
-        else:
-            w = _weak_triangle_witness(mat)
-            if w is not None:
-                i, j, k = w
-                raise SpaceValidationError(
-                    "triangle", w,
-                    f"triangle inequality fails: d({names[i]},{names[j]}) > "
-                    f"d({names[i]},{names[k]}) + d({names[k]},{names[j]})",
-                )
-        self.names = names
-        self.matrix = mat
-        self.distance_values = values
-        self.rank = rank
+    def __init__(self, names: Iterable[str], matrix):
+        super().__init__(names, matrix)
+        self._strong_witness = _strong_triangle_witness(self.rank)
+        self._check_triangle()
+
+    def _check_triangle(self) -> None:
+        # Strong triangle implies the weak one, so only a failed strong scan
+        # leaves the weak one to check.
+        if self._strong_witness is None:
+            return
+        w = _weak_triangle_witness(self.matrix)
+        if w is not None:
+            i, j, k = w
+            names = self.names
+            raise SpaceValidationError(
+                "triangle", w,
+                f"triangle inequality fails: d({names[i]},{names[j]}) > "
+                f"d({names[i]},{names[k]}) + d({names[k]},{names[j]})",
+            )
 
     def __len__(self) -> int:
         return len(self.names)
@@ -180,9 +191,16 @@ class FiniteUltrametricSpace(FiniteMetricSpace):
 
     __slots__ = ()
 
-    def __init__(self, names: Iterable[str], matrix):
-        # Strong triangle implies the weak one, so only the strong form is checked.
-        super().__init__(names, matrix, _strong=True)
+    def _check_triangle(self) -> None:
+        w = self._strong_witness
+        if w is not None:
+            i, j, k = w
+            names, mat = self.names, self.matrix
+            raise SpaceValidationError(
+                "strong-triangle", w,
+                f"strong triangle fails on ({names[i]},{names[j]},{names[k]}): "
+                f"{mat[i][j]}, {mat[i][k]}, {mat[j][k]}",
+            )
 
 
 Space = Union[FiniteMetricSpace, FiniteUltrametricSpace]
@@ -196,29 +214,25 @@ def make_space(names: Iterable[str], matrix) -> Space:
     raises `SpaceValidationError` (with the violated axiom and a witness)
     otherwise.
     """
-    names = tuple(str(x) for x in names)
-    mat = tuple(tuple(parse_rational(v) for v in row) for row in matrix)
-    _basic_validate(names, mat)
-    _, rank = _rank_of(mat)
-    if _strong_triangle_witness(rank) is None:
-        return FiniteUltrametricSpace(names, mat)
-    return FiniteMetricSpace(names, mat)
+    space = FiniteMetricSpace(names, matrix)
+    if space._strong_witness is None:
+        # already validated with the strong scan: retype, do not rebuild
+        space.__class__ = FiniteUltrametricSpace
+    return space
 
 
 def _as_rank_matrix(space_or_matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rank view of a space or of a raw symmetric matrix.
+    """Rank view of a space, a ranked matrix or a raw symmetric matrix.
 
     The ultrametricity tests are order-theoretic, so they are meaningful on
     any symmetric, zero-diagonal, positive-off-diagonal matrix even when
     the ordinary triangle inequality fails.
     """
-    if isinstance(space_or_matrix, FiniteMetricSpace):
-        return space_or_matrix.rank, len(space_or_matrix.distance_values)
-    mat = tuple(tuple(parse_rational(v) for v in row) for row in space_or_matrix)
-    names = tuple(f"p{i}" for i in range(len(mat)))
-    _basic_validate(names, mat)
-    values, rank = _rank_of(mat)
-    return rank, len(values)
+    ranked = space_or_matrix
+    if not isinstance(ranked, _RankedMatrix):
+        rows = tuple(ranked)
+        ranked = _RankedMatrix([f"p{i}" for i in range(len(rows))], rows)
+    return ranked.rank, len(ranked.distance_values)
 
 
 def is_ultrametric_triangle(space_or_matrix) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -284,19 +298,7 @@ def diam(space: FiniteMetricSpace, subset: Optional[Iterable[int]] = None) -> Fr
     pts = tuple(space.points()) if subset is None else tuple(subset)
     if not pts:
         raise ValueError("diameter of an empty subset")
-    rank = space.rank
-    best = 0
-    for a in range(len(pts)):
-        ra = rank[pts[a]]
-        for b in range(a + 1, len(pts)):
-            r = ra[pts[b]]
-            if r > best:
-                best = r
-    if isinstance(space, FiniteUltrametricSpace):
-        # one-center form: the same maximum is visible from any fixed point
-        anchor = rank[pts[0]]
-        assert max(anchor[p] for p in pts) == best
-    return space.distance_values[best]
+    return space.distance_values[_subset_diam_rank(space, pts)]
 
 
 def _subset_diam_rank(space: FiniteMetricSpace, pts: Sequence[int]) -> int:

@@ -121,6 +121,27 @@ def residue_partition_check(points: Iterable[int], p: int) -> bool:
     return got == want
 
 
+def _bethe_tree(p: int, top: Fraction, depth: int, root_children: int) -> RootedLabeledTree:
+    """Root labeled `top` with `root_children` children, then full p-ary to `depth`.
+
+    Each child carries a p-th of its parent's label; vertices are numbered
+    in pre-order.
+    """
+    labels = [top]
+    edges: list[tuple[int, int]] = []
+    # (parent, label, levels below) of vertices still to number; siblings
+    # are identical, so the order they come off the stack does not matter
+    stack = [(0, top / p, depth - 1)] * root_children if depth > 0 else []
+    while stack:
+        parent, label, remaining = stack.pop()
+        vid = len(labels)
+        labels.append(label)
+        edges.append((parent, vid))
+        if remaining > 0:
+            stack.extend([(vid, label / p, remaining - 1)] * p)
+    return RootedLabeledTree(labels, edges, root=0, truncated=True)
+
+
 def bethe_ball_tree(p: int, depth: int, top_label) -> RootedLabeledTree:
     """Depth-limited prefix of the representing tree of a p-adic ball.
 
@@ -135,20 +156,7 @@ def bethe_ball_tree(p: int, depth: int, top_label) -> RootedLabeledTree:
     top = parse_rational(top_label)
     if top <= 0:
         raise ValueError("top label must be positive")
-    labels: list[Fraction] = []
-    edges: list[tuple[int, int]] = []
-
-    def build(label: Fraction, remaining: int) -> int:
-        vid = len(labels)
-        labels.append(label)
-        if remaining > 0:
-            for _ in range(p):
-                cid = build(label / p, remaining - 1)
-                edges.append((vid, cid))
-        return vid
-
-    build(top, depth)
-    return RootedLabeledTree(labels, edges, root=0, truncated=True)
+    return _bethe_tree(p, top, depth, p)
 
 
 def sphere_tree(p: int, depth: int, top_label) -> RootedLabeledTree:
@@ -167,22 +175,7 @@ def sphere_tree(p: int, depth: int, top_label) -> RootedLabeledTree:
         raise ValueError("top label must be positive")
     if p == 2:
         return bethe_ball_tree(2, depth, top / 2)
-    labels: list[Fraction] = [top]
-    edges: list[tuple[int, int]] = []
-
-    def build(label: Fraction, remaining: int) -> int:
-        vid = len(labels)
-        labels.append(label)
-        if remaining > 0:
-            for _ in range(p):
-                cid = build(label / p, remaining - 1)
-                edges.append((vid, cid))
-        return vid
-
-    for _ in range(p - 1):
-        cid = build(top / p, depth - 1)
-        edges.append((0, cid))
-    return RootedLabeledTree(labels, edges, root=0, truncated=True)
+    return _bethe_tree(p, top, depth, p - 1)
 
 
 def padic_ball_tree_vs_sample(p: int, depth: int) -> bool:

@@ -307,6 +307,20 @@ def edge_characterization_check(space: FiniteUltrametricSpace,
     return True
 
 
+def _up_closure(n: int, arcs) -> list[int]:
+    """Closure of (lower, upper) arcs: bit w of `up[v]` is set iff v <= w."""
+    up = [1 << v for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for lo, hi in arcs:
+            merged = up[lo] | up[hi]
+            if merged != up[lo]:
+                up[lo] = merged
+                changed = True
+    return up
+
+
 class TreeOrder:
     """The partial order a root induces on a tree.
 
@@ -373,15 +387,7 @@ def tree_order(tree: RootedLabeledTree) -> TreeOrder:
         if uppers != [parent[v]]:
             raise RuntimeError(f"vertex {v} has upper covers {uppers}")
     # order equals the transitive closure of the covering relation
-    reach = [1 << v for v in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in covers:
-            merged = reach[lo] | reach[hi]
-            if merged != reach[lo]:
-                reach[lo] = merged
-                changed = True
+    reach = _up_closure(n, covers)
     for u in range(n):
         for v in range(n):
             if ((reach[u] >> v) & 1) != (1 if order.leq(u, v) else 0):

@@ -13,7 +13,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .core import FiniteUltrametricSpace, diametrical_partition
 from .balls import Ball, ballean
-from .repr_tree import RootedLabeledTree
+from .repr_tree import RootedLabeledTree, _up_closure
 
 
 class PseudoUltrametricSpace:
@@ -248,15 +248,7 @@ def check_ballean_poset(n: int, covers: Iterable[tuple[int, int]]) -> PosetCheck
         if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
             raise ValueError(f"bad cover pair ({lo},{hi})")
         arcs.append((lo, hi))
-    up: list[int] = [1 << v for v in range(n)]
-    changed = True
-    while changed:
-        changed = False
-        for lo, hi in arcs:
-            merged = up[lo] | up[hi]
-            if merged != up[lo]:
-                up[lo] = merged
-                changed = True
+    up = _up_closure(n, arcs)
     for v in range(n):
         for w in range(n):
             if v != w and (up[v] >> w) & 1 and (up[w] >> v) & 1:

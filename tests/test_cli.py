@@ -1,12 +1,24 @@
 from __future__ import annotations
 
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
-from ultratree import space_to_json, tree_to_json, build_representing_tree
+import ultratree
+import ultratree.core as core
+from ultratree import (
+    build_representing_tree,
+    is_ultrametric_multipartite,
+    is_ultrametric_triangle,
+    space_to_json,
+    tree_to_json,
+)
 from ultratree.cli import run
-from util import nested_four_point_space, two_pair_space
+from util import count_calls, mixed_validity_matrix, nested_four_point_space, two_pair_space
 
 
 @pytest.fixture
@@ -50,6 +62,72 @@ def test_check_rejects_malformed_input(tmp_path, capsys):
     }))
     code, _, err = invoke(capsys, "check", str(asym))
     assert code == 2 and "symmetr" in err
+
+
+@pytest.mark.parametrize("points, message", [
+    (["a", "b"], "2x2"),
+    (["a", "a", "c"], "unique"),
+])
+def test_check_validates_point_names(tmp_path, capsys, points, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "points": points,
+        "matrix": [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]],
+    }))
+    code, out, err = invoke(capsys, "check", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_check_agrees_with_both_ultrametricity_tests(tmp_path, capsys):
+    rng = random.Random(2024)
+    path = tmp_path / "space.json"
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        matrix = mixed_validity_matrix(rng, n)
+        names = [f"q{i}" for i in range(n)]
+        path.write_text(json.dumps({
+            "points": names, "matrix": [[str(v) for v in row] for row in matrix],
+        }))
+        code, out, _ = invoke(capsys, "check", str(path))
+        ok, witness = is_ultrametric_triangle(matrix)
+        assert ok == is_ultrametric_multipartite(matrix)
+        assert code == (0 if ok else 1)
+        assert json.loads(out) == {
+            "ultrametric": ok,
+            "witness": None if witness is None else [names[i] for i in witness],
+        }
+
+
+def test_check_and_loads_scan_each_space_once(tmp_path, capsys, monkeypatch):
+    metric = tmp_path / "metric.json"
+    metric.write_text(json.dumps({
+        "points": ["a", "b", "c"],
+        "matrix": [["0", "2", "3"], ["2", "0", "2"], ["3", "2", "0"]],
+    }))
+    counts = count_calls(monkeypatch, core, (
+        "_strong_triangle_witness", "is_ultrametric_multipartite"))
+    code, _, err = invoke(capsys, "tree", str(metric))
+    assert code == 2 and "witness triple (a,b,c)" in err
+    assert counts == {"_strong_triangle_witness": 1, "is_ultrametric_multipartite": 0}
+
+    counts.update(dict.fromkeys(counts, 0))
+    code, out, _ = invoke(capsys, "check", str(metric))
+    assert code == 1 and json.loads(out)["witness"] == ["a", "b", "c"]
+    assert counts == {"_strong_triangle_witness": 1, "is_ultrametric_multipartite": 0}
+
+
+def test_module_runs_as_a_script(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "points": ["a", "b", "c"],
+        "matrix": [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]],
+    }))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultratree.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "ultratree.cli", "check", str(bad)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"ultrametric": False, "witness": ["a", "b", "c"]}
 
 
 def test_dset(capsys, space_file):

@@ -23,6 +23,7 @@ from ultratree import (
     threshold_partition,
 )
 from util import (
+    count_calls,
     mixed_validity_matrix,
     nested_four_point_space,
     random_ultrametric_matrix,
@@ -48,6 +49,21 @@ def test_make_space_reports_strong_triangle_witness():
         FiniteUltrametricSpace(["a", "b", "c"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]])
     assert info.value.axiom == "strong-triangle"
     assert info.value.witness == (0, 1, 2)
+
+
+def test_make_space_parses_validates_ranks_and_scans_once(monkeypatch):
+    import ultratree.core as core
+
+    n = 9
+    matrix = random_ultrametric_matrix(random.Random(5), n)
+    rows = [[str(v) for v in row] for row in matrix]
+    counts = count_calls(monkeypatch, core, (
+        "parse_rational", "_basic_validate", "_rank_of",
+        "_strong_triangle_witness", "_weak_triangle_witness"))
+    space = make_space([f"p{i}" for i in range(n)], rows)
+    assert isinstance(space, FiniteUltrametricSpace)
+    assert counts == {"parse_rational": n * n, "_basic_validate": 1, "_rank_of": 1,
+                      "_strong_triangle_witness": 1, "_weak_triangle_witness": 0}
 
 
 def test_make_space_rejects_asymmetry_and_bad_diagonal():
@@ -228,6 +244,7 @@ def test_one_center_diameter_matches_pairwise():
         )
         pts = sorted(rng.sample(range(n), rng.randint(1, n)))
         d = diam(space, pts)
+        assert d == max(space.distance(x, y) for x in pts for y in pts)
         for anchor in pts:
             assert max(space.distance(anchor, x) for x in pts) == d
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from ultratree import (
     padic_space,
     residue_partition_check,
     sphere_tree,
+    tree_to_json,
 )
 
 
@@ -123,6 +126,40 @@ def test_bethe_ball_tree_shape():
         bethe_ball_tree(2, -1, 1)
     with pytest.raises(ValueError):
         bethe_ball_tree(2, 1, 0)
+
+
+# sha256 prefixes of the sorted-key tree_to_json output with top label
+# 7/2; they pin pre-order vertex numbering as well as labels and edges
+BETHE_DIGESTS = {
+    ("ball", 2, 0): "049441eb4c8cfe6a",
+    ("ball", 2, 1): "ac641478fa3ca64f",
+    ("ball", 2, 2): "942885560416546f",
+    ("ball", 2, 3): "c0ed07a08c6057af",
+    ("ball", 3, 0): "049441eb4c8cfe6a",
+    ("ball", 3, 1): "a4abf2358f9754f1",
+    ("ball", 3, 2): "619492fc7cdcf70b",
+    ("ball", 3, 3): "9e35ae964d762db2",
+    ("ball", 5, 0): "049441eb4c8cfe6a",
+    ("ball", 5, 1): "995b6f84d72d1d37",
+    ("ball", 5, 2): "1a96f8d6142904bd",
+    ("ball", 5, 3): "ad9f9c0650a184bc",
+    ("sphere", 2, 1): "207e5b4ae7cd137e",
+    ("sphere", 2, 2): "06ee60fb37dd35b0",
+    ("sphere", 2, 3): "5b69d7978b79a433",
+    ("sphere", 3, 1): "8c33297931b64820",
+    ("sphere", 3, 2): "4fbdd8086989248d",
+    ("sphere", 3, 3): "b085f24007ae1e81",
+    ("sphere", 5, 1): "318fffb7cfa34045",
+    ("sphere", 5, 2): "91b0d0c4815e98bd",
+    ("sphere", 5, 3): "f49165f9c46199cf",
+}
+
+
+@pytest.mark.parametrize("kind, p, depth", sorted(BETHE_DIGESTS))
+def test_bethe_trees_match_pinned_output(kind, p, depth):
+    build = bethe_ball_tree if kind == "ball" else sphere_tree
+    text = json.dumps(tree_to_json(build(p, depth, "7/2")), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == BETHE_DIGESTS[kind, p, depth]
 
 
 def test_truncated_trees_are_not_representable():

@@ -105,3 +105,16 @@ def mixed_validity_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:
         matrix[i][j] = matrix[j][i] = bumped
         return matrix
     return random_symmetric_matrix(rng, n)
+
+
+def count_calls(monkeypatch, module, names) -> dict[str, int]:
+    """Wrap each named function of `module` to count its calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return counts
