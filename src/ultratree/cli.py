@@ -4,8 +4,10 @@ Every verb maps to one library pipeline and prints deterministic JSON (or
 DOT).  Exit codes: 0 for success or a positive decision, 1 for a negative
 decision, 2 for input errors.
 
-`check` runs one ultrametricity test, the strong triangle scan; the test
-suite cross-checks it against the threshold-graph test.
+`check` runs one ultrametricity test, the O(n^2) single-linkage pass
+that every space constructor also runs, and prints a sorted violating
+triple on failure; the test suite cross-checks it against the O(n^3)
+triple scan and the threshold-graph test.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a number over Python's int digit limit
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_space(path: str) -> core.Space:

@@ -8,11 +8,19 @@ Beside the raw matrix, every space carries an integer *rank* matrix that
 indexes each distance into the sorted tuple of distinct values.  The
 combinatorial algorithms (partitions, balls, trees) run on these machine
 integers and translate back to rationals only at the edges.
+
+Loading parses each distinct raw entry once, then validates on ranks.
+Every space then runs one O(n^2) single-linkage pass: it decides the
+strong triangle inequality and leaves the point order and gap ranks from
+which `repr_tree` builds the representing tree.  The O(n^3) triple scan
+stays only as the test suite's oracle.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -57,41 +65,84 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _basic_validate(names: tuple[str, ...], matrix) -> None:
+def _parse_entries(matrix) -> tuple[list[Fraction], list[list[int]]]:
+    """Parse each distinct raw entry once, in row-major order of first use.
+
+    Returns the parsed value of every distinct entry and the matrix as rows
+    of indices into that list.  Strings are keyed by themselves, `Fraction`
+    objects by identity and anything else by (type, value), so a float
+    `1.0` never borrows the parse of an int `1`.  The list keeps every
+    identity-keyed object alive, so no id is reused while the table lives.
+    Unhashable entries are parsed on every use.
+    """
+    index: dict = {}
+    parsed: list[Fraction] = []
+    rows = []
+    for row in matrix:
+        out = []
+        for v in row:
+            cls = type(v)
+            key = v if cls is str else id(v) if cls is Fraction else (cls, v)
+            try:
+                t = index.get(key)
+            except TypeError:
+                key = t = None
+            if t is None:
+                t = len(parsed)
+                parsed.append(parse_rational(v))
+                if key is not None:
+                    index[key] = t
+            out.append(t)
+        rows.append(out)
+    return parsed, rows
+
+
+def _rank_of(parsed: list[Fraction], rows) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
+    """Sorted distinct values, and each entry's index into them."""
+    values = tuple(sorted(set(parsed)))
+    index = {v: i for i, v in enumerate(values)}
+    to_rank = [index[v] for v in parsed]
+    get = to_rank.__getitem__
+    return values, tuple(tuple(map(get, row)) for row in rows)
+
+
+def _basic_validate(names: tuple[str, ...], rank, values) -> None:
     n = len(names)
     if n == 0:
         raise SpaceValidationError("nonempty", (), "a space needs at least one point")
     if len(set(names)) != n:
         raise SpaceValidationError("names", (), "point names must be unique")
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    if len(rank) != n or any(len(row) != n for row in rank):
         raise SpaceValidationError("square", (), f"matrix must be {n}x{n}")
+    # Rank 0 is the value 0 exactly when no entry is negative; then a valid
+    # matrix has rank 0 on the diagonal only and equals its transpose.
+    if (values[0] == 0 and all(rank[i][i] == 0 for i in range(n))
+            and sum(row.count(0) for row in rank) == n and rank == tuple(zip(*rank))):
+        return
+    # Some check fails: find the first failure in the documented order.
+    positive = bisect_right(values, 0)  # ranks from here on hold positive values
     for i in range(n):
-        if matrix[i][i] != 0:
+        ri = rank[i]
+        if values[ri[i]] != 0:
             raise SpaceValidationError(
-                "diagonal", (i,), f"d({names[i]},{names[i]}) = {matrix[i][i]} != 0"
+                "diagonal", (i,), f"d({names[i]},{names[i]}) = {values[ri[i]]} != 0"
             )
         for j in range(i + 1, n):
-            if matrix[i][j] != matrix[j][i]:
+            if ri[j] != rank[j][i]:
                 raise SpaceValidationError(
                     "symmetry", (i, j),
                     f"asymmetric entry: d({names[i]},{names[j]}) != "
                     f"d({names[j]},{names[i]})",
                 )
-            if matrix[i][j] <= 0:
+            if ri[j] < positive:
                 raise SpaceValidationError(
                     "positivity", (i, j),
-                    f"d({names[i]},{names[j]}) = {matrix[i][j]} must be positive",
+                    f"d({names[i]},{names[j]}) = {values[ri[j]]} must be positive",
                 )
 
 
-def _rank_of(matrix) -> tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]:
-    values = tuple(sorted({v for row in matrix for v in row}))
-    index = {v: i for i, v in enumerate(values)}
-    rank = tuple(tuple(index[v] for v in row) for row in matrix)
-    return values, rank
-
-
 def _strong_triangle_witness(rank) -> Optional[tuple[int, int, int]]:
+    # The O(n^3) scan, kept as the test suite's oracle for `_single_linkage`.
     # Strong triangle holds on a triple iff its largest distance is attained
     # at least twice (isosceles with legs at least the base).
     n = len(rank)
@@ -108,6 +159,51 @@ def _strong_triangle_witness(rank) -> Optional[tuple[int, int, int]]:
                 if (a == m) + (b == m) + (c == m) < 2:
                     return (i, j, k)
     return None
+
+
+def _single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int, int]]]:
+    """Prim order, gap ranks and ultrametricity of a validated rank matrix.
+
+    Prim's algorithm from point 0 adds the points in the order
+    x_0..x_{n-1}; `gaps[b]` is the rank of the edge that added x_b
+    (`gaps[0]` is 0).  The largest gap between two points of the order is
+    their single-linkage distance, and a matrix is ultrametric iff it equals
+    its single-linkage ultrametric (Gower & Ross 1969), i.e. iff
+    rank(x_a, x_b) = max(gaps[a+1..b]) for all a < b.  O(n^2).  The third
+    item is None, or a sorted triple violating the strong triangle
+    inequality.
+    """
+    order = [0]
+    gaps = [0]
+    left = list(range(1, len(rank)))
+    best = [rank[0][v] for v in left]  # shortest edge from the tree to left[i]
+    while left:
+        g = min(best)
+        i = best.index(g)
+        order.append(left.pop(i))
+        del best[i]
+        gaps.append(g)
+        row = rank[order[-1]]
+        best = list(map(min, best, map(row.__getitem__, left)))
+    # Check x_b against x_{b-1}, ..., x_0.  A pair's rank is never below its
+    # single-linkage rank, so the first mismatch is a rank above it, while
+    # every pair checked before is right.  If that pair is (x_{b-1}, x_b),
+    # x_b's Prim edge from an earlier p is shorter, and rank(p, x_{b-1}) is
+    # at most gaps[b]; otherwise it is (x_a, x_b) with (x_a, x_{a+1}) and
+    # (x_{a+1}, x_b) both at their single-linkage ranks.  Either way the
+    # triple's largest distance is attained once.
+    for b in range(1, len(order)):
+        row = rank[order[b]]
+        actual = [row[x] for x in order[b - 1::-1]]
+        expected = list(accumulate(gaps[b:0:-1], max))
+        if actual != expected:
+            a = b - 1 - next(i for i, r in enumerate(actual) if r != expected[i])
+            if a == b - 1:
+                third = next(p for p in order if row[p] == gaps[b])
+            else:
+                third = order[a + 1]
+            return order, gaps, tuple(sorted((order[a], third, order[b])))
+    return order, gaps, None
 
 
 def _weak_triangle_witness(matrix) -> Optional[tuple[int, int, int]]:
@@ -135,11 +231,13 @@ class _RankedMatrix:
 
     def __init__(self, names: Iterable[str], matrix):
         names = tuple(str(x) for x in names)
-        mat = tuple(tuple(parse_rational(v) for v in row) for row in matrix)
-        _basic_validate(names, mat)
+        values, rank = _rank_of(*_parse_entries(matrix))
+        _basic_validate(names, rank, values)
         self.names = names
-        self.matrix = mat
-        self.distance_values, self.rank = _rank_of(mat)
+        self.distance_values = values
+        self.rank = rank
+        get = values.__getitem__
+        self.matrix = tuple(tuple(map(get, row)) for row in rank)
 
 
 class FiniteMetricSpace(_RankedMatrix):
@@ -150,15 +248,17 @@ class FiniteMetricSpace(_RankedMatrix):
     it.
     """
 
-    __slots__ = ("_strong_witness",)  # first strong-triangle violation, or None
+    # Prim order and gap ranks from `_single_linkage` (the representing
+    # tree is built from them), and a strong-triangle violation or None
+    __slots__ = ("_order", "_gaps", "_strong_witness")
 
     def __init__(self, names: Iterable[str], matrix):
         super().__init__(names, matrix)
-        self._strong_witness = _strong_triangle_witness(self.rank)
+        self._order, self._gaps, self._strong_witness = _single_linkage(self.rank)
         self._check_triangle()
 
     def _check_triangle(self) -> None:
-        # Strong triangle implies the weak one, so only a failed strong scan
+        # Strong triangle implies the weak one, so only a failed strong test
         # leaves the weak one to check.
         if self._strong_witness is None:
             return
@@ -216,7 +316,7 @@ def make_space(names: Iterable[str], matrix) -> Space:
     """
     space = FiniteMetricSpace(names, matrix)
     if space._strong_witness is None:
-        # already validated with the strong scan: retype, do not rebuild
+        # already checked by the single-linkage pass: retype, do not rebuild
         space.__class__ = FiniteUltrametricSpace
     return space
 
@@ -236,13 +336,17 @@ def _as_rank_matrix(space_or_matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 def is_ultrametric_triangle(space_or_matrix) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """Triple-wise strong triangle test.
+    """Strong triangle test, decided by one O(n^2) single-linkage pass.
 
-    Returns `(True, None)` or `(False, (i, j, k))` where the triple
-    violates the inequality.
+    Returns `(True, None)` or `(False, (i, j, k))` with i < j < k, a
+    triple on which the strong triangle inequality fails.  A space
+    answers from the pass its constructor already ran.
     """
-    rank, _ = _as_rank_matrix(space_or_matrix)
-    w = _strong_triangle_witness(rank)
+    if isinstance(space_or_matrix, FiniteMetricSpace):
+        w = space_or_matrix._strong_witness
+    else:
+        rank, _ = _as_rank_matrix(space_or_matrix)
+        w = _single_linkage(rank)[2]
     return (w is None), w
 
 
@@ -287,10 +391,7 @@ def is_ultrametric_multipartite(space_or_matrix) -> bool:
 
 def distance_set(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
     """Sorted tuple of realized distances, zero first."""
-    values = space.distance_values
-    if isinstance(space, FiniteUltrametricSpace) and len(values) > len(space):
-        raise RuntimeError("distance set larger than point count on an ultrametric space")
-    return values
+    return space.distance_values
 
 
 def diam(space: FiniteMetricSpace, subset: Optional[Iterable[int]] = None) -> Fraction:

@@ -1,8 +1,9 @@
 """Representing trees of finite ultrametric spaces and rooted-tree orders.
 
-The representing tree is built top down: the root is the whole space, and
-the children of any vertex of positive diameter are the parts of its
-diametrical graph.  The construction never consults the ballean, so the
+The representing tree is built bottom up, in O(n) after the O(n^2)
+single-linkage pass every space runs when it is constructed: it is the
+Cartesian tree of the pass's gap sequence, with runs of equal gaps merged
+into one vertex.  The construction never consults the ballean, so the
 fact that the vertex set coincides with it stays independently checkable
 through `verify_tree_invariants`.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Optional
 
 from .core import (
@@ -152,28 +154,60 @@ class RootedLabeledTree:
 def build_representing_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
     """Representing tree of a space, labeled by ball diameters.
 
-    Vertices are created in depth-first order; the children of a vertex
-    are the parts of its diametrical graph, sorted by smallest point
-    index.  Leaves are exactly the singletons, labeled zero.
+    In the single-linkage order x_0..x_{n-1} every ball is a run of
+    consecutive points, and the ball of diameter r around a run splits
+    exactly at the gaps equal to r.  So the balls form the Cartesian tree
+    of the gap sequence (Vuillemin 1980), built here with a stack, one
+    vertex per run of equal gaps.  Vertices are then numbered depth first
+    with children sorted by smallest point index.  Leaves are exactly the
+    singletons, labeled zero.  O(n) plus the size of the ball payloads.
     """
     if not isinstance(space, FiniteUltrametricSpace):
         raise TypeError("representing trees need a FiniteUltrametricSpace")
+    order, gaps = space._order, space._gaps
+    # vertices: leaves first, as [gap rank, children]; the root comes last
+    nodes = [[0, ()] for _ in order]
+    open_nodes: list[int] = []   # gap ranks strictly decrease toward the top
+    closed: list[int] = []       # internal vertices, each after its children
+    cur = 0                      # finished subtree ending at the last point
+    for b in range(1, len(order)):
+        g = gaps[b]
+        while open_nodes and nodes[open_nodes[-1]][0] < g:
+            top = open_nodes.pop()
+            nodes[top][1].append(cur)
+            closed.append(top)
+            cur = top
+        if open_nodes and nodes[open_nodes[-1]][0] == g:
+            nodes[open_nodes[-1]][1].append(cur)
+        else:
+            nodes.append([g, [cur]])
+            open_nodes.append(len(nodes) - 1)
+        cur = b
+    while open_nodes:
+        top = open_nodes.pop()
+        nodes[top][1].append(cur)
+        closed.append(top)
+        cur = top
+
+    points: list = [(p,) for p in order] + [None] * (len(nodes) - len(order))
+    for v in closed:
+        kids = nodes[v][1]
+        kids.sort(key=lambda c: points[c][0])
+        points[v] = tuple(sorted(chain.from_iterable(points[c] for c in kids)))
+
+    values = space.distance_values
     labels: list[Fraction] = []
     edges: list[tuple[int, int]] = []
     payload: list[tuple[int, ...]] = []
-
-    def build(points: tuple[int, ...]) -> int:
+    stack = [(cur, -1)]
+    while stack:
+        v, parent = stack.pop()
         vid = len(labels)
-        labels.append(space.distance_values[_subset_diam_rank(space, points)])
-        payload.append(points)
-        if len(points) > 1:
-            parts = diametrical_partition(space, points)
-            for part in parts:
-                cid = build(tuple(part))
-                edges.append((vid, cid))
-        return vid
-
-    build(tuple(space.points()))
+        labels.append(values[nodes[v][0]])
+        payload.append(points[v])
+        if parent >= 0:
+            edges.append((parent, vid))
+        stack.extend((c, vid) for c in reversed(nodes[v][1]))
     return RootedLabeledTree(labels, edges, root=0, ball_points=payload)
 
 

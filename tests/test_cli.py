@@ -13,12 +13,17 @@ import ultratree.core as core
 from ultratree import (
     build_representing_tree,
     is_ultrametric_multipartite,
-    is_ultrametric_triangle,
     space_to_json,
     tree_to_json,
 )
 from ultratree.cli import run
-from util import count_calls, mixed_validity_matrix, nested_four_point_space, two_pair_space
+from util import (
+    count_calls,
+    mixed_validity_matrix,
+    nested_four_point_space,
+    two_pair_space,
+    violates_strong_triangle,
+)
 
 
 @pytest.fixture
@@ -90,13 +95,17 @@ def test_check_agrees_with_both_ultrametricity_tests(tmp_path, capsys):
             "points": names, "matrix": [[str(v) for v in row] for row in matrix],
         }))
         code, out, _ = invoke(capsys, "check", str(path))
-        ok, witness = is_ultrametric_triangle(matrix)
+        ok = core._strong_triangle_witness(core._RankedMatrix(names, matrix).rank) is None
         assert ok == is_ultrametric_multipartite(matrix)
         assert code == (0 if ok else 1)
-        assert json.loads(out) == {
-            "ultrametric": ok,
-            "witness": None if witness is None else [names[i] for i in witness],
-        }
+        result = json.loads(out)
+        assert result["ultrametric"] is ok
+        if ok:
+            assert result["witness"] is None
+        else:
+            triple = [names.index(name) for name in result["witness"]]
+            assert triple == sorted(set(triple)) and len(triple) == 3
+            assert violates_strong_triangle(matrix, triple)
 
 
 def test_check_and_loads_scan_each_space_once(tmp_path, capsys, monkeypatch):
@@ -106,15 +115,37 @@ def test_check_and_loads_scan_each_space_once(tmp_path, capsys, monkeypatch):
         "matrix": [["0", "2", "3"], ["2", "0", "2"], ["3", "2", "0"]],
     }))
     counts = count_calls(monkeypatch, core, (
-        "_strong_triangle_witness", "is_ultrametric_multipartite"))
+        "_single_linkage", "_strong_triangle_witness", "is_ultrametric_multipartite"))
+    expected = {"_single_linkage": 1, "_strong_triangle_witness": 0,
+                "is_ultrametric_multipartite": 0}
     code, _, err = invoke(capsys, "tree", str(metric))
     assert code == 2 and "witness triple (a,b,c)" in err
-    assert counts == {"_strong_triangle_witness": 1, "is_ultrametric_multipartite": 0}
+    assert counts == expected
 
     counts.update(dict.fromkeys(counts, 0))
     code, out, _ = invoke(capsys, "check", str(metric))
     assert code == 1 and json.loads(out)["witness"] == ["a", "b", "c"]
-    assert counts == {"_strong_triangle_witness": 1, "is_ultrametric_multipartite": 0}
+    assert counts == expected
+
+
+def test_deep_caterpillar_runs_without_recursion(tmp_path, capsys):
+    # d(x, y) = max(x, y) on {0..n-1}; the representing tree has depth n - 1
+    n = 1100
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "points": [str(i) for i in range(n)],
+        "matrix": [[str(0 if i == j else max(i, j)) for j in range(n)] for i in range(n)],
+    }))
+    code, out, err = invoke(capsys, "check", str(path))
+    assert (code, json.loads(out), err) == (0, {"ultrametric": True, "witness": None}, "")
+    code, out, err = invoke(capsys, "dset", str(path))
+    assert code == 0 and json.loads(out)["distances"] == [str(i) for i in range(n)]
+    code, out, err = invoke(capsys, "tree", str(path))
+    assert code == 0 and err == ""
+    tree = json.loads(out)
+    assert len(tree["labels"]) == 2 * n - 1 and len(tree["edges"]) == 2 * n - 2
+    code, out, err = invoke(capsys, "iso", str(path), str(path))
+    assert (code, json.loads(out), err) == (0, {"isometric": True}, "")
 
 
 def test_module_runs_as_a_script(tmp_path):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ultratree.core as core
 from ultratree import (
     FiniteMetricSpace,
     FiniteUltrametricSpace,
@@ -22,11 +25,17 @@ from ultratree import (
     space_to_json,
     threshold_partition,
 )
+from ultratree.cli import run
 from util import (
+    caterpillar_matrix,
     count_calls,
+    flat_matrix,
     mixed_validity_matrix,
     nested_four_point_space,
+    padic_matrix,
+    perturbed,
     random_ultrametric_matrix,
+    violates_strong_triangle,
 )
 
 
@@ -52,18 +61,169 @@ def test_make_space_reports_strong_triangle_witness():
 
 
 def test_make_space_parses_validates_ranks_and_scans_once(monkeypatch):
-    import ultratree.core as core
-
     n = 9
     matrix = random_ultrametric_matrix(random.Random(5), n)
     rows = [[str(v) for v in row] for row in matrix]
+    distinct = len({v for row in rows for v in row})
     counts = count_calls(monkeypatch, core, (
-        "parse_rational", "_basic_validate", "_rank_of",
+        "parse_rational", "_basic_validate", "_rank_of", "_single_linkage",
         "_strong_triangle_witness", "_weak_triangle_witness"))
     space = make_space([f"p{i}" for i in range(n)], rows)
     assert isinstance(space, FiniteUltrametricSpace)
-    assert counts == {"parse_rational": n * n, "_basic_validate": 1, "_rank_of": 1,
-                      "_strong_triangle_witness": 1, "_weak_triangle_witness": 0}
+    assert distinct < n * n
+    assert counts == {"parse_rational": distinct, "_basic_validate": 1, "_rank_of": 1,
+                      "_single_linkage": 1, "_strong_triangle_witness": 0,
+                      "_weak_triangle_witness": 0}
+
+
+def test_no_construction_path_runs_the_triple_scan(tmp_path, capsys, monkeypatch):
+    rows = [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]]
+    good = random_ultrametric_matrix(random.Random(8), 12)
+    names = [f"p{i}" for i in range(12)]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"points": ["a", "b", "c"], "matrix": rows}))
+    counts = count_calls(monkeypatch, core, ("_strong_triangle_witness",))
+    space = make_space(names, good)
+    FiniteMetricSpace(names, good)
+    FiniteUltrametricSpace(names, good)
+    space_from_json(space_to_json(space))
+    space_from_sequence([3, 2, 1])
+    assert is_ultrametric_triangle(space) == (True, None)
+    assert is_ultrametric_triangle(rows) == (False, (0, 1, 2))
+    assert run(["check", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["witness"] == ["a", "b", "c"]
+    assert counts == {"_strong_triangle_witness": 0}
+
+
+def _oracle_agrees(matrix) -> None:
+    """`is_ultrametric_triangle` against the O(n^3) triple scan."""
+    ok, witness = is_ultrametric_triangle(matrix)
+    n = len(matrix)
+    oracle = core._strong_triangle_witness(core._RankedMatrix(range(n), matrix).rank)
+    assert ok == (oracle is None)
+    if ok:
+        assert witness is None
+    else:
+        assert list(witness) == sorted(set(witness)) and len(witness) == 3
+        assert violates_strong_triangle(matrix, witness)
+
+
+def test_single_linkage_check_matches_triple_scan_on_mixed_matrices():
+    rng = random.Random(3003)
+    for _ in range(5000):
+        _oracle_agrees(mixed_validity_matrix(rng, rng.randint(1, 14)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 9).flatmap(lambda n: st.lists(
+    st.integers(1, 5), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+).map(lambda upper: (n, upper))))
+def test_single_linkage_check_matches_triple_scan_property(case):
+    n, upper = case
+    matrix = [[0] * n for _ in range(n)]
+    cells = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = next(cells)
+    _oracle_agrees(matrix)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("shape", ["bushy", "flat", "caterpillar", "padic"])
+def test_single_linkage_check_on_perturbed_shapes(shape, n):
+    rng = random.Random(f"{shape}:{n}")
+    matrix = {
+        "bushy": lambda: random_ultrametric_matrix(rng, n),
+        "flat": lambda: flat_matrix(n),
+        "caterpillar": lambda: caterpillar_matrix(n),
+        "padic": lambda: padic_matrix(2, n.bit_length() - 1),
+    }[shape]()
+    _oracle_agrees(matrix)
+    for _ in range(6):
+        _oracle_agrees(perturbed(rng, matrix))
+
+
+_BIG = "1" * 4301 + "/3"
+_DIGITS = ("Exceeds the limit (4300 digits) for integer string conversion: value has "
+           "4301 digits; use sys.set_int_max_str_digits() to increase the limit")
+
+
+# (points, matrix, exception class, axiom, witness, message), as the
+# construction path raised them before entries were parsed once each
+@pytest.mark.parametrize("points, matrix, error, axiom, witness, message", [
+    (["a", "b"], [["0", 1.5], [1.5, "0"]], ValueError, None, None,
+     "refusing inexact float 1.5; pass a string or Fraction"),
+    (["a", "b"], [[0, 1], [1.0, 0]], ValueError, None, None,
+     "refusing inexact float 1.0; pass a string or Fraction"),
+    (["a", "b"], [["0", None], [None, "0"]], ValueError, None, None,
+     "Invalid literal for Fraction: 'None'"),
+    (["a", "b"], [["0", ["1"]], [["1"], "0"]], ValueError, None, None,
+     "Invalid literal for Fraction: \"['1']\""),
+    (["a", "b"], [["0", {"v": "1"}], [{"v": "1"}, "0"]], ValueError, None, None,
+     "Invalid literal for Fraction: \"{'v': '1'}\""),
+    (["a", "b"], None, TypeError, None, None, "'NoneType' object is not iterable"),
+    (["a", "b"], [["0", "1"], None], TypeError, None, None,
+     "'NoneType' object is not iterable"),
+    (["a", "b"], [["0", "1"], ["1"]], SpaceValidationError, "square", (), "matrix must be 2x2"),
+    (["a", "b"], [["0", "1", "2"], ["1", "0", "2"]], SpaceValidationError, "square", (),
+     "matrix must be 2x2"),
+    (["a", "b"], [["0", "1"], ["1", "1/2"]], SpaceValidationError, "diagonal", (1,),
+     "d(b,b) = 1/2 != 0"),
+    (["a", "b", "c"], [["0", "1", "1"], ["1", "0", "2"], ["1", "3", "0"]],
+     SpaceValidationError, "symmetry", (1, 2), "asymmetric entry: d(b,c) != d(c,b)"),
+    (["a", "b"], [["0", "0"], ["0", "0"]], SpaceValidationError, "positivity", (0, 1),
+     "d(a,b) = 0 must be positive"),
+    (["a", "b"], [["0", "-1"], ["-1", "0"]], SpaceValidationError, "positivity", (0, 1),
+     "d(a,b) = -1 must be positive"),
+    (["a", "b"], [["-1", "-1"], ["-1", "-1"]], SpaceValidationError, "diagonal", (0,),
+     "d(a,a) = -1 != 0"),
+    (["a", "b"], [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]], SpaceValidationError,
+     "square", (), "matrix must be 2x2"),
+    (["a", "a", "c"], [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]],
+     SpaceValidationError, "names", (), "point names must be unique"),
+    ([], [], SpaceValidationError, "nonempty", (), "a space needs at least one point"),
+    (["a", "b"], [["0", _BIG], [_BIG, "0"]], ValueError, None, None, _DIGITS),
+    # parse errors come first, in row-major order
+    (["a", "b"], [["1", "1"], ["1", "x"]], ValueError, None, None,
+     "Invalid literal for Fraction: 'x'"),
+    (["a", "b"], [["0", "y"], ["x", "0"]], ValueError, None, None,
+     "Invalid literal for Fraction: 'y'"),
+], ids=["float", "float-after-equal-int", "null", "nested-list", "object", "null-matrix",
+        "null-row", "ragged", "non-square", "nonzero-diagonal", "asymmetric", "zero",
+        "negative", "negative-diagonal", "short-names", "duplicate-names", "no-points",
+        "over-digit-limit", "parse-before-validation", "row-major"])
+def test_bad_input_errors_are_pinned(tmp_path, capsys, points, matrix, error, axiom,
+                                     witness, message):
+    with pytest.raises(Exception) as info:
+        make_space(points, matrix)
+    assert type(info.value) is error and str(info.value) == message
+    if axiom is not None:
+        assert (info.value.axiom, info.value.witness) == (axiom, witness)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"points": points, "matrix": matrix}))
+    for verb in ("check", "dset", "tree"):
+        assert run([verb, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+
+def test_equal_raw_values_of_other_types_are_parsed_apart():
+    # True == 1 == Fraction(1): an int and a bool both read as 1, and one
+    # Fraction object keyed by identity stands for itself only
+    half = Fraction(1, 2)
+    space = make_space(["a", "b", "c"], [[0, 1, True], [1, 0, half], [True, Fraction(1, 2), 0]])
+    assert space.matrix[0][2] == 1 and space.matrix[1][2] == half
+    assert space.distance_values == (0, half, 1)
+
+
+def test_over_digit_limit_json_number_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"points": ["a", "b"], "matrix": [[0, ' + "1" * 4301 + '], [1, 0]]}')
+    assert run(["dset", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "4300 digits" in err
 
 
 def test_make_space_rejects_asymmetry_and_bad_diagonal():

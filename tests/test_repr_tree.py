@@ -17,7 +17,17 @@ from ultratree import (
     tree_to_json,
     verify_tree_invariants,
 )
-from util import nested_four_point_space, random_ultrametric_space
+from ultratree import FiniteUltrametricSpace
+from util import (
+    caterpillar_matrix,
+    flat_matrix,
+    nested_four_point_space,
+    padic_matrix,
+    permuted,
+    random_ultrametric_matrix,
+    random_ultrametric_space,
+    top_down_tree,
+)
 
 
 def test_four_point_tree_shape():
@@ -184,3 +194,25 @@ def test_dot_export_marks_leaves():
     assert dot.startswith("graph tree {")
     assert dot.count("doublecircle") == 4
     assert "v0 -- v1;" in dot
+
+
+def test_bottom_up_tree_matches_top_down_oracle():
+    rng = random.Random(2000)
+    for _ in range(2000):
+        space = random_ultrametric_space(rng, rng.randint(1, 14))
+        assert tree_to_json(build_representing_tree(space)) == tree_to_json(top_down_tree(space))
+
+
+@pytest.mark.parametrize("shape", ["bushy", "flat", "caterpillar", "padic2", "padic3"])
+def test_bottom_up_tree_matches_oracle_on_bench_shapes(shape):
+    rng = random.Random(shape)
+    matrix = {
+        "bushy": lambda: random_ultrametric_matrix(rng, 96),
+        "flat": lambda: flat_matrix(48),
+        "caterpillar": lambda: caterpillar_matrix(112),
+        "padic2": lambda: padic_matrix(2, 6),
+        "padic3": lambda: padic_matrix(3, 4),
+    }[shape]()
+    for m in (matrix, permuted(rng, matrix)):
+        space = FiniteUltrametricSpace([f"p{i}" for i in range(len(m))], m)
+        assert tree_to_json(build_representing_tree(space)) == tree_to_json(top_down_tree(space))

@@ -1,8 +1,10 @@
-"""Shared fixtures and random generators for the test suite.
+"""Shared fixtures, random generators and oracles for the test suite.
 
 Random ultrametric matrices are built by recursive partitioning with
 strictly decreasing level values, so validity holds by construction and
-the library's validators act as an independent check.
+the library's validators act as an independent check.  The top-down tree
+builder and the recursive canonical code are the implementations the
+library's iterative ones replaced, kept here as oracles.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ultratree import FiniteUltrametricSpace
+from ultratree import FiniteUltrametricSpace, RootedLabeledTree, format_rational
+from ultratree.core import _subset_diam_rank, diametrical_partition
 
 
 def nested_four_point_space() -> FiniteUltrametricSpace:
@@ -118,3 +121,97 @@ def count_calls(monkeypatch, module, names) -> dict[str, int]:
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     return counts
+
+
+def top_down_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
+    """The representing tree built top down from diametrical partitions.
+
+    Oracle for `build_representing_tree`: the root is the whole space, the
+    children of a vertex are the parts of its diametrical graph, vertices
+    are numbered depth first.  Recursive and O(n^3) on deep trees.
+    """
+    labels, edges, payload = [], [], []
+
+    def build(points: tuple[int, ...]) -> int:
+        vid = len(labels)
+        labels.append(space.distance_values[_subset_diam_rank(space, points)])
+        payload.append(points)
+        if len(points) > 1:
+            for part in diametrical_partition(space, points):
+                edges.append((vid, build(tuple(part))))
+        return vid
+
+    build(tuple(space.points()))
+    return RootedLabeledTree(labels, edges, root=0, ball_points=payload)
+
+
+def recursive_canonical_text(tree: RootedLabeledTree) -> str:
+    """Oracle for `canonical_code`: label plus sorted child codes, recursively."""
+
+    def encode(v: int, parent: int) -> str:
+        subs = sorted(encode(w, v) for w in tree.neighbors(v) if w != parent)
+        return "(" + format_rational(tree.labels[v]) + ";" + ",".join(subs) + ")"
+
+    return encode(tree.require_root(), -1)
+
+
+def random_rooted_tree(rng: random.Random, n: int) -> RootedLabeledTree:
+    """Random tree on n vertices with random root and small rational labels."""
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    labels = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(n)]
+    return RootedLabeledTree(labels, [(perm[u], perm[v]) for u, v in edges],
+                             root=rng.randrange(n))
+
+
+def flat_matrix(n: int) -> list[list[Fraction]]:
+    """Equidistant space: one ball of n singletons."""
+    one = Fraction(1)
+    return [[Fraction(0) if i == j else one for j in range(n)] for i in range(n)]
+
+
+def caterpillar_matrix(n: int) -> list[list[Fraction]]:
+    """d(x, y) = max(x, y) on {0..n-1}: the `space_from_sequence` shape."""
+    vals = [Fraction(k) for k in range(n)]
+    return [[vals[0] if i == j else vals[max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def padic_matrix(p: int, k: int) -> list[list[Fraction]]:
+    """p-adic distances on {0..p^k - 1}."""
+    def norm(m: int) -> Fraction:
+        if m == 0:
+            return Fraction(0)
+        v = 0
+        while m % p == 0:
+            m //= p
+            v += 1
+        return Fraction(1, p ** v)
+
+    n = p ** k
+    return [[norm(abs(i - j)) for j in range(n)] for i in range(n)]
+
+
+def permuted(rng: random.Random, matrix) -> list[list]:
+    perm = list(range(len(matrix)))
+    rng.shuffle(perm)
+    return [[matrix[perm[i]][perm[j]] for j in range(len(matrix))] for i in range(len(matrix))]
+
+
+def perturbed(rng: random.Random, matrix) -> list[list]:
+    """Copy with one symmetric pair moved to another positive value."""
+    n = len(matrix)
+    out = [list(row) for row in matrix]
+    i, j = rng.sample(range(n), 2)
+    values = sorted({v for row in matrix for v in row if v > 0})
+    old = out[i][j]
+    choices = [v for v in values if v != old] + [old / 2, old * 2, old + Fraction(1, 3)]
+    out[i][j] = out[j][i] = rng.choice(choices)
+    return out
+
+
+def violates_strong_triangle(matrix, triple) -> bool:
+    """True iff the largest of the triple's three distances is attained once."""
+    i, j, k = triple
+    d = sorted((matrix[i][j], matrix[i][k], matrix[j][k]))
+    return d[2] > d[1]
