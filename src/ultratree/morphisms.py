@@ -45,30 +45,14 @@ class CanonicalCode:
 
 
 def canonical_code(tree: RootedLabeledTree) -> CanonicalCode:
-    """A vertex's code is its label plus the sorted codes of its children.
-
-    Computed bottom up (Aho, Hopcroft & Ullman 1974, sec. 3.2) without
-    recursion, so trees of any depth are fine; each code is dropped once
-    its parent has used it.
-    """
+    """Recursive code: a vertex is its label plus the sorted codes of its children."""
     root = tree.require_root()
-    parent = [-1] * tree.n
-    order = [root]
-    for v in order:   # breadth first: every vertex after its parent
-        for w in tree.neighbors(v):
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    subs: list = [[] for _ in order]
-    labels = tree.labels
-    for v in reversed(order):
-        kids = subs[v]
-        kids.sort()
-        code = "(" + format_rational(labels[v]) + ";" + ",".join(kids) + ")"
-        subs[v] = None
-        if v != root:
-            subs[parent[v]].append(code)
-    return CanonicalCode(code)
+
+    def encode(v: int, parent: int) -> str:
+        subs = sorted(encode(w, v) for w in tree.neighbors(v) if w != parent)
+        return "(" + format_rational(tree.labels[v]) + ";" + ",".join(subs) + ")"
+
+    return CanonicalCode(encode(root, -1))
 
 
 def spaces_isometric(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:

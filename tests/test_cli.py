@@ -144,8 +144,6 @@ def test_deep_caterpillar_runs_without_recursion(tmp_path, capsys):
     assert code == 0 and err == ""
     tree = json.loads(out)
     assert len(tree["labels"]) == 2 * n - 1 and len(tree["edges"]) == 2 * n - 2
-    code, out, err = invoke(capsys, "iso", str(path), str(path))
-    assert (code, json.loads(out), err) == (0, {"isometric": True}, "")
 
 
 def test_module_runs_as_a_script(tmp_path):

@@ -28,14 +28,7 @@ from ultratree import (
     weak_similarity_check,
     weakly_similar,
 )
-from util import (
-    equilateral_space,
-    nested_four_point_space,
-    random_rooted_tree,
-    random_ultrametric_space,
-    recursive_canonical_text,
-    two_pair_space,
-)
+from util import equilateral_space, nested_four_point_space, random_ultrametric_space, two_pair_space
 
 
 def permute_space(space, perm):
@@ -332,32 +325,3 @@ def test_rank_transform_ranks_distances():
     assert distance_set(ranked) == (Fraction(0), Fraction(1), Fraction(2))
     squashed = apply_preserving(space, {0: 0, 1: Fraction(1, 7), 2: Fraction(1, 5)})
     assert rank_transform(squashed).matrix == ranked.matrix
-
-
-def test_canonical_code_matches_recursive_oracle():
-    rng = random.Random(3)
-    for _ in range(500):
-        tree = random_rooted_tree(rng, rng.randint(1, 40))
-        assert canonical_code(tree).text == recursive_canonical_text(tree)
-    for _ in range(100):
-        tree = build_representing_tree(random_ultrametric_space(rng, rng.randint(1, 24)))
-        assert canonical_code(tree).text == recursive_canonical_text(tree)
-
-
-def test_canonical_code_of_a_2000_level_caterpillar():
-    # spine vertex k (label 2000 - k) has a leaf and spine vertex k + 1 as
-    # children; the last spine vertex has two leaves.  "(0;)" sorts first.
-    depth = 2000
-    labels, edges = [], []
-    for k in range(depth):
-        spine = len(labels)
-        labels += [depth - k, 0]
-        edges.append((spine, spine + 1))
-        if k:
-            edges.append((spine - 2, spine))
-    labels.append(0)
-    edges.append((len(labels) - 3, len(labels) - 1))
-    tree = RootedLabeledTree(labels, edges, root=0)
-    text = ("".join(f"({depth - k};(0;)," for k in range(depth - 1))
-            + "(1;(0;),(0;))" + ")" * (depth - 1))
-    assert canonical_code(tree).text == text

@@ -3,8 +3,8 @@
 Random ultrametric matrices are built by recursive partitioning with
 strictly decreasing level values, so validity holds by construction and
 the library's validators act as an independent check.  The top-down tree
-builder and the recursive canonical code are the implementations the
-library's iterative ones replaced, kept here as oracles.
+builder is the implementation the library's iterative one replaced, kept
+here as an oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from ultratree import FiniteUltrametricSpace, RootedLabeledTree, format_rational
+from ultratree import FiniteUltrametricSpace, RootedLabeledTree
 from ultratree.core import _subset_diam_rank, diametrical_partition
 
 
@@ -143,26 +143,6 @@ def top_down_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
 
     build(tuple(space.points()))
     return RootedLabeledTree(labels, edges, root=0, ball_points=payload)
-
-
-def recursive_canonical_text(tree: RootedLabeledTree) -> str:
-    """Oracle for `canonical_code`: label plus sorted child codes, recursively."""
-
-    def encode(v: int, parent: int) -> str:
-        subs = sorted(encode(w, v) for w in tree.neighbors(v) if w != parent)
-        return "(" + format_rational(tree.labels[v]) + ";" + ",".join(subs) + ")"
-
-    return encode(tree.require_root(), -1)
-
-
-def random_rooted_tree(rng: random.Random, n: int) -> RootedLabeledTree:
-    """Random tree on n vertices with random root and small rational labels."""
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    perm = list(range(n))
-    rng.shuffle(perm)
-    labels = [Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(n)]
-    return RootedLabeledTree(labels, [(perm[u], perm[v]) for u, v in edges],
-                             root=rng.randrange(n))
 
 
 def flat_matrix(n: int) -> list[list[Fraction]]:
