@@ -5,11 +5,18 @@ families, so a single enumeration over centers and realized radii yields
 the whole ballean.  Balls are identified by their point sets; centers and
 radii are only witnesses, since every point of a ball is one of its
 centers.
+
+The enumeration reads each center's rank row once, sorted, and never
+consults the representing tree, so `verify_tree_invariants` still compares
+two independent constructions of the same set family.  Distances between
+balls come from their smallest points and diameter ranks, with no scan of
+their members.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Optional
 
 from .core import (
@@ -82,13 +89,6 @@ def _require_ultrametric(space) -> FiniteUltrametricSpace:
     return space
 
 
-def _ball_diam_from_center(space: FiniteUltrametricSpace, center: int,
-                           members: tuple[int, ...]) -> int:
-    # diameter seen from any member equals the true diameter in an ultrametric
-    rc = space.rank[center]
-    return max(rc[x] for x in members)
-
-
 def closed_ball(space: FiniteUltrametricSpace, center: int, radius) -> Ball:
     """The ball of points within `radius` of `center`.
 
@@ -101,34 +101,35 @@ def closed_ball(space: FiniteUltrametricSpace, center: int, radius) -> Ball:
         raise ValueError("radius must be nonnegative")
     row = space.matrix[center]
     members = tuple(x for x in space.points() if row[x] <= radius)
-    d = space.distance_values[_ball_diam_from_center(space, center, members)]
+    d = space.distance_values[_subset_diam_rank(space, members)]
     return Ball(members, d, center, radius)
 
 
-def _canonical_sort(space: FiniteUltrametricSpace, balls: list[Ball]) -> list[Ball]:
-    index = {v: i for i, v in enumerate(space.distance_values)}
-    return sorted(balls, key=lambda b: (-index[b.diameter], b.points[0]))
-
-
 def ballean(space: FiniteUltrametricSpace) -> Ballean:
-    """All distinct balls, enumerated as closed balls over realized radii.
+    """All distinct balls, enumerated over centers and radii.
 
-    Contains the whole space and every singleton; the count never exceeds
-    2n - 1.
+    Sorting a center's row by rank lists its balls as prefixes, one per
+    distinct rank.  Every member of a ball is one of its centers, so each
+    ball is kept only from its smallest point, which is its witness
+    center; its witness radius is its diameter.  Contains the whole space
+    and every singleton; the count never exceeds 2n - 1.  O(n^2 log n)
+    plus the total size of the balls.
     """
     _require_ultrametric(space)
-    rank = space.rank
     values = space.distance_values
     n = len(space)
-    seen: dict[tuple[int, ...], Ball] = {}
-    for c in range(n):
-        rc = rank[c]
-        for t, value in enumerate(values):
-            members = tuple(x for x in range(n) if rc[x] <= t)
-            if members not in seen:
-                d = values[max(rc[x] for x in members)]
-                seen[members] = Ball(members, d, c, value)
-    return Ballean(_canonical_sort(space, list(seen.values())))
+    found = []
+    for c, row in enumerate(space.rank):
+        by_rank = sorted(range(n), key=row.__getitem__)
+        for end in range(1, n + 1):
+            last = by_rank[end - 1]
+            if last < c:
+                break  # this ball and every larger one around c has a smaller point
+            t = row[last]
+            if end == n or row[by_rank[end]] != t:
+                found.append((-t, c, Ball(by_rank[:end], values[t], c, values[t])))
+    found.sort(key=lambda f: f[:2])
+    return Ballean(f[2] for f in found)
 
 
 def smallest_enclosing_ball(space: FiniteUltrametricSpace, points: Iterable[int]) -> Ball:
@@ -237,15 +238,23 @@ def hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
     """Build (ballean, Hausdorff metric) as a validated ultrametric space.
 
     Point names are brace-wrapped member lists; the map x -> {x} embeds
-    the original space isometrically.
+    the original space isometrically.  Two distinct balls are at the
+    diameter of their union, which is the largest of their diameters and
+    the distance between their smallest points.  O(b^2) for b balls.
     """
     _require_ultrametric(space)
     balls = ballean(space).balls
     names = ["{" + ",".join(space.names[p] for p in b.points) + "}" for b in balls]
-    matrix = [
-        [hausdorff_distance(space, a, b) for b in balls]
-        for a in balls
-    ]
+    values = space.distance_values
+    index = {v: t for t, v in enumerate(values)}
+    firsts = [b.points[0] for b in balls]
+    diams = [index[b.diameter] for b in balls]
+    matrix = []
+    for i, (a, ra) in enumerate(zip(firsts, diams)):
+        row = list(map(values.__getitem__, map(
+            max, map(space.rank[a].__getitem__, firsts), diams, repeat(ra))))
+        row[i] = values[0]
+        matrix.append(row)
     return HausdorffBallSpace(FiniteUltrametricSpace(names, matrix), balls)
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
+from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -58,7 +60,10 @@ def parse_rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, float):
         raise ValueError(f"refusing inexact float {value!r}; pass a string or Fraction")
-    return Fraction(str(value))
+    try:
+        return Fraction(str(value))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -206,16 +211,23 @@ def _single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int
     return order, gaps, None
 
 
-def _weak_triangle_witness(matrix) -> Optional[tuple[int, int, int]]:
-    n = len(matrix)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = matrix[i][j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dij > matrix[i][k] + matrix[k][j]:
-                    return (i, j, k)
+def _weak_triangle_witness(rank, values) -> Optional[tuple[int, int, int]]:
+    """First (i, j, k) in scan order with d(i,j) > d(i,k) + d(k,j), or None.
+
+    Runs on integers: the distance values scaled by the least common
+    multiple of their denominators, which keeps every comparison exact.
+    k = i and k = j give d(i,k) + d(k,j) = d(i,j), never a violation, so
+    each pair needs only the first k whose row sum falls below d(i,j).
+    """
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    rows = [[scaled[r] for r in row] for row in rank]
+    for i, ri in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            dij = ri[j]
+            sums = list(map(add, ri, rows[j]))
+            if min(sums) < dij:
+                return (i, j, next(k for k, s in enumerate(sums) if s < dij))
     return None
 
 
@@ -262,7 +274,7 @@ class FiniteMetricSpace(_RankedMatrix):
         # leaves the weak one to check.
         if self._strong_witness is None:
             return
-        w = _weak_triangle_witness(self.matrix)
+        w = _weak_triangle_witness(self.rank, self.distance_values)
         if w is not None:
             i, j, k = w
             names = self.names
@@ -404,6 +416,9 @@ def diam(space: FiniteMetricSpace, subset: Optional[Iterable[int]] = None) -> Fr
 
 def _subset_diam_rank(space: FiniteMetricSpace, pts: Sequence[int]) -> int:
     rank = space.rank
+    if isinstance(space, FiniteUltrametricSpace):
+        # every member sees the rest of an ultrametric subset within its diameter
+        return max(map(rank[pts[0]].__getitem__, pts))
     best = 0
     for a in range(len(pts)):
         ra = rank[pts[a]]

@@ -9,9 +9,10 @@ posets arise as ball lattices.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import FiniteUltrametricSpace, diametrical_partition
+from .core import FiniteUltrametricSpace
 from .balls import Ball, ballean
 from .repr_tree import RootedLabeledTree, _up_closure
 
@@ -185,24 +186,27 @@ def reconstruct_space(tree: RootedLabeledTree) -> MaxChainSpace:
 
     The deepest common vertex of two chains is the meet of their
     intersection, i.e. the lowest common ancestor of their leaves.
-    Requires a monotone labeling.
+    Requires a monotone labeling.  Chains come in depth-first leaf order,
+    so the deepest common vertex of chains i < j is the shallowest of
+    those of the consecutive pairs between them: each row is a running
+    minimum of depths.  O(m^2) for m chains.
     """
     ok, reason = is_monotone_labeling(tree)
     if not ok:
         raise ValueError(f"labeling is not monotone: {reason}")
     chains = maximal_chains(tree)
-    m = len(chains)
-    matrix = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        vi = chains[i].vertices
-        for j in range(i + 1, m):
-            vj = chains[j].vertices
-            deepest = vi[0]
-            for a, b in zip(vi, vj):
-                if a != b:
-                    break
-                deepest = a
-            matrix[i][j] = matrix[j][i] = tree.labels[deepest]
+    # split[j]: depth of the deepest common vertex of chains j - 1 and j
+    split = [0]
+    for prev, cur in zip(chains, chains[1:]):
+        split.append(next(d for d, (a, b) in enumerate(zip(prev, cur)) if a != b) - 1)
+    label = tree.labels.__getitem__
+    zero = Fraction(0)
+    matrix = []
+    for i, chain in enumerate(chains):
+        upper = list(map(label, map(chain.vertices.__getitem__,
+                                    accumulate(split[i + 1:], min))))
+        # left of the diagonal: column i of the rows already built
+        matrix.append([row[i] for row in matrix] + [zero] + upper)
     names = [str(c.leaf) for c in chains]
     return MaxChainSpace(chains, FiniteUltrametricSpace(names, matrix))
 
@@ -319,12 +323,19 @@ def sphere_plus_center_condition(
     """Every ball of positive diameter has a singleton part in its diametrical graph.
 
     Equivalently each such ball is a sphere with its center added.  The
-    witness is the first offending ball in canonical order.
+    witness is the first offending ball in canonical order.  The parts
+    are the ball's largest proper sub-balls, so a member x is a singleton
+    part exactly when no smaller ball of positive diameter contains x.
+    Balls are visited smallest first, keeping the points such balls
+    cover: O(n^2) after the ballean.
     """
-    for ball in ballean(space):
-        if ball.diameter == 0:
-            continue
-        parts = diametrical_partition(space, ball.points)
-        if not any(len(p) == 1 for p in parts):
-            return False, ball
-    return True, None
+    covered: set[int] = set()
+    witness = None
+    # equal diameters mean disjoint balls, so only smaller ones inside a
+    # ball have been visited when it is reached
+    for ball in reversed(ballean(space).balls):
+        if len(ball) > 1:
+            if covered.issuperset(ball.points):
+                witness = ball
+            covered.update(ball.points)
+    return witness is None, witness

@@ -16,7 +16,14 @@ from ultratree import (
     is_ultrametric_triangle,
     smallest_enclosing_ball,
 )
-from util import nested_four_point_space, random_ultrametric_space, two_pair_space
+from util import (
+    differential_spaces,
+    enumerated_ballean,
+    nested_four_point_space,
+    pairwise_hausdorff_ball_space,
+    random_ultrametric_space,
+    two_pair_space,
+)
 
 
 def test_closed_ball_examples():
@@ -209,3 +216,22 @@ def test_hausdorff_strong_triangle_over_ball_triples():
             assert dab <= max(dac, dbc)
             assert dac <= max(dab, dbc)
             assert dbc <= max(dab, dac)
+
+
+def witnessed(balls):
+    return [(b.points, b.diameter, b.witness_center, b.witness_radius) for b in balls]
+
+
+def test_ballean_matches_center_radius_oracle():
+    for space in differential_spaces(random.Random(41), 200):
+        fast, slow = ballean(space), enumerated_ballean(space)
+        assert witnessed(fast) == witnessed(slow)
+        assert ballean_to_json(fast) == ballean_to_json(slow)
+
+
+def test_hausdorff_ball_space_matches_pairwise_oracle():
+    for space in differential_spaces(random.Random(42), 100):
+        fast, slow = hausdorff_ball_space(space), pairwise_hausdorff_ball_space(space)
+        assert witnessed(fast.balls) == witnessed(slow.balls)
+        assert fast.space.names == slow.space.names
+        assert fast.space.matrix == slow.space.matrix

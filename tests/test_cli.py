@@ -144,6 +144,9 @@ def test_deep_caterpillar_runs_without_recursion(tmp_path, capsys):
     assert code == 0 and err == ""
     tree = json.loads(out)
     assert len(tree["labels"]) == 2 * n - 1 and len(tree["edges"]) == 2 * n - 2
+    code, out, err = invoke(capsys, "balls", str(path))
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["balls"]) == 2 * n - 1
 
 
 def test_module_runs_as_a_script(tmp_path):
@@ -265,6 +268,9 @@ def test_transform(capsys, space_file):
 
     code, _, err = invoke(capsys, "transform", "--fn", "nonsense", space_file)
     assert code == 2
+
+    code, out, err = invoke(capsys, "transform", "--fn", "bound:1/0", space_file)
+    assert (code, out) == (2, "") and err == "error: zero denominator in '1/0'\n"
 
 
 def test_padic_and_bethe(tmp_path, capsys):

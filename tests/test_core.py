@@ -30,6 +30,7 @@ from util import (
     caterpillar_matrix,
     count_calls,
     flat_matrix,
+    fraction_weak_triangle_witness,
     mixed_validity_matrix,
     nested_four_point_space,
     padic_matrix,
@@ -143,6 +144,36 @@ def test_single_linkage_check_on_perturbed_shapes(shape, n):
         _oracle_agrees(perturbed(rng, matrix))
 
 
+def _metric_matrix(rng, n):
+    # distances in [1, 2) always satisfy the triangle inequality
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            den = rng.randint(1, 7)
+            matrix[i][j] = matrix[j][i] = Fraction(rng.randrange(den, 2 * den), den)
+    return matrix
+
+
+def test_integer_weak_triangle_scan_matches_fraction_scan():
+    rng = random.Random(46)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(3, 14)
+        matrix = rng.choice((_metric_matrix, mixed_validity_matrix))(rng, n)
+        ranked = core._RankedMatrix([f"p{i}" for i in range(n)], matrix)
+        want = fraction_weak_triangle_witness(ranked.matrix)
+        assert core._weak_triangle_witness(ranked.rank, ranked.distance_values) == want
+        if want is None and core._single_linkage(ranked.rank)[2] is not None:
+            outcomes.add("metric, not ultrametric")
+            assert type(make_space(ranked.names, matrix)) is FiniteMetricSpace
+        elif want is not None:
+            outcomes.add("not a metric")
+            with pytest.raises(SpaceValidationError) as info:
+                make_space(ranked.names, matrix)
+            assert (info.value.axiom, info.value.witness) == ("triangle", want)
+    assert outcomes == {"metric, not ultrametric", "not a metric"}
+
+
 _BIG = "1" * 4301 + "/3"
 _DIGITS = ("Exceeds the limit (4300 digits) for integer string conversion: value has "
            "4301 digits; use sys.set_int_max_str_digits() to increase the limit")
@@ -188,10 +219,12 @@ _DIGITS = ("Exceeds the limit (4300 digits) for integer string conversion: value
      "Invalid literal for Fraction: 'x'"),
     (["a", "b"], [["0", "y"], ["x", "0"]], ValueError, None, None,
      "Invalid literal for Fraction: 'y'"),
+    (["a", "b"], [["0", "1/0"], ["1/0", "0"]], ValueError, None, None,
+     "zero denominator in '1/0'"),
 ], ids=["float", "float-after-equal-int", "null", "nested-list", "object", "null-matrix",
         "null-row", "ragged", "non-square", "nonzero-diagonal", "asymmetric", "zero",
         "negative", "negative-diagonal", "short-names", "duplicate-names", "no-points",
-        "over-digit-limit", "parse-before-validation", "row-major"])
+        "over-digit-limit", "parse-before-validation", "row-major", "zero-denominator"])
 def test_bad_input_errors_are_pinned(tmp_path, capsys, points, matrix, error, axiom,
                                      witness, message):
     with pytest.raises(Exception) as info:
@@ -407,6 +440,10 @@ def test_one_center_diameter_matches_pairwise():
         assert d == max(space.distance(x, y) for x in pts for y in pts)
         for anchor in pts:
             assert max(space.distance(anchor, x) for x in pts) == d
+    # a metric that is not ultrametric: seen from a, {a, b, c} spans only 1
+    space = make_space(["a", "b", "c"], [[0, 1, 1], [1, 0, 2], [1, 2, 0]])
+    assert not isinstance(space, FiniteUltrametricSpace)
+    assert diam(space, [0, 1, 2]) == 2 and diam(space, [0, 2]) == 1
 
 
 def test_space_json_roundtrip():

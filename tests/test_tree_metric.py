@@ -24,8 +24,12 @@ from ultratree import (
     sphere_plus_center_condition,
 )
 from util import (
+    chain_scan_reconstruct,
+    differential_spaces,
     equilateral_space,
     nested_four_point_space,
+    partition_sphere_plus_center,
+    random_monotone_tree,
     random_ultrametric_space,
     two_pair_space,
 )
@@ -243,3 +247,31 @@ def test_sphere_plus_center_examples():
 
     ok, _ = sphere_plus_center_condition(equilateral_space(3))
     assert ok
+
+
+def test_sphere_plus_center_matches_partition_oracle():
+    verdicts = set()
+    for space in differential_spaces(random.Random(43), 200):
+        ok, witness = sphere_plus_center_condition(space)
+        want_ok, want_witness = partition_sphere_plus_center(space)
+        assert ok is want_ok
+        if want_witness is None:
+            assert witness is None
+        else:
+            assert (witness.points, witness.diameter, witness.witness_center,
+                    witness.witness_radius) == (
+                want_witness.points, want_witness.diameter,
+                want_witness.witness_center, want_witness.witness_radius)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def test_reconstruct_space_matches_chain_scan_oracle():
+    rng = random.Random(44)
+    trees = [build_representing_tree(s) for s in differential_spaces(rng, 100)]
+    trees += [random_monotone_tree(rng, rng.randint(1, 40)) for _ in range(300)]
+    for tree in trees:
+        fast, slow = reconstruct_space(tree), chain_scan_reconstruct(tree)
+        assert fast.chains == slow.chains
+        assert fast.space.names == slow.space.names
+        assert fast.space.matrix == slow.space.matrix

@@ -3,8 +3,10 @@
 Random ultrametric matrices are built by recursive partitioning with
 strictly decreasing level values, so validity holds by construction and
 the library's validators act as an independent check.  The top-down tree
-builder is the implementation the library's iterative one replaced, kept
-here as an oracle.
+builder, the center-by-radius ballean, the pairwise Hausdorff matrix, the
+partition-based sphere-plus-center test, the chain-scan reconstruction and
+the `Fraction` weak-triangle scan are the implementations the library's
+faster ones replaced, kept here as oracles.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import random
 from fractions import Fraction
 
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
+from ultratree.balls import Ball, Ballean, HausdorffBallSpace, hausdorff_distance
 from ultratree.core import _subset_diam_rank, diametrical_partition
+from ultratree.tree_metric import MaxChainSpace, is_monotone_labeling, maximal_chains
 
 
 def nested_four_point_space() -> FiniteUltrametricSpace:
@@ -195,3 +199,113 @@ def violates_strong_triangle(matrix, triple) -> bool:
     i, j, k = triple
     d = sorted((matrix[i][j], matrix[i][k], matrix[j][k]))
     return d[2] > d[1]
+
+
+def random_monotone_tree(rng: random.Random, n: int) -> RootedLabeledTree:
+    """Random rooted tree, shuffled vertex ids, labels dropping toward zero leaves.
+
+    Unlike a representing tree it may have vertices of out-degree one.
+    """
+    parent = [None] + [rng.randrange(v) for v in range(1, n)]
+    labels = [Fraction(0)] * n
+    for v in range(n - 1, 0, -1):  # children come after their parents
+        step = Fraction(rng.randint(1, 3), rng.randint(1, 3))
+        labels[parent[v]] = max(labels[parent[v]], labels[v] + step)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return RootedLabeledTree(
+        [labels[ids.index(v)] for v in range(n)],
+        [(ids[v], ids[parent[v]]) for v in range(1, n)],
+        root=ids[0],
+    )
+
+
+def differential_spaces(rng: random.Random, count: int) -> list[FiniteUltrametricSpace]:
+    """`count` seeded random spaces with n <= 24, then the bench shapes.
+
+    The shapes are flat, caterpillar and p-adic spaces at n 32-128, each
+    plain and permuted.
+    """
+    spaces = [random_ultrametric_space(rng, rng.randint(1, 24)) for _ in range(count)]
+    for matrix in (flat_matrix(48), flat_matrix(128), caterpillar_matrix(64),
+                   caterpillar_matrix(128), padic_matrix(2, 7), padic_matrix(3, 4),
+                   padic_matrix(5, 3)):
+        for m in (matrix, permuted(rng, matrix)):
+            spaces.append(FiniteUltrametricSpace([f"p{i}" for i in range(len(m))], m))
+    return spaces
+
+
+def enumerated_ballean(space: FiniteUltrametricSpace) -> Ballean:
+    """Oracle for `ballean`: the closed ball of every center at every rank.
+
+    O(n^2 |D(X)|); the first center and radius to produce a set are its
+    witnesses.
+    """
+    rank = space.rank
+    values = space.distance_values
+    n = len(space)
+    seen: dict[tuple[int, ...], Ball] = {}
+    for c in range(n):
+        rc = rank[c]
+        for t, value in enumerate(values):
+            members = tuple(x for x in range(n) if rc[x] <= t)
+            if members not in seen:
+                d = values[max(rc[x] for x in members)]
+                seen[members] = Ball(members, d, c, value)
+    index = {v: i for i, v in enumerate(values)}
+    return Ballean(sorted(seen.values(), key=lambda b: (-index[b.diameter], b.points[0])))
+
+
+def pairwise_hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
+    """Oracle for `hausdorff_ball_space`: the diameter of each union, pair by pair."""
+    balls = enumerated_ballean(space).balls
+    names = ["{" + ",".join(space.names[p] for p in b.points) + "}" for b in balls]
+    matrix = [[hausdorff_distance(space, a, b) for b in balls] for a in balls]
+    return HausdorffBallSpace(FiniteUltrametricSpace(names, matrix), balls)
+
+
+def partition_sphere_plus_center(space: FiniteUltrametricSpace):
+    """Oracle for `sphere_plus_center_condition`: each ball's diametrical partition."""
+    for ball in enumerated_ballean(space):
+        if ball.diameter == 0:
+            continue
+        parts = diametrical_partition(space, ball.points)
+        if not any(len(p) == 1 for p in parts):
+            return False, ball
+    return True, None
+
+
+def chain_scan_reconstruct(tree: RootedLabeledTree) -> MaxChainSpace:
+    """Oracle for `reconstruct_space`: the common prefix of every pair of chains."""
+    ok, reason = is_monotone_labeling(tree)
+    if not ok:
+        raise ValueError(f"labeling is not monotone: {reason}")
+    chains = maximal_chains(tree)
+    m = len(chains)
+    matrix = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        vi = chains[i].vertices
+        for j in range(i + 1, m):
+            vj = chains[j].vertices
+            deepest = vi[0]
+            for a, b in zip(vi, vj):
+                if a != b:
+                    break
+                deepest = a
+            matrix[i][j] = matrix[j][i] = tree.labels[deepest]
+    names = [str(c.leaf) for c in chains]
+    return MaxChainSpace(chains, FiniteUltrametricSpace(names, matrix))
+
+
+def fraction_weak_triangle_witness(matrix):
+    """Oracle for `core._weak_triangle_witness`: the triple scan on `Fraction` sums."""
+    n = len(matrix)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dij = matrix[i][j]
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                if dij > matrix[i][k] + matrix[k][j]:
+                    return (i, j, k)
+    return None
