@@ -16,7 +16,6 @@ their members.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Optional
 
 from .core import (
@@ -201,12 +200,17 @@ def ball_poset(space: FiniteUltrametricSpace) -> BallPoset:
 
 
 def hausdorff_distance(space: FiniteUltrametricSpace, a: Ball, b: Ball) -> Fraction:
-    """Hausdorff distance between two balls: diameter of their union when distinct."""
+    """Hausdorff distance between two balls: diameter of their union when distinct.
+
+    In an ultrametric that diameter is the largest of the two diameters and
+    the distance between any member of one ball and any member of the other.
+    """
     _require_ultrametric(space)
     if a.points == b.points:
         return Fraction(0)
-    merged = tuple(sorted(set(a.points) | set(b.points)))
-    return space.distance_values[_subset_diam_rank(space, merged)]
+    t = max(space.rank[a.points[0]][b.points[0]],
+            _subset_diam_rank(space, a.points), _subset_diam_rank(space, b.points))
+    return space.distance_values[t]
 
 
 def hausdorff_distance_direct(space: FiniteUltrametricSpace, a: Ball, b: Ball) -> Fraction:
@@ -238,21 +242,21 @@ def hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
     """Build (ballean, Hausdorff metric) as a validated ultrametric space.
 
     Point names are brace-wrapped member lists; the map x -> {x} embeds
-    the original space isometrically.  Two distinct balls are at the
-    diameter of their union, which is the largest of their diameters and
-    the distance between their smallest points.  O(b^2) for b balls.
+    the original space isometrically.  Each distance follows
+    `hausdorff_distance`, with the diameter ranks read once per ball:
+    O(b^2) for b balls.
     """
     _require_ultrametric(space)
     balls = ballean(space).balls
     names = ["{" + ",".join(space.names[p] for p in b.points) + "}" for b in balls]
+    rank = space.rank
     values = space.distance_values
     index = {v: t for t, v in enumerate(values)}
     firsts = [b.points[0] for b in balls]
     diams = [index[b.diameter] for b in balls]
     matrix = []
     for i, (a, ra) in enumerate(zip(firsts, diams)):
-        row = list(map(values.__getitem__, map(
-            max, map(space.rank[a].__getitem__, firsts), diams, repeat(ra))))
+        row = [values[max(rank[a][b], ra, rb)] for b, rb in zip(firsts, diams)]
         row[i] = values[0]
         matrix.append(row)
     return HausdorffBallSpace(FiniteUltrametricSpace(names, matrix), balls)

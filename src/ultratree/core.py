@@ -21,8 +21,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
-from operator import add
 from typing import Iterable, Optional, Sequence, Union
 
 
@@ -211,23 +209,16 @@ def _single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int
     return order, gaps, None
 
 
-def _weak_triangle_witness(rank, values) -> Optional[tuple[int, int, int]]:
-    """First (i, j, k) in scan order with d(i,j) > d(i,k) + d(k,j), or None.
-
-    Runs on integers: the distance values scaled by the least common
-    multiple of their denominators, which keeps every comparison exact.
-    k = i and k = j give d(i,k) + d(k,j) = d(i,j), never a violation, so
-    each pair needs only the first k whose row sum falls below d(i,j).
-    """
-    scale = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
-    rows = [[scaled[r] for r in row] for row in rank]
-    for i, ri in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            dij = ri[j]
-            sums = list(map(add, ri, rows[j]))
-            if min(sums) < dij:
-                return (i, j, next(k for k, s in enumerate(sums) if s < dij))
+def _weak_triangle_witness(matrix) -> Optional[tuple[int, int, int]]:
+    n = len(matrix)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dij = matrix[i][j]
+            for k in range(n):
+                if k == i or k == j:
+                    continue
+                if dij > matrix[i][k] + matrix[k][j]:
+                    return (i, j, k)
     return None
 
 
@@ -274,7 +265,7 @@ class FiniteMetricSpace(_RankedMatrix):
         # leaves the weak one to check.
         if self._strong_witness is None:
             return
-        w = _weak_triangle_witness(self.rank, self.distance_values)
+        w = _weak_triangle_witness(self.matrix)
         if w is not None:
             i, j, k = w
             names = self.names

@@ -30,7 +30,6 @@ from util import (
     caterpillar_matrix,
     count_calls,
     flat_matrix,
-    fraction_weak_triangle_witness,
     mixed_validity_matrix,
     nested_four_point_space,
     padic_matrix,
@@ -154,23 +153,28 @@ def _metric_matrix(rng, n):
     return matrix
 
 
-def test_integer_weak_triangle_scan_matches_fraction_scan():
+def test_make_space_separates_metrics_from_triangle_violations():
     rng = random.Random(46)
     outcomes = set()
     for _ in range(300):
         n = rng.randint(3, 14)
         matrix = rng.choice((_metric_matrix, mixed_validity_matrix))(rng, n)
         ranked = core._RankedMatrix([f"p{i}" for i in range(n)], matrix)
-        want = fraction_weak_triangle_witness(ranked.matrix)
-        assert core._weak_triangle_witness(ranked.rank, ranked.distance_values) == want
-        if want is None and core._single_linkage(ranked.rank)[2] is not None:
-            outcomes.add("metric, not ultrametric")
-            assert type(make_space(ranked.names, matrix)) is FiniteMetricSpace
-        elif want is not None:
+        if core._single_linkage(ranked.rank)[2] is None:
+            continue
+        d = ranked.matrix
+        try:
+            space = make_space(ranked.names, matrix)
+        except SpaceValidationError as error:
             outcomes.add("not a metric")
-            with pytest.raises(SpaceValidationError) as info:
-                make_space(ranked.names, matrix)
-            assert (info.value.axiom, info.value.witness) == ("triangle", want)
+            i, j, k = error.witness
+            assert error.axiom == "triangle" and i < j and k not in (i, j)
+            assert d[i][j] > d[i][k] + d[k][j]
+        else:
+            outcomes.add("metric, not ultrametric")
+            assert type(space) is FiniteMetricSpace
+            assert all(d[i][j] <= d[i][k] + d[k][j]
+                       for i in range(n) for j in range(n) for k in range(n))
     assert outcomes == {"metric, not ultrametric", "not a metric"}
 
 

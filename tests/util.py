@@ -4,9 +4,9 @@ Random ultrametric matrices are built by recursive partitioning with
 strictly decreasing level values, so validity holds by construction and
 the library's validators act as an independent check.  The top-down tree
 builder, the center-by-radius ballean, the pairwise Hausdorff matrix, the
-partition-based sphere-plus-center test, the chain-scan reconstruction and
-the `Fraction` weak-triangle scan are the implementations the library's
-faster ones replaced, kept here as oracles.
+partition-based sphere-plus-center test and the chain-scan reconstruction
+are the implementations the library's faster ones replaced, kept here as
+oracles.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
-from ultratree.balls import Ball, Ballean, HausdorffBallSpace, hausdorff_distance
+from ultratree.balls import Ball, Ballean, HausdorffBallSpace
 from ultratree.core import _subset_diam_rank, diametrical_partition
 from ultratree.tree_metric import MaxChainSpace, is_monotone_labeling, maximal_chains
 
@@ -260,7 +260,16 @@ def pairwise_hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBal
     """Oracle for `hausdorff_ball_space`: the diameter of each union, pair by pair."""
     balls = enumerated_ballean(space).balls
     names = ["{" + ",".join(space.names[p] for p in b.points) + "}" for b in balls]
-    matrix = [[hausdorff_distance(space, a, b) for b in balls] for a in balls]
+    values = space.distance_values
+
+    def union_diameter(a, b):
+        if a.points == b.points:
+            return values[0]
+        # one member's row spans an ultrametric subset
+        row = space.rank[a.points[0]]
+        return values[max(row[x] for x in set(a.points) | set(b.points))]
+
+    matrix = [[union_diameter(a, b) for b in balls] for a in balls]
     return HausdorffBallSpace(FiniteUltrametricSpace(names, matrix), balls)
 
 
@@ -295,17 +304,3 @@ def chain_scan_reconstruct(tree: RootedLabeledTree) -> MaxChainSpace:
             matrix[i][j] = matrix[j][i] = tree.labels[deepest]
     names = [str(c.leaf) for c in chains]
     return MaxChainSpace(chains, FiniteUltrametricSpace(names, matrix))
-
-
-def fraction_weak_triangle_witness(matrix):
-    """Oracle for `core._weak_triangle_witness`: the triple scan on `Fraction` sums."""
-    n = len(matrix)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dij = matrix[i][j]
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                if dij > matrix[i][k] + matrix[k][j]:
-                    return (i, j, k)
-    return None
