@@ -2,7 +2,8 @@
 
 Every verb maps to one library pipeline and prints deterministic JSON (or
 DOT).  Exit codes: 0 for success or a positive decision, 1 for a negative
-decision, 2 for input errors.
+decision, 2 for input errors, 3 for internal errors (any other exception,
+reported as one `internal error: <Type>: <message>` line on stderr).
 
 `check` runs one ultrametricity test, the O(n^2) single-linkage pass
 that every space constructor also runs, and prints a sorted violating
@@ -290,12 +291,12 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
+    except (InputError, core.SpaceValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except core.SpaceValidationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return 3
 
 
 def main() -> None:

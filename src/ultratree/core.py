@@ -358,37 +358,17 @@ def is_ultrametric_multipartite(space_or_matrix) -> bool:
 
     For every positive distance value r, the graph joining pairs at
     distance >= r must be empty or complete multipartite, i.e.
-    non-adjacency (distance < r) must be transitive.  Agrees with
-    `is_ultrametric_triangle` on every input.
+    non-adjacency (distance < r) must be transitive: `_partition_below`
+    finds its classes or a witness.  Agrees with `is_ultrametric_triangle`
+    on every input.
     """
     rank, nvals = _as_rank_matrix(space_or_matrix)
-    n = len(rank)
-    if n < 2:
-        return True
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for t in range(nvals - 1, 0, -1):
-        for i in range(n):
-            parent[i] = i
-        for i in range(n):
-            ri = rank[i]
-            for j in range(i + 1, n):
-                if ri[j] < t:
-                    a, b = find(i), find(j)
-                    if a != b:
-                        parent[a] = b
-        # each non-adjacency class must be a clique under "distance < r"
-        for i in range(n):
-            ri = rank[i]
-            for j in range(i + 1, n):
-                if ri[j] >= t and find(i) == find(j):
-                    return False
+    pts = range(len(rank))
+    try:
+        for t in range(nvals - 1, 0, -1):
+            _partition_below(rank, pts, t)
+    except NotUltrametricError:
+        return False
     return True
 
 
@@ -452,13 +432,12 @@ class MultipartitePartition:
         return f"<partition at {self.threshold}: {body}>"
 
 
-def _partition_below(space: FiniteMetricSpace, pts: Sequence[int], t: int) -> list[list[int]]:
+def _partition_below(rank, pts: Sequence[int], t: int) -> list[list[int]]:
     """Classes of the relation rank < t on `pts`, verified to be an equivalence.
 
     Transitivity failure raises `NotUltrametricError` with a witness triple
     instead of returning garbage classes.
     """
-    rank = space.rank
     classes: list[list[int]] = []
     for x in pts:
         placed = False
@@ -501,7 +480,7 @@ def diametrical_partition(
     if len(pts) == 1:
         return None
     t = _subset_diam_rank(space, pts)
-    classes = _partition_below(space, pts, t)
+    classes = _partition_below(space.rank, pts, t)
     classes.sort(key=lambda c: min(c))
     return MultipartitePartition(
         [sorted(c) for c in classes], space.distance_values[t]
@@ -527,7 +506,7 @@ def threshold_partition(space: FiniteMetricSpace, r) -> Optional[MultipartitePar
             t = i
             break
     pts = tuple(space.points())
-    classes = _partition_below(space, pts, t)
+    classes = _partition_below(space.rank, pts, t)
     classes.sort(key=lambda c: min(c))
     return MultipartitePartition([sorted(c) for c in classes], r)
 

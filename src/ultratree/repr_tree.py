@@ -6,6 +6,12 @@ Cartesian tree of the pass's gap sequence, with runs of equal gaps merged
 into one vertex.  The construction never consults the ballean, so the
 fact that the vertex set coincides with it stays independently checkable
 through `verify_tree_invariants`.
+
+Orders are kept as up-set bitmasks: `_up_closure` closes (lower, upper)
+arcs and `_covering_pairs` reads the covers (the transitive reduction)
+back off.  `tree_order`, `edge_characterization_check` and
+`tree_metric.check_ballean_poset` all go through these two.  Vertex ids
+are ints; bools, floats and strings are refused.
 """
 
 from __future__ import annotations
@@ -23,6 +29,11 @@ from .core import (
     _subset_diam_rank,
 )
 from .balls import ballean
+
+
+def _is_index(value, n: int) -> bool:
+    """True for an int in range(n): bools, floats and strings are not ids."""
+    return type(value) is int and 0 <= value < n
 
 
 class RootedLabeledTree:
@@ -44,8 +55,7 @@ class RootedLabeledTree:
             raise ValueError("a tree needs at least one vertex")
         norm = []
         for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n) or u == v:
+            if not (_is_index(u, n) and _is_index(v, n)) or u == v:
                 raise ValueError(f"bad edge ({u},{v})")
             norm.append((u, v) if u < v else (v, u))
         self.edges = tuple(sorted(norm))
@@ -62,8 +72,8 @@ class RootedLabeledTree:
             raise ValueError("edges do not connect the vertex set")
         if any(l < 0 for l in self.labels):
             raise ValueError("labels must be nonnegative")
-        if root is not None and not (0 <= root < n):
-            raise ValueError(f"root {root} out of range")
+        if root is not None and not _is_index(root, n):
+            raise ValueError(f"root {root!r} is not a vertex index")
         self.root = root
         if ball_points is not None:
             ball_points = tuple(tuple(p) for p in ball_points)
@@ -311,38 +321,35 @@ def edge_characterization_check(space: FiniteUltrametricSpace,
                                 tree: RootedLabeledTree) -> bool:
     """Adjacency in the tree iff strict ball nesting with no ball between.
 
-    Exhaustive over all vertex pairs, using bitmask closures of the
-    inclusion order.
+    The inclusion up-set of a ball is the AND, over its points, of the
+    balls holding each point; the edges must be exactly the covering pairs
+    of that order.  Two vertices with one point set fail outright.
     """
     pts = tree.ball_points
     if pts is None:
         raise ValueError("tree carries no ball payloads")
     n = tree.n
-    sets = [frozenset(p) for p in pts]
-    sub = [0] * n   # sub[v]: bitmask of u with sets[u] <= sets[v]
-    sup = [0] * n
-    for u in range(n):
-        for v in range(n):
-            if sets[u] <= sets[v]:
-                sub[v] |= 1 << u
-                sup[u] |= 1 << v
-    adjacent = {e for e in tree.edges}
-    for u in range(n):
-        for v in range(u + 1, n):
-            lo, hi = (u, v) if sets[u] < sets[v] else (v, u)
-            nested = sets[lo] < sets[hi]
-            if nested:
-                between = sup[lo] & sub[hi] & ~(1 << lo) & ~(1 << hi)
-                expected = between == 0
-            else:
-                expected = False
-            if ((u, v) in adjacent) != expected:
-                return False
-    return True
+    holding = [0] * len(space)   # holding[x]: bitmask of balls containing x
+    for v, ball in enumerate(pts):
+        for x in ball:
+            holding[x] |= 1 << v
+    up = []
+    for ball in pts:
+        mask = (1 << n) - 1
+        for x in ball:
+            mask &= holding[x]
+        up.append(mask)
+    if len(set(up)) != n:   # equal up-sets iff equal point sets
+        return False
+    return {(min(p), max(p)) for p in _covering_pairs(up)} == set(tree.edges)
 
 
 def _up_closure(n: int, arcs) -> list[int]:
-    """Closure of (lower, upper) arcs: bit w of `up[v]` is set iff v <= w."""
+    """Closure of (lower, upper) arcs: bit w of `up[v]` is set iff v <= w.
+
+    Each pass ORs the upper end's up-set into the lower end's, until a
+    pass changes nothing; arcs listed top down close in one pass.
+    """
     up = [1 << v for v in range(n)]
     changed = True
     while changed:
@@ -355,24 +362,48 @@ def _up_closure(n: int, arcs) -> list[int]:
     return up
 
 
+def _covering_pairs(up: list[int]) -> list[tuple[int, int]]:
+    """Covering pairs (a, b), sorted, of a closed order given by up-sets.
+
+    The transitive reduction (Aho, Garey & Ullman 1972): the covers of a
+    are its strict up-set minus the strict up-sets of its members.  A
+    member already above another one is skipped, its up-set lying inside.
+    """
+    pairs = []
+    for a, mask in enumerate(up):
+        strict = mask & ~(1 << a)
+        above = 0
+        rest = strict
+        while rest:
+            low = rest & -rest
+            above |= up[low.bit_length() - 1] & ~low
+            rest = (rest ^ low) & ~above
+        rest = strict & ~above
+        while rest:
+            low = rest & -rest
+            pairs.append((a, low.bit_length() - 1))
+            rest ^= low
+    return pairs
+
+
 class TreeOrder:
     """The partial order a root induces on a tree.
 
-    `leq(u, v)` holds iff v lies on the path from u to the root, so the
-    root is the largest element and covering pairs are exactly the
-    child-parent pairs.
+    `leq(u, v)` holds iff v lies on the path from u to the root, i.e. iff
+    bit v of `up[u]` is set, so the root is the largest element and
+    covering pairs are exactly the child-parent pairs.
     """
 
-    __slots__ = ("root", "parent", "path_sets", "covers")
+    __slots__ = ("root", "parent", "up", "covers")
 
-    def __init__(self, root, parent, path_sets, covers):
+    def __init__(self, root, parent, up, covers):
         self.root = root
         self.parent = parent
-        self.path_sets = path_sets
+        self.up = up
         self.covers = covers
 
     def leq(self, u: int, v: int) -> bool:
-        return v in self.path_sets[u]
+        return bool(self.up[u] >> v & 1)
 
     def comparable(self, u: int, v: int) -> bool:
         return self.leq(u, v) or self.leq(v, u)
@@ -382,60 +413,20 @@ class TreeOrder:
 
 
 def tree_order(tree: RootedLabeledTree) -> TreeOrder:
-    """Build the root-path order and verify its characteristic properties.
+    """The root-path order: the closure of the child-parent covers.
 
-    Verified on the way out: the root is the largest element, every other
-    vertex has exactly one upper cover, the order equals the transitive
-    closure of the covering relation, covering pairs are exactly the
-    edges, and (for trees carrying ball payloads) the order coincides
-    with ball inclusion.
+    Arcs are closed top down, breadth first from the root, so each
+    parent's up-set is complete before its children read it.  O(n^2 / w)
+    for w-bit words.  The test suite checks that the root is largest, the
+    upper covers are the parents, the order is the closure of the covers,
+    the covers are the edges, and the order is ball inclusion.
     """
     root = tree.require_root()
     parent = tree.parent_map(root)
-    n = tree.n
-    path_sets = [None] * n
-    path_sets[root] = frozenset({root})
-
-    def path_of(v):
-        if path_sets[v] is None:
-            path_sets[v] = path_sets[parent[v]] | {v}
-        return path_sets[v]
-
     depth = tree.levels(root)
-    for v in sorted(range(n), key=lambda x: depth[x]):
-        path_of(v)
-    covers = tuple(sorted((v, parent[v]) for v in range(n) if v != root))
-    order = TreeOrder(root, parent, tuple(path_sets), covers)
-
-    for v in range(n):
-        if not order.leq(v, root):
-            raise RuntimeError("root is not the largest element")
-    # upper covers derived from the order itself must be the parents: the
-    # strict superiors of v are its root path, and the cover is the one
-    # whose own path is exactly one vertex shorter
-    for v in range(n):
-        if v == root:
-            continue
-        uppers = [u for u in path_sets[v] if u != v
-                  and len(path_sets[u]) == len(path_sets[v]) - 1]
-        if uppers != [parent[v]]:
-            raise RuntimeError(f"vertex {v} has upper covers {uppers}")
-    # order equals the transitive closure of the covering relation
-    reach = _up_closure(n, covers)
-    for u in range(n):
-        for v in range(n):
-            if ((reach[u] >> v) & 1) != (1 if order.leq(u, v) else 0):
-                raise RuntimeError("order differs from the closure of its covers")
-    undirected = {tuple(sorted(c)) for c in covers}
-    if undirected != set(tree.edges):
-        raise RuntimeError("covering pairs differ from the edge set")
-    if tree.ball_points is not None:
-        sets = [frozenset(p) for p in tree.ball_points]
-        for u in range(n):
-            for v in range(n):
-                if order.leq(u, v) != (sets[u] <= sets[v]):
-                    raise RuntimeError("tree order disagrees with ball inclusion")
-    return order
+    covers = tuple((v, p) for v, p in enumerate(parent) if p is not None)
+    up = _up_closure(tree.n, sorted(covers, key=lambda c: depth[c[0]]))
+    return TreeOrder(root, parent, tuple(up), covers)
 
 
 def tree_to_json(tree: RootedLabeledTree) -> dict:

@@ -3,18 +3,21 @@
 The path-max metric turns vertex labels into distances; monotone labelings
 on rooted trees are exactly the ones whose maximal chains reconstruct an
 ultrametric space; and the covering-digraph checker decides which finite
-posets arise as ball lattices.
+posets arise as ball lattices, reading the covers off the closure's up-set
+bitmasks (`repr_tree._covering_pairs`) instead of testing every triple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
+from operator import and_
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import FiniteUltrametricSpace
 from .balls import Ball, ballean
-from .repr_tree import RootedLabeledTree, _up_closure
+from .repr_tree import RootedLabeledTree, _covering_pairs, _is_index, _up_closure
 
 
 class PseudoUltrametricSpace:
@@ -240,71 +243,55 @@ class PosetCheckReport:
 def check_ballean_poset(n: int, covers: Iterable[tuple[int, int]]) -> PosetCheckReport:
     """Test whether a finite poset is order-isomorphic to a ball lattice.
 
-    `covers` lists pairs (lower, upper).  The order is their
+    `covers` lists pairs (lower, upper) of int ids.  The order is their
     reflexive-transitive closure; a cycle means the input is not a partial
-    order and raises ValueError.
+    order and raises ValueError.  The covering relation is read off the
+    closure's up-set bitmasks, so the cost is the closure plus the sum of
+    the up-set sizes, in word operations.
     """
     if n <= 0:
         raise ValueError("poset must be nonempty")
     arcs = []
     for lo, hi in covers:
-        lo, hi = int(lo), int(hi)
-        if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
+        if not (_is_index(lo, n) and _is_index(hi, n)) or lo == hi:
             raise ValueError(f"bad cover pair ({lo},{hi})")
         arcs.append((lo, hi))
     up = _up_closure(n, arcs)
-    for v in range(n):
-        for w in range(n):
-            if v != w and (up[v] >> w) & 1 and (up[w] >> v) & 1:
-                raise ValueError(f"not a partial order: {v} and {w} lie on a cycle")
+    # an arc lies on a cycle iff its upper end is also below its lower end
+    if any(up[hi] >> lo & 1 for lo, hi in arcs):
+        v, w = next((v, w) for v in range(n) for w in range(n)
+                    if v != w and up[v] >> w & 1 and up[w] >> v & 1)
+        raise ValueError(f"not a partial order: {v} and {w} lie on a cycle")
 
-    def leq(a, b):
-        return (up[a] >> b) & 1
+    top = reduce(and_, up)
+    largest = top.bit_length() - 1 if top else None
 
-    largest = next((l for l in range(n) if all(leq(v, l) for v in range(n))), None)
-
-    # true covering relation of the closure order
-    derived: set[tuple[int, int]] = set()
-    for a in range(n):
-        for b in range(n):
-            if a != b and leq(a, b):
-                if not any(w != a and w != b and leq(a, w) and leq(w, b)
-                           for w in range(n)):
-                    derived.add((a, b))
-    covers_match = derived == set(arcs)
+    derived = _covering_pairs(up)
+    uppers: list[list[int]] = [[] for _ in range(n)]
+    lowers: list[list[int]] = [[] for _ in range(n)]
+    for a, b in derived:   # sorted, so each list comes out sorted
+        uppers[a].append(b)
+        lowers[b].append(a)
+    derived, given = set(derived), set(arcs)
+    covers_match = derived == given
     covers_witness = None
     if not covers_match:
-        extra = sorted(set(arcs) - derived)
-        covers_witness = f"redundant or missing cover arcs, e.g. {extra[:1] or sorted(derived - set(arcs))[:1]}"
+        extra = sorted(given - derived)
+        covers_witness = f"redundant or missing cover arcs, e.g. {extra[:1] or sorted(derived - given)[:1]}"
 
-    unique_upper = True
-    upper_witness = None
-    for p in range(n):
-        if p == largest:
-            continue
-        uppers = [q for a, q in derived if a == p]
-        if len(uppers) != 1:
-            unique_upper = False
-            upper_witness = f"element {p} has upper covers {sorted(uppers)}"
-            break
-
-    lower_ok = True
-    lower_witness = None
-    for b in range(n):
-        lowers = [a for a, q in derived if q == b]
-        minimal = not any(leq(a, b) and a != b for a in range(n))
-        if not minimal and len(lowers) < 2:
-            lower_ok = False
-            lower_witness = f"element {b} has lower covers {sorted(lowers)}"
-            break
+    p = next((p for p in range(n) if p != largest and len(uppers[p]) != 1), None)
+    upper_witness = None if p is None else f"element {p} has upper covers {uppers[p]}"
+    # minimal elements have no lower cover; every other one needs two
+    b = next((b for b in range(n) if len(lowers[b]) == 1), None)
+    lower_witness = None if b is None else f"element {b} has lower covers {lowers[b]}"
 
     return PosetCheckReport(
         n=n,
         has_largest=largest is not None,
         largest=largest,
-        unique_upper_cover=unique_upper,
+        unique_upper_cover=p is None,
         upper_witness=upper_witness,
-        lower_covers_ok=lower_ok,
+        lower_covers_ok=b is None,
         lower_witness=lower_witness,
         covers_are_covering_relation=covers_match,
         covers_witness=covers_witness,

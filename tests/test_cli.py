@@ -16,6 +16,7 @@ from ultratree import (
     space_to_json,
     tree_to_json,
 )
+import ultratree.cli as cli
 from ultratree.cli import run
 from util import (
     count_calls,
@@ -314,3 +315,40 @@ def test_emitted_space_reparses_to_equal_value(tmp_path, capsys, space_file):
 
     space = space_from_json(json.loads(out))
     assert space_to_json(space) == json.loads(out)
+
+
+TWO_LEAF_TREE = {"root": 0, "labels": ["1", "0", "0"], "edges": [[0, 1], [0, 2]]}
+
+
+@pytest.mark.parametrize("verb, change, message", [
+    ("reconstruct", {"edges": [[0, 1], [0.5, 2]]}, "bad edge (0.5,2)"),
+    ("reconstruct", {"edges": [[0, 1], ["0", 2]]}, "bad edge (0,2)"),
+    ("reconstruct", {"edges": [[0, 1], [True, 2]]}, "bad edge (True,2)"),
+    ("reconstruct", {"root": 1.5}, "root 1.5 is not a vertex index"),
+    ("reconstruct", {"root": True}, "root True is not a vertex index"),
+    ("representable", {"root": "0"}, "root '0' is not a vertex index"),
+])
+def test_tree_ids_must_be_ints(tmp_path, capsys, verb, change, message):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(dict(TWO_LEAF_TREE, **change)))
+    code, out, err = invoke(capsys, verb, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cover", [[0, 1.7], [0, True], ["1", 0], [1.0, 0]])
+def test_poset_ids_must_be_ints(tmp_path, capsys, cover):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"elements": ["a", "b", "c"], "covers": [[2, 0], cover]}))
+    code, out, err = invoke(capsys, "posetcheck", str(path))
+    assert (code, out) == (2, "") and "bad cover pair" in err
+
+
+def test_internal_errors_exit_3_without_a_traceback(capsys, monkeypatch, space_file):
+    def broken(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_dset", broken)
+    code, out, err = invoke(capsys, "dset", space_file)
+    assert (code, out) == (3, "")
+    assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"

@@ -18,15 +18,20 @@ from ultratree import (
     verify_tree_invariants,
 )
 from ultratree import FiniteUltrametricSpace
+from ultratree.repr_tree import TreeOrder
 from util import (
     caterpillar_matrix,
+    differential_spaces,
     flat_matrix,
     nested_four_point_space,
     padic_matrix,
+    path_set_order,
     permuted,
+    random_monotone_tree,
     random_ultrametric_matrix,
     random_ultrametric_space,
     top_down_tree,
+    tree_order_failures,
 )
 
 
@@ -73,6 +78,13 @@ def test_tree_constructor_validates():
         RootedLabeledTree([1, -1], [(0, 1)])   # negative label
     with pytest.raises(ValueError):
         RootedLabeledTree([1, 0], [(0, 1)], root=5)
+    for root in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="not a vertex index"):
+            RootedLabeledTree([1, 0], [(0, 1)], root=root)
+    for edge in ((0.0, 1), (0, True), ("0", 1)):
+        with pytest.raises(ValueError, match="bad edge"):
+            RootedLabeledTree([1, 0], [edge])
+    assert RootedLabeledTree([1, 0], [(0, 1)], root=1).root == 1
 
 
 def test_invariants_pass_on_worked_example_and_random_spaces():
@@ -168,8 +180,81 @@ def test_tree_order_examples():
 def test_tree_order_verifies_on_random_trees():
     rng = random.Random(25)
     for _ in range(30):
-        space = random_ultrametric_space(rng, rng.randint(1, 16))
-        tree_order(build_representing_tree(space))
+        tree = build_representing_tree(random_ultrametric_space(rng, rng.randint(1, 16)))
+        assert tree_order_failures(tree, tree_order(tree)) == []
+
+
+def relabeled(rng: random.Random, tree: RootedLabeledTree) -> RootedLabeledTree:
+    """The same tree with its vertex ids shuffled."""
+    ids = list(range(tree.n))
+    rng.shuffle(ids)
+    labels = [None] * tree.n
+    for v in range(tree.n):
+        labels[ids[v]] = tree.labels[v]
+    points = None
+    if tree.ball_points is not None:
+        points = [None] * tree.n
+        for v in range(tree.n):
+            points[ids[v]] = tree.ball_points[v]
+    return RootedLabeledTree(labels, [(ids[u], ids[v]) for u, v in tree.edges],
+                             root=ids[tree.root], ball_points=points)
+
+
+def test_tree_order_matches_path_set_oracle():
+    rng = random.Random(26)
+    trees = [build_representing_tree(s) for s in differential_spaces(rng, 60)]
+    trees += [random_monotone_tree(rng, rng.randint(1, 40)) for _ in range(200)]
+    trees += [relabeled(rng, t) for t in trees]
+    for tree in trees:
+        order = tree_order(tree)
+        paths, covers = path_set_order(tree)
+        assert order.covers == covers
+        assert all(order.leq(u, v) == (v in paths[u])
+                   for u in range(tree.n) for v in range(tree.n))
+        assert tree_order_failures(tree, order) == []
+
+
+def test_tree_order_on_a_chain_numbered_child_below_parent():
+    # vertex k's parent is k + 1, so sorted arcs run bottom up; the order
+    # is u <= v iff u <= v as integers
+    n = 2000
+    tree = RootedLabeledTree(list(range(n)), [(k, k + 1) for k in range(n - 1)], root=n - 1)
+    order = tree_order(tree)
+    everything = (1 << n) - 1
+    assert order.up == tuple(everything ^ ((1 << u) - 1) for u in range(n))
+    assert order.covers == tuple((k, k + 1) for k in range(n - 1))
+    assert order.leq(0, n - 1) and not order.leq(n - 1, 0) and order.leq(7, 7)
+    assert tree_order_failures(tree, order) == []
+
+
+def test_tree_order_audits_catch_mutated_orders():
+    tree = build_representing_tree(random_ultrametric_space(random.Random(27), 12))
+    order = tree_order(tree)
+    assert tree_order_failures(tree, order) == []
+    parent, root = order.parent, order.root
+    # a leaf at depth at least 2, its parent and grandparent
+    levels = tree.levels()
+    leaf = next(v for v in tree.leaves() if levels[v] >= 2)
+    mid, top = parent[leaf], parent[parent[leaf]]
+    other = next(v for v in range(tree.n) if not order.comparable(v, leaf))
+
+    def mutated(up_changes=(), covers=None):
+        up = list(order.up)
+        for v, mask in up_changes:
+            up[v] ^= mask
+        return TreeOrder(root, parent, tuple(up),
+                         order.covers if covers is None else tuple(covers))
+
+    cases = {
+        "root-largest": mutated([(leaf, 1 << root)]),
+        "upper-cover-is-parent": mutated([(leaf, 1 << mid)]),
+        "closure-of-covers": mutated(covers=[c for c in order.covers if c[0] != leaf]),
+        "covers-are-edges": mutated(covers=[(leaf, top) if c[0] == leaf else c
+                                            for c in order.covers]),
+        "order-is-ball-inclusion": mutated([(leaf, 1 << other)]),
+    }
+    for name, bad in cases.items():
+        assert name in tree_order_failures(tree, bad), name
 
 
 def test_tree_json_roundtrip_and_free_tree_root():

@@ -31,8 +31,10 @@ from util import (
     partition_sphere_plus_center,
     random_monotone_tree,
     random_ultrametric_space,
+    triple_loop_ballean_poset,
     two_pair_space,
 )
+from ultratree.tree_metric import PosetCheckReport
 
 
 def star(center_label, leaf_labels):
@@ -235,6 +237,75 @@ def test_poset_checker_errors():
         check_ballean_poset(0, [])
     with pytest.raises(ValueError):
         check_ballean_poset(2, [(0, 0)])
+    for pair in ((True, 0), (1.0, 0), (1, "0")):
+        with pytest.raises(ValueError, match="bad cover pair"):
+            check_ballean_poset(2, [pair])
+
+
+def report_fields(report):
+    return {name: getattr(report, name) for name in PosetCheckReport.__slots__}
+
+
+def shuffled_poset(rng, n, covers):
+    """The same poset with element ids and cover order shuffled."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    covers = [(ids[a], ids[b]) for a, b in covers]
+    rng.shuffle(covers)
+    return covers
+
+
+def random_dag_covers(rng, n):
+    """Arcs that go up a random linear order, some redundant: not ball lattices."""
+    rank = list(range(n))
+    rng.shuffle(rank)
+    return [(a, b) for a in range(n) for b in range(n)
+            if rank[a] < rank[b] and rng.random() < 0.3]
+
+
+def assert_same_poset_verdict(n, covers):
+    try:
+        want = triple_loop_ballean_poset(n, covers)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            check_ballean_poset(n, covers)
+        assert str(got.value) == str(exc)
+        return False
+    assert report_fields(check_ballean_poset(n, covers)) == report_fields(want)
+    return want.accepted
+
+
+def test_poset_checker_matches_triple_loop_oracle_on_ball_posets():
+    rng = random.Random(36)
+    verdicts = set()
+    for space in differential_spaces(rng, 60):
+        tree = build_representing_tree(space)
+        parent = tree.parent_map()
+        covers = [(v, parent[v]) for v in range(tree.n) if v != tree.root]
+        for cs in (covers, shuffled_poset(rng, tree.n, covers)):
+            verdicts.add(assert_same_poset_verdict(tree.n, cs))
+    # a broken lattice: a leaf with a second, incomparable upper cover
+    verdicts.add(assert_same_poset_verdict(4, [(1, 0), (2, 0), (3, 1), (3, 2)]))
+    assert verdicts == {True, False}
+
+
+def test_poset_checker_matches_triple_loop_oracle_on_random_dags_and_cycles():
+    rng = random.Random(37)
+    kinds = set()
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        covers = random_dag_covers(rng, n)
+        if n >= 2 and rng.random() < 0.25:
+            a, b = rng.sample(range(n), 2)
+            covers += [(a, b), (b, a)] if rng.random() < 0.5 else [(b, a)]
+        rng.shuffle(covers)
+        try:
+            triple_loop_ballean_poset(n, covers)
+            kinds.add("order")
+        except ValueError:
+            kinds.add("cycle")
+        assert_same_poset_verdict(n, covers)
+    assert kinds == {"order", "cycle"}
 
 
 def test_sphere_plus_center_examples():

@@ -4,9 +4,10 @@ Random ultrametric matrices are built by recursive partitioning with
 strictly decreasing level values, so validity holds by construction and
 the library's validators act as an independent check.  The top-down tree
 builder, the center-by-radius ballean, the pairwise Hausdorff matrix, the
-partition-based sphere-plus-center test and the chain-scan reconstruction
-are the implementations the library's faster ones replaced, kept here as
-oracles.
+partition-based sphere-plus-center test, the chain-scan reconstruction, the
+triple-loop poset check and the frozenset root-path order are the
+implementations the library's faster ones replaced, kept here as oracles.
+`tree_order_failures` holds the audits `tree_order` once ran on every call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from fractions import Fraction
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
 from ultratree.balls import Ball, Ballean, HausdorffBallSpace
 from ultratree.core import _subset_diam_rank, diametrical_partition
-from ultratree.tree_metric import MaxChainSpace, is_monotone_labeling, maximal_chains
+from ultratree.repr_tree import TreeOrder
+from ultratree.tree_metric import (
+    MaxChainSpace,
+    PosetCheckReport,
+    is_monotone_labeling,
+    maximal_chains,
+)
 
 
 def nested_four_point_space() -> FiniteUltrametricSpace:
@@ -304,3 +311,122 @@ def chain_scan_reconstruct(tree: RootedLabeledTree) -> MaxChainSpace:
             matrix[i][j] = matrix[j][i] = tree.labels[deepest]
     names = [str(c.leaf) for c in chains]
     return MaxChainSpace(chains, FiniteUltrametricSpace(names, matrix))
+
+
+def triple_loop_ballean_poset(n: int, covers) -> PosetCheckReport:
+    """Oracle for `check_ballean_poset`: covers found by a triple loop, O(n^3).
+
+    The order is the reflexive-transitive closure of the (lower, upper)
+    pairs, by repeated passes; a cycle raises ValueError.
+    """
+    if n <= 0:
+        raise ValueError("poset must be nonempty")
+    arcs = []
+    for lo, hi in covers:
+        if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
+            raise ValueError(f"bad cover pair ({lo},{hi})")
+        arcs.append((lo, hi))
+    reach = [{v} for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for lo, hi in arcs:
+            if not reach[hi] <= reach[lo]:
+                reach[lo] |= reach[hi]
+                changed = True
+    for v in range(n):
+        for w in range(n):
+            if v != w and w in reach[v] and v in reach[w]:
+                raise ValueError(f"not a partial order: {v} and {w} lie on a cycle")
+
+    def leq(a, b):
+        return b in reach[a]
+
+    largest = next((l for l in range(n) if all(leq(v, l) for v in range(n))), None)
+    derived = set()
+    for a in range(n):
+        for b in range(n):
+            if a != b and leq(a, b):
+                if not any(w != a and w != b and leq(a, w) and leq(w, b)
+                           for w in range(n)):
+                    derived.add((a, b))
+    covers_match = derived == set(arcs)
+    covers_witness = None
+    if not covers_match:
+        extra = sorted(set(arcs) - derived)
+        covers_witness = ("redundant or missing cover arcs, e.g. "
+                          f"{extra[:1] or sorted(derived - set(arcs))[:1]}")
+
+    upper_witness = None
+    for p in range(n):
+        uppers = [q for a, q in derived if a == p]
+        if p != largest and len(uppers) != 1:
+            upper_witness = f"element {p} has upper covers {sorted(uppers)}"
+            break
+    lower_witness = None
+    for b in range(n):
+        lowers = [a for a, q in derived if q == b]
+        minimal = not any(leq(a, b) and a != b for a in range(n))
+        if not minimal and len(lowers) < 2:
+            lower_witness = f"element {b} has lower covers {sorted(lowers)}"
+            break
+    return PosetCheckReport(
+        n=n, has_largest=largest is not None, largest=largest,
+        unique_upper_cover=upper_witness is None, upper_witness=upper_witness,
+        lower_covers_ok=lower_witness is None, lower_witness=lower_witness,
+        covers_are_covering_relation=covers_match, covers_witness=covers_witness,
+    )
+
+
+def path_set_order(tree: RootedLabeledTree) -> tuple[list[frozenset], tuple]:
+    """Oracle for `tree_order`: each vertex's root path as a frozenset, and the covers.
+
+    u <= v iff v is in the root path of u.  O(n * depth) memory.
+    """
+    root = tree.require_root()
+    parent = tree.parent_map(root)
+    depth = tree.levels(root)
+    paths: list = [None] * tree.n
+    for v in sorted(range(tree.n), key=depth.__getitem__):
+        paths[v] = frozenset({v}) if v == root else paths[parent[v]] | {v}
+    covers = tuple(sorted((v, parent[v]) for v in range(tree.n) if v != root))
+    return paths, covers
+
+
+def set_bits(mask: int) -> list[int]:
+    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+def tree_order_failures(tree: RootedLabeledTree, order: TreeOrder) -> list[str]:
+    """Names of the root-order properties `order` breaks on `tree`.
+
+    The root is the largest element; the one upper cover of every other
+    vertex, the member of its up-set one element shorter, is its parent;
+    the order is the closure of its covers (each up-set is the vertex plus
+    its upper covers' up-sets, which pins the least fixed point on the
+    acyclic cover relation of a tree); the covers are the edges; and with
+    ball payloads the order is ball inclusion.
+    """
+    n, root, up = tree.n, tree.require_root(), order.up
+    parent = tree.parent_map(root)
+    failures = []
+    if not all(order.leq(v, root) for v in range(n)):
+        failures.append("root-largest")
+    height = [bin(m).count("1") for m in up]
+    if any([u for u in set_bits(up[v]) if height[u] == height[v] - 1] != [parent[v]]
+           for v in range(n) if v != root):
+        failures.append("upper-cover-is-parent")
+    generated = [1 << v for v in range(n)]
+    for lo, hi in order.covers:
+        generated[lo] |= up[hi]
+    if generated != list(up):
+        failures.append("closure-of-covers")
+    if {tuple(sorted(c)) for c in order.covers} != set(tree.edges) \
+            or len(order.covers) != len(tree.edges):
+        failures.append("covers-are-edges")
+    if tree.ball_points is not None:
+        masks = [sum(1 << x for x in p) for p in tree.ball_points]
+        if any(order.leq(u, v) != (masks[u] & ~masks[v] == 0)
+               for u in range(n) for v in range(n)):
+            failures.append("order-is-ball-inclusion")
+    return failures
