@@ -16,6 +16,8 @@ their members.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 from typing import Iterable, Optional
 
 from .core import (
@@ -131,17 +133,23 @@ def ballean(space: FiniteUltrametricSpace) -> Ballean:
     return Ballean(f[2] for f in found)
 
 
+def _inclusion_up_sets(point_sets, npoints: int) -> list[int]:
+    """Bit j of entry i is set iff point set i lies inside point set j."""
+    holding = [0] * npoints   # holding[x]: the sets containing x
+    for i, pts in enumerate(point_sets):
+        for x in pts:
+            holding[x] |= 1 << i
+    full = (1 << len(point_sets)) - 1
+    return [reduce(and_, map(holding.__getitem__, pts), full) for pts in point_sets]
+
+
 def smallest_enclosing_ball(space: FiniteUltrametricSpace, points: Iterable[int]) -> Ball:
     """Smallest ball containing `points`: the ball around any member at radius diam."""
     _require_ultrametric(space)
     pts = tuple(sorted(points))
     if not pts:
         raise ValueError("smallest enclosing ball of an empty set")
-    r = space.distance_values[_subset_diam_rank(space, pts)]
-    ball = closed_ball(space, pts[0], r)
-    # sanity per the enclosing-ball characterization: meets the set, same diameter
-    assert ball.diameter == r and pts[0] in ball
-    return ball
+    return closed_ball(space, pts[0], space.distance_values[_subset_diam_rank(space, pts)])
 
 
 class BallPoset:
@@ -151,15 +159,19 @@ class BallPoset:
     smallest ball around the union) while meets exist exactly for
     non-disjoint pairs, where the meet is the intersection.  A missing
     meet is reported as None, not an error.
+
+    `balls` come in canonical order, as `ballean` lists them, so a ball
+    comes after every ball around it.  The order is kept as
+    `_inclusion_up_sets` bitmasks.
     """
 
-    __slots__ = ("space", "balls", "_index", "_sets")
+    __slots__ = ("space", "balls", "_index", "_up")
 
     def __init__(self, space: FiniteUltrametricSpace, balls: tuple[Ball, ...]):
         self.space = space
         self.balls = balls
         self._index = {b.points: i for i, b in enumerate(balls)}
-        self._sets = tuple(frozenset(b.points) for b in balls)
+        self._up = _inclusion_up_sets([b.points for b in balls], len(space))
 
     def __len__(self):
         return len(self.balls)
@@ -171,25 +183,20 @@ class BallPoset:
             raise ValueError(f"{ball!r} is not a ball of this space") from None
 
     def leq(self, lower: Ball, upper: Ball) -> bool:
-        return self._sets[self._resolve(lower)] <= self._sets[self._resolve(upper)]
+        return bool(self._up[self._resolve(lower)] >> self._resolve(upper) & 1)
 
     def comparable(self, a: Ball, b: Ball) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
     def join(self, a: Ball, b: Ball) -> Ball:
-        self._resolve(a), self._resolve(b)
-        merged = tuple(sorted(set(a.points) | set(b.points)))
-        found = smallest_enclosing_ball(self.space, merged)
-        return self.balls[self._index[found.points]]
+        # the least common upper bound is the last one in canonical order
+        common = self._up[self._resolve(a)] & self._up[self._resolve(b)]
+        return self.balls[common.bit_length() - 1]
 
     def meet(self, a: Ball, b: Ball) -> Optional[Ball]:
-        ia, ib = self._resolve(a), self._resolve(b)
-        common = self._sets[ia] & self._sets[ib]
-        if not common:
-            return None
-        # non-disjoint balls are nested, so the intersection is the smaller ball
-        inner = ia if self._sets[ia] <= self._sets[ib] else ib
-        return self.balls[inner]
+        # non-disjoint balls are nested, so the intersection is the inner ball
+        outer, inner = sorted((self._resolve(a), self._resolve(b)))
+        return self.balls[inner] if self._up[inner] >> outer & 1 else None
 
     def largest(self) -> Ball:
         return self.balls[0]
@@ -254,12 +261,12 @@ def hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
     index = {v: t for t, v in enumerate(values)}
     firsts = [b.points[0] for b in balls]
     diams = [index[b.diameter] for b in balls]
-    matrix = []
+    ranks = []
     for i, (a, ra) in enumerate(zip(firsts, diams)):
-        row = [values[max(rank[a][b], ra, rb)] for b, rb in zip(firsts, diams)]
-        row[i] = values[0]
-        matrix.append(row)
-    return HausdorffBallSpace(FiniteUltrametricSpace(names, matrix), balls)
+        row = [max(rank[a][b], ra, rb) for b, rb in zip(firsts, diams)]
+        row[i] = 0
+        ranks.append(row)
+    return HausdorffBallSpace(FiniteUltrametricSpace._from_ranks(names, values, ranks), balls)
 
 
 def ballean_to_json(bn: Ballean) -> dict:

@@ -9,16 +9,18 @@ indexes each distance into the sorted tuple of distinct values.  The
 combinatorial algorithms (partitions, balls, trees) run on these machine
 integers and translate back to rationals only at the edges.
 
-Loading parses each distinct raw entry once, then validates on ranks.
-Every space then runs one O(n^2) single-linkage pass: it decides the
-strong triangle inequality and leaves the point order and gap ranks from
-which `repr_tree` builds the representing tree.  The O(n^3) triple scan
-stays only as the test suite's oracle.
+A space has two entry points.  `FiniteUltrametricSpace(names, matrix)`
+parses each distinct raw entry of outside input once, then ranks; the
+library's derived spaces come ranked and enter through `_from_ranks`.
+Both end in one body, `_assign`: validation on ranks, then one O(n^2)
+single-linkage pass that decides the strong triangle inequality and
+leaves the point order and gap ranks from which `repr_tree` builds the
+representing tree.  The O(n^3) triple scan stays as the tests' oracle.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
@@ -233,8 +235,11 @@ class _RankedMatrix:
     __slots__ = ("names", "matrix", "distance_values", "rank")
 
     def __init__(self, names: Iterable[str], matrix):
+        self._assign(names, *_rank_of(*_parse_entries(matrix)))
+
+    def _assign(self, names: Iterable[str], values, rank) -> None:
+        # the construction body shared by raw input and `_from_ranks`
         names = tuple(str(x) for x in names)
-        values, rank = _rank_of(*_parse_entries(matrix))
         _basic_validate(names, rank, values)
         self.names = names
         self.distance_values = values
@@ -255,10 +260,26 @@ class FiniteMetricSpace(_RankedMatrix):
     # tree is built from them), and a strong-triangle violation or None
     __slots__ = ("_order", "_gaps", "_strong_witness")
 
-    def __init__(self, names: Iterable[str], matrix):
-        super().__init__(names, matrix)
+    def _assign(self, names: Iterable[str], values, rank) -> None:
+        super()._assign(names, values, rank)
         self._order, self._gaps, self._strong_witness = _single_linkage(self.rank)
         self._check_triangle()
+
+    @classmethod
+    def _from_ranks(cls, names: Iterable[str], values: Sequence[Fraction], rank):
+        """A space from sorted distinct exact values and an integer rank matrix.
+
+        For the library's own constructions: it skips parsing and ranking,
+        runs every other check, and drops the values no entry uses.
+        """
+        used = sorted(set().union(*rank))
+        if len(used) < len(values):
+            remap = dict(zip(used, range(len(used))))
+            rank = [map(remap.__getitem__, row) for row in rank]
+            values = [values[r] for r in used]
+        space = cls.__new__(cls)
+        space._assign(names, tuple(values), tuple(map(tuple, rank)))
+        return space
 
     def _check_triangle(self) -> None:
         # Strong triangle implies the weak one, so only a failed strong test
@@ -405,13 +426,14 @@ class MultipartitePartition:
 
     `parts` partition the examined point set; every pair inside a part is
     a non-edge and every cross-part pair is an edge of the graph at the
-    stored threshold.  Parts are sorted by their smallest point index.
+    stored threshold.  Each part is sorted, and the parts are sorted by
+    their smallest point index.
     """
 
     __slots__ = ("parts", "threshold")
 
     def __init__(self, parts: Sequence[Sequence[int]], threshold: Fraction):
-        self.parts = tuple(tuple(p) for p in parts)
+        self.parts = tuple(sorted(tuple(sorted(p)) for p in parts))
         self.threshold = threshold
 
     def __len__(self) -> int:
@@ -432,22 +454,31 @@ class MultipartitePartition:
         return f"<partition at {self.threshold}: {body}>"
 
 
+def _classes_below(rank, pts: Sequence[int], t: int) -> list[list[int]]:
+    """Each point joins the first class whose representative is at rank < t.
+
+    O(|pts| * classes).  The classes of rank < t when that relation is an
+    equivalence, as it is on an ultrametric.
+    """
+    classes: list[list[int]] = []
+    for x in pts:
+        row = rank[x]
+        for cls in classes:
+            if row[cls[0]] < t:
+                cls.append(x)
+                break
+        else:
+            classes.append([x])
+    return classes
+
+
 def _partition_below(rank, pts: Sequence[int], t: int) -> list[list[int]]:
     """Classes of the relation rank < t on `pts`, verified to be an equivalence.
 
     Transitivity failure raises `NotUltrametricError` with a witness triple
     instead of returning garbage classes.
     """
-    classes: list[list[int]] = []
-    for x in pts:
-        placed = False
-        for cls in classes:
-            if rank[x][cls[0]] < t:
-                cls.append(x)
-                placed = True
-                break
-        if not placed:
-            classes.append([x])
+    classes = _classes_below(rank, pts, t)
     for cls in classes:
         rep = cls[0]
         for y in cls[1:]:
@@ -480,11 +511,10 @@ def diametrical_partition(
     if len(pts) == 1:
         return None
     t = _subset_diam_rank(space, pts)
-    classes = _partition_below(space.rank, pts, t)
-    classes.sort(key=lambda c: min(c))
-    return MultipartitePartition(
-        [sorted(c) for c in classes], space.distance_values[t]
-    )
+    # single linkage has already proved an ultrametric space's relation an
+    # equivalence; any other space is verified pair by pair
+    split = _classes_below if isinstance(space, FiniteUltrametricSpace) else _partition_below
+    return MultipartitePartition(split(space.rank, pts, t), space.distance_values[t])
 
 
 def threshold_partition(space: FiniteMetricSpace, r) -> Optional[MultipartitePartition]:
@@ -500,15 +530,8 @@ def threshold_partition(space: FiniteMetricSpace, r) -> Optional[MultipartitePar
     if r > values[-1]:
         return None
     # the graph only changes at distance values: adjacency is rank >= t
-    t = 0
-    for i, v in enumerate(values):
-        if v >= r:
-            t = i
-            break
-    pts = tuple(space.points())
-    classes = _partition_below(space.rank, pts, t)
-    classes.sort(key=lambda c: min(c))
-    return MultipartitePartition([sorted(c) for c in classes], r)
+    t = bisect_left(values, r)
+    return MultipartitePartition(_partition_below(space.rank, space.points(), t), r)
 
 
 def space_from_sequence(sequence: Iterable) -> FiniteUltrametricSpace:
@@ -526,11 +549,9 @@ def space_from_sequence(sequence: Iterable) -> FiniteUltrametricSpace:
         raise ValueError("sequence values must be positive")
     pts = [Fraction(0)] + list(reversed(seq))
     names = [format_rational(v) for v in pts]
-    matrix = [
-        [Fraction(0) if i == j else max(pts[i], pts[j]) for j in range(len(pts))]
-        for i in range(len(pts))
-    ]
-    return FiniteUltrametricSpace(names, matrix)
+    # points ascend, so d(x_i, x_j) = pts[max(i, j)] has rank max(i, j)
+    rank = [[i] * i + [0] + list(range(i + 1, len(pts))) for i in range(len(pts))]
+    return FiniteUltrametricSpace._from_ranks(names, pts, rank)
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:

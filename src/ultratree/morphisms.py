@@ -17,6 +17,7 @@ from .core import (
     FiniteUltrametricSpace,
     format_rational,
     parse_rational,
+    _rank_of,
 )
 from .repr_tree import RootedLabeledTree, build_representing_tree
 
@@ -175,9 +176,8 @@ def weak_similarity_check(
 
 def rank_transform(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     """Replace every distance by its rank in the distance set."""
-    ranks = [Fraction(r) for r in range(len(space.distance_values))]
-    matrix = [[ranks[r] for r in row] for row in space.rank]
-    return FiniteUltrametricSpace(space.names, matrix)
+    values = [Fraction(r) for r in range(len(space.distance_values))]
+    return FiniteUltrametricSpace._from_ranks(space.names, values, space.rank)
 
 
 def weakly_similar(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
@@ -234,10 +234,8 @@ def apply_preserving(
                 f"f not increasing: f({values[i - 1]}) = {image[i - 1]} > "
                 f"f({values[i]}) = {image[i]}",
             )
-    rank = space.rank
-    n = len(space)
-    matrix = [[image[rank[i][j]] for j in range(n)] for i in range(n)]
-    return FiniteUltrametricSpace(space.names, matrix)
+    # f may merge neighbouring distances: rank the image values afresh
+    return FiniteUltrametricSpace._from_ranks(space.names, *_rank_of(image, space.rank))
 
 
 def threshold_function(r) -> Callable[[Fraction], Fraction]:

@@ -15,18 +15,28 @@ from .repr_tree import RootedLabeledTree, build_representing_tree
 from .morphisms import canonical_code
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_LIMIT = 318665857834031151167461
+BETHE_MAX_VERTICES = 1 << 17   # larger bethe and sphere trees are refused
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
+    """Miller-Rabin on the first 12 prime bases, exact below `MR_LIMIT`.
+
+    (Sorenson & Webster, Math. Comp. 86, 2017.)  Larger p raise ValueError.
+    """
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return p in _MR_BASES
+    if p < 41 * 41:   # a composite this small has a prime factor up to 37
         return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if p >= MR_LIMIT:
+        raise ValueError(f"{p} is too large to test for primality (limit {MR_LIMIT})")
+    s = ((p - 1) & (1 - p)).bit_length() - 1   # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    # a witnesses that p is composite unless a^d = 1 or a^(2^r d) = -1, r < s
+    for a in _MR_BASES:
+        if pow(a, d, p) != 1 and all(pow(a, d << r, p) != p - 1 for r in range(s)):
             return False
-        f += 2
     return True
 
 
@@ -85,7 +95,8 @@ def padic_space(points: Iterable, p: int) -> FiniteUltrametricSpace:
     """Finite sample of rationals with the p-adic metric.
 
     Every distance is an integer power of p (or zero), so the sample is
-    ultrametric by construction; the constructor re-checks anyway.
+    ultrametric by construction and ranked by valuation; the constructor
+    re-checks anyway.
     """
     p = _require_prime(p)
     pts = [parse_rational(v) for v in points]
@@ -93,12 +104,18 @@ def padic_space(points: Iterable, p: int) -> FiniteUltrametricSpace:
         raise ValueError("sample points must be distinct")
     names = [str(v) for v in pts]
     n = len(pts)
-    matrix = [[Fraction(0)] * n for _ in range(n)]
+    gamma = [[None] * n for _ in range(n)]   # valuations, as in p_valuation
     for i in range(n):
         for j in range(i + 1, n):
-            d = p_valuation(pts[i] - pts[j], p).norm
-            matrix[i][j] = matrix[j][i] = d
-    return FiniteUltrametricSpace(names, matrix)
+            d = pts[i] - pts[j]
+            g = _int_valuation(d.numerator, p) - _int_valuation(d.denominator, p)
+            gamma[i][j] = gamma[j][i] = g
+    # the norm p^-g falls as g grows: rank top + 1 - g, and 0 on the diagonal
+    found = {g for row in gamma for g in row} - {None}
+    top, low = max(found, default=0), min(found, default=0)
+    rank = [[0 if g is None else top + 1 - g for g in row] for row in gamma]
+    values = [Fraction(0)] + [Fraction(p) ** -g for g in range(top, low - 1, -1)]
+    return FiniteUltrametricSpace._from_ranks(names, values, rank)
 
 
 def residue_partition_check(points: Iterable[int], p: int) -> bool:
@@ -125,8 +142,12 @@ def _bethe_tree(p: int, top: Fraction, depth: int, root_children: int) -> Rooted
     """Root labeled `top` with `root_children` children, then full p-ary to `depth`.
 
     Each child carries a p-th of its parent's label; vertices are numbered
-    in pre-order.
+    in pre-order.  Sizes above `BETHE_MAX_VERTICES` are refused before
+    anything is built.
     """
+    # p >= 2, so 64 levels already pass the cap: no huge power is formed
+    if 1 + sum(root_children * p ** k for k in range(min(depth, 64))) > BETHE_MAX_VERTICES:
+        raise ValueError(f"p = {p}, depth {depth} passes {BETHE_MAX_VERTICES} vertices")
     labels = [top]
     edges: list[tuple[int, int]] = []
     # (parent, label, levels below) of vertices still to number; siblings

@@ -28,7 +28,7 @@ from .core import (
     parse_rational,
     _subset_diam_rank,
 )
-from .balls import ballean
+from .balls import _inclusion_up_sets, ballean
 
 
 def _is_index(value, n: int) -> bool:
@@ -68,7 +68,7 @@ class RootedLabeledTree:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        if not self._connected():
+        if -1 in self.levels(0):
             raise ValueError("edges do not connect the vertex set")
         if any(l < 0 for l in self.labels):
             raise ValueError("labels must be nonnegative")
@@ -81,21 +81,6 @@ class RootedLabeledTree:
                 raise ValueError("ball_points must match the vertex count")
         self.ball_points = ball_points
         self.truncated = bool(truncated)
-
-    def _connected(self) -> bool:
-        n = len(self.labels)
-        seen = [False] * n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    stack.append(v)
-        return count == n
 
     @property
     def n(self) -> int:
@@ -294,13 +279,10 @@ def verify_tree_invariants(tree: RootedLabeledTree,
 
     bad = None
     for v in range(tree.n):
+        # a parent edge, plus one child per part when the label is positive
         parts = diametrical_partition(space, pts[v])
-        k = 0 if parts is None else len(parts)
+        expected = (v != root) + (len(parts) if parts is not None and tree.labels[v] else 0)
         d = tree.degree(v)
-        if v == root:
-            expected = 0 if tree.labels[v] == 0 else k
-        else:
-            expected = 1 if tree.labels[v] == 0 else 1 + k
         if d != expected:
             bad = f"vertex {v}: degree {d}, expected {expected}"
             break
@@ -321,25 +303,14 @@ def edge_characterization_check(space: FiniteUltrametricSpace,
                                 tree: RootedLabeledTree) -> bool:
     """Adjacency in the tree iff strict ball nesting with no ball between.
 
-    The inclusion up-set of a ball is the AND, over its points, of the
-    balls holding each point; the edges must be exactly the covering pairs
-    of that order.  Two vertices with one point set fail outright.
+    The edges must be exactly the covering pairs of the inclusion order
+    of the vertices' balls.  Two vertices with one point set fail outright.
     """
     pts = tree.ball_points
     if pts is None:
         raise ValueError("tree carries no ball payloads")
-    n = tree.n
-    holding = [0] * len(space)   # holding[x]: bitmask of balls containing x
-    for v, ball in enumerate(pts):
-        for x in ball:
-            holding[x] |= 1 << v
-    up = []
-    for ball in pts:
-        mask = (1 << n) - 1
-        for x in ball:
-            mask &= holding[x]
-        up.append(mask)
-    if len(set(up)) != n:   # equal up-sets iff equal point sets
+    up = _inclusion_up_sets(pts, len(space))
+    if len(set(up)) != tree.n:   # equal up-sets iff equal point sets
         return False
     return {(min(p), max(p)) for p in _covering_pairs(up)} == set(tree.edges)
 
@@ -347,11 +318,29 @@ def edge_characterization_check(space: FiniteUltrametricSpace,
 def _up_closure(n: int, arcs) -> list[int]:
     """Closure of (lower, upper) arcs: bit w of `up[v]` is set iff v <= w.
 
-    Each pass ORs the upper end's up-set into the lower end's, until a
-    pass changes nothing; arcs listed top down close in one pass.
+    Vertices are closed in reverse topological order (Kahn 1962): each
+    ORs in the up-sets of its upper ends once they are all closed, so a
+    DAG closes in one pass whatever order its arcs are listed in.  What a
+    cycle holds back is closed by repeated passes until nothing changes.
     """
+    uppers: list[list[int]] = [[] for _ in range(n)]
+    lowers: list[list[int]] = [[] for _ in range(n)]
+    for lo, hi in arcs:
+        uppers[lo].append(hi)
+        lowers[hi].append(lo)
+    waiting = list(map(len, uppers))   # upper ends not yet closed
     up = [1 << v for v in range(n)]
-    changed = True
+    ready = [v for v in range(n) if not waiting[v]]
+    for v in ready:   # grows while it is read
+        mask = up[v]
+        for w in uppers[v]:
+            mask |= up[w]
+        up[v] = mask
+        for u in lowers[v]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                ready.append(u)
+    changed = len(ready) < n
     while changed:
         changed = False
         for lo, hi in arcs:
@@ -415,17 +404,14 @@ class TreeOrder:
 def tree_order(tree: RootedLabeledTree) -> TreeOrder:
     """The root-path order: the closure of the child-parent covers.
 
-    Arcs are closed top down, breadth first from the root, so each
-    parent's up-set is complete before its children read it.  O(n^2 / w)
-    for w-bit words.  The test suite checks that the root is largest, the
-    upper covers are the parents, the order is the closure of the covers,
-    the covers are the edges, and the order is ball inclusion.
+    O(n^2 / w) for w-bit words.  The test suite checks that the root is
+    largest, the upper covers are the parents, the order is the closure of
+    the covers, the covers are the edges, and the order is ball inclusion.
     """
     root = tree.require_root()
     parent = tree.parent_map(root)
-    depth = tree.levels(root)
     covers = tuple((v, p) for v, p in enumerate(parent) if p is not None)
-    up = _up_closure(tree.n, sorted(covers, key=lambda c: depth[c[0]]))
+    up = _up_closure(tree.n, covers)
     return TreeOrder(root, parent, tuple(up), covers)
 
 

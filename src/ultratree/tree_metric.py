@@ -15,7 +15,7 @@ from itertools import accumulate
 from operator import and_
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import FiniteUltrametricSpace
+from .core import FiniteUltrametricSpace, _rank_of
 from .balls import Ball, ballean
 from .repr_tree import RootedLabeledTree, _covering_pairs, _is_index, _up_closure
 
@@ -50,22 +50,29 @@ def path_max_metric(tree: RootedLabeledTree) -> Union[FiniteUltrametricSpace,
     pair at distance zero.
     """
     n = tree.n
-    labels = tree.labels
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-    for src in range(n):
-        stack = [(src, -1, labels[src])]
-        while stack:
-            u, parent, running = stack.pop()
-            if u != src:
-                matrix[src][u] = running
-            for v in tree.neighbors(u):
-                if v != parent:
-                    stack.append((v, u, max(running, labels[v])))
+    # the labels ranked together with 0, the distance on the diagonal
+    values, (ranks,) = _rank_of((Fraction(0),) + tree.labels, [range(1, n + 1)])
+    # Vertices join in order of label (Kruskal): a vertex's label is the
+    # path maximum between any two of the groups it joins.
+    rank = [[0] * n for _ in range(n)]
+    group = [[v] for v in range(n)]   # group[v]: the joined vertices with v
+    joined = set()
+    for v in sorted(range(n), key=ranks.__getitem__):
+        r, mine = ranks[v], group[v]
+        for other in [group[w] for w in tree.neighbors(v) if w in joined]:
+            for x in mine:
+                for y in other:
+                    rank[x][y] = rank[y][x] = r
+            mine += other
+            for y in other:
+                group[y] = mine
+        joined.add(v)
     names = [f"v{i}" for i in range(n)]
     for u, v in tree.edges:
-        if labels[u] == 0 and labels[v] == 0:
+        if ranks[u] == 0 and ranks[v] == 0:   # both labels 0
+            matrix = [[values[r] for r in row] for row in rank]
             return PseudoUltrametricSpace(names, matrix, (u, v))
-    return FiniteUltrametricSpace(names, matrix)
+    return FiniteUltrametricSpace._from_ranks(names, values, rank)
 
 
 def is_monotone_labeling(tree: RootedLabeledTree,
@@ -202,16 +209,16 @@ def reconstruct_space(tree: RootedLabeledTree) -> MaxChainSpace:
     split = [0]
     for prev, cur in zip(chains, chains[1:]):
         split.append(next(d for d, (a, b) in enumerate(zip(prev, cur)) if a != b) - 1)
-    label = tree.labels.__getitem__
-    zero = Fraction(0)
-    matrix = []
+    # deepest common vertices, ranked by label at the end (leaves are
+    # labeled 0, so each chain's leaf stands on the diagonal)
+    common = []
     for i, chain in enumerate(chains):
-        upper = list(map(label, map(chain.vertices.__getitem__,
-                                    accumulate(split[i + 1:], min))))
+        upper = list(map(chain.vertices.__getitem__, accumulate(split[i + 1:], min)))
         # left of the diagonal: column i of the rows already built
-        matrix.append([row[i] for row in matrix] + [zero] + upper)
+        common.append([row[i] for row in common] + [chain.leaf] + upper)
     names = [str(c.leaf) for c in chains]
-    return MaxChainSpace(chains, FiniteUltrametricSpace(names, matrix))
+    space = FiniteUltrametricSpace._from_ranks(names, *_rank_of(tree.labels, common))
+    return MaxChainSpace(chains, space)
 
 
 class PosetCheckReport:

@@ -77,6 +77,39 @@ def test_smallest_enclosing_ball_examples():
         smallest_enclosing_ball(space, [])
 
 
+def test_smallest_enclosing_ball_has_the_set_diameter_and_holds_the_set():
+    rng = random.Random(16)
+    for space in differential_spaces(rng, 40):
+        n = len(space)
+        for _ in range(10):
+            pts = rng.sample(range(n), rng.randint(1, n))
+            ball = smallest_enclosing_ball(space, pts)
+            assert ball.diameter == max(space.distance(a, b) for a in pts for b in pts)
+            assert set(pts) <= set(ball.points)
+
+
+def test_ball_poset_matches_frozenset_definitions():
+    rng = random.Random(15)
+    for space in differential_spaces(rng, 40):
+        poset = ball_poset(space)
+        balls = poset.balls
+        sets = [frozenset(b.points) for b in balls]
+        pairs = list(product(range(len(balls)), repeat=2))
+        if len(pairs) > 500:
+            # every pair of the 12 largest balls, and a sample of the rest
+            large = sorted(range(len(balls)), key=lambda i: -len(balls[i]))[:12]
+            pairs = rng.sample(pairs, 500) + list(product(large, repeat=2))
+        for i, j in pairs:
+            a, b = balls[i], balls[j]
+            assert poset.leq(a, b) == (sets[i] <= sets[j])
+            common = sets[i] & sets[j]
+            assert poset.meet(a, b) == (None if not common else balls[sets.index(common)])
+            above = [k for k in range(len(balls)) if sets[i] | sets[j] <= sets[k]]
+            least = min(above, key=lambda k: len(sets[k]))
+            assert poset.join(a, b) == balls[least]
+            assert poset.join(a, b) == smallest_enclosing_ball(space, sets[i] | sets[j])
+
+
 def test_smallest_enclosing_ball_independent_of_anchor():
     rng = random.Random(13)
     for _ in range(30):

@@ -295,6 +295,19 @@ def test_padic_and_bethe(tmp_path, capsys):
     assert code == 2
 
 
+def test_padic_and_bethe_refuse_sizes_they_cannot_finish(tmp_path, capsys):
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(["0", "1"]))
+    for argv in (["bethe", "--prime", "2", "--depth", "1000000000"],
+                 ["bethe", "--prime", "3", "--depth", "1000000000", "--sphere"],
+                 ["bethe", "--prime", "2", "--depth", "17"],
+                 ["bethe", "--prime", str(10 ** 30 + 1), "--depth", "1"],
+                 ["padic", "--prime", str(10 ** 30 + 1), "--points", str(pts)]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and ("passes" in err or "too large" in err), err
+
+
 def test_roundtrip(capsys, space_file):
     code, out, _ = invoke(capsys, "roundtrip", space_file)
     assert code == 0

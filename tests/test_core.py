@@ -25,10 +25,12 @@ from ultratree import (
     space_to_json,
     threshold_partition,
 )
+from ultratree.balls import ballean
 from ultratree.cli import run
 from util import (
     caterpillar_matrix,
     count_calls,
+    differential_spaces,
     flat_matrix,
     mixed_validity_matrix,
     nested_four_point_space,
@@ -396,6 +398,21 @@ def test_diametrical_partition_covers_and_separates():
                 for x in parts.parts[a]:
                     for y in parts.parts[b]:
                         assert space.distance(x, y) == d
+
+
+def test_unverified_diametrical_classes_match_the_verifying_partition():
+    # an ultrametric space skips the pairwise re-check of `_partition_below`
+    for space in differential_spaces(random.Random(98), 60):
+        subsets = [b.points for b in ballean(space)]
+        subsets.append(tuple(random.Random(len(space)).sample(range(len(space)), len(space))))
+        for pts in subsets:
+            parts = diametrical_partition(space, pts)
+            if len(pts) == 1:
+                assert parts is None
+                continue
+            t = core._subset_diam_rank(space, pts)
+            want = sorted(sorted(c) for c in core._partition_below(space.rank, pts, t))
+            assert [list(p) for p in parts.parts] == want
 
 
 def test_diametrical_partition_flags_non_ultrametric_input():

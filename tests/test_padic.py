@@ -4,9 +4,11 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+import ultratree.padic as padic
 from ultratree import (
     bethe_ball_tree,
     build_representing_tree,
@@ -27,6 +29,65 @@ from ultratree import (
 
 def test_is_prime():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def trial_division_is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    f = 2
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def test_miller_rabin_matches_trial_division_below_10_5():
+    assert [p for p in range(10 ** 5) if is_prime(p)] == \
+        [p for p in range(10 ** 5) if trial_division_is_prime(p)]
+
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
+              46657, 52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401,
+              172081, 188461, 252601, 278545, 294409, 314821, 334153, 340561, 399001,
+              410041, 449065, 488881, 512461)
+
+
+def test_miller_rabin_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    for c in CARMICHAEL:
+        assert not trial_division_is_prime(c)
+        assert all(pow(a, c - 1, c) == 1 for a in range(2, 50) if gcd(a, c) == 1)
+        assert not is_prime(c)
+    # strong pseudoprimes to the bases 2 to 7, and to every prime base up to 23
+    assert not is_prime(3215031751) and 3215031751 == 151 * 751 * 28351
+    spsp = 3825123056546413051
+    assert not is_prime(spsp) and spsp == 149491 * 747451 * 34233211
+    assert not is_prime((2 ** 31 - 1) * (2 ** 19 - 1))
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 998244353, 1000000007, 1000000009):
+        assert is_prime(p)
+
+
+def test_primes_past_the_deterministic_range_are_refused():
+    assert padic.MR_LIMIT == 318665857834031151167461
+    # the limit is itself a strong pseudoprime to all 12 bases
+    for p in (padic.MR_LIMIT, 2 ** 89 - 1, 10 ** 30 + 1):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(p)
+    assert not is_prime(10 ** 30)   # even: decided before the range check
+
+
+def test_bethe_sizes_past_the_cap_are_refused_before_building(monkeypatch):
+    monkeypatch.setattr(padic, "BETHE_MAX_VERTICES", 7)
+    assert bethe_ball_tree(2, 2, 1).n == 7
+    assert sphere_tree(2, 2, 1).n == 7 and sphere_tree(3, 1, 1).n == 3
+    built = []
+    monkeypatch.setattr(padic, "RootedLabeledTree", lambda *a, **k: built.append(a))
+    for make, p, depth in ((bethe_ball_tree, 2, 3), (sphere_tree, 2, 3),
+                           (sphere_tree, 3, 2), (bethe_ball_tree, 2, 10 ** 9),
+                           (sphere_tree, 5, 10 ** 9), (bethe_ball_tree, 999983, 2)):
+        with pytest.raises(ValueError, match="passes 7 vertices"):
+            make(p, depth, 1)
+    assert built == []
 
 
 def test_valuation_examples():

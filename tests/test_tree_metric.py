@@ -34,6 +34,7 @@ from util import (
     triple_loop_ballean_poset,
     two_pair_space,
 )
+from ultratree.repr_tree import _up_closure
 from ultratree.tree_metric import PosetCheckReport
 
 
@@ -346,3 +347,33 @@ def test_reconstruct_space_matches_chain_scan_oracle():
         assert fast.chains == slow.chains
         assert fast.space.names == slow.space.names
         assert fast.space.matrix == slow.space.matrix
+
+
+class CountedArcs(list):
+    """Arcs that count how often they are read through."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_chain_closes_in_one_pass_in_any_arc_order():
+    n = 1000
+    bottom_up = CountedArcs((v, v + 1) for v in range(n - 1))
+    top_down = CountedArcs(reversed(bottom_up))
+    want = [((1 << n) - 1) >> v << v for v in range(n)]   # up[v]: every w >= v
+    assert _up_closure(n, bottom_up) == _up_closure(n, top_down) == want
+    assert bottom_up.passes == top_down.passes == 1
+    assert (report_fields(check_ballean_poset(n, bottom_up))
+            == report_fields(check_ballean_poset(n, top_down)))
+
+
+def test_a_cycle_is_still_closed_by_repeated_passes():
+    # 3 -> 0 -> 1 -> 2 -> 0: element 3 sits below a cycle
+    arcs = CountedArcs([(3, 0), (0, 1), (1, 2), (2, 0)])
+    assert _up_closure(4, arcs) == [0b0111, 0b0111, 0b0111, 0b1111]
+    assert arcs.passes > 1
+    with pytest.raises(ValueError, match="0 and 1 lie on a cycle"):
+        check_ballean_poset(4, arcs)

@@ -5,8 +5,9 @@ strictly decreasing level values, so validity holds by construction and
 the library's validators act as an independent check.  The top-down tree
 builder, the center-by-radius ballean, the pairwise Hausdorff matrix, the
 partition-based sphere-plus-center test, the chain-scan reconstruction, the
-triple-loop poset check and the frozenset root-path order are the
-implementations the library's faster ones replaced, kept here as oracles.
+triple-loop poset check, the frozenset root-path order and the `Fraction`
+path-max walk are the implementations the library's faster ones replaced,
+kept here as oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
 """
 
@@ -22,6 +23,7 @@ from ultratree.repr_tree import TreeOrder
 from ultratree.tree_metric import (
     MaxChainSpace,
     PosetCheckReport,
+    PseudoUltrametricSpace,
     is_monotone_labeling,
     maximal_chains,
 )
@@ -225,6 +227,39 @@ def random_monotone_tree(rng: random.Random, n: int) -> RootedLabeledTree:
         [(ids[v], ids[parent[v]]) for v in range(1, n)],
         root=ids[0],
     )
+
+
+def random_labeled_tree(rng: random.Random, n: int) -> RootedLabeledTree:
+    """Random free tree with labels drawn from {0, 1/2, 1, 2, 3}.
+
+    Zero edges, ties and labels below all of a vertex's neighbours occur.
+    """
+    labels = [rng.choice([0, 0, Fraction(1, 2), 1, 2, 3]) for _ in range(n)]
+    return RootedLabeledTree(labels, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def walk_path_max_metric(tree: RootedLabeledTree):
+    """Oracle for `path_max_metric`: a `Fraction` walk from every vertex.
+
+    The running maximum of labels along each walk fills the matrix, which
+    goes through the public constructor.
+    """
+    n, labels = tree.n, tree.labels
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for src in range(n):
+        stack = [(src, -1, labels[src])]
+        while stack:
+            u, parent, running = stack.pop()
+            if u != src:
+                matrix[src][u] = running
+            for v in tree.neighbors(u):
+                if v != parent:
+                    stack.append((v, u, max(running, labels[v])))
+    names = [f"v{i}" for i in range(n)]
+    for u, v in tree.edges:
+        if labels[u] == 0 and labels[v] == 0:
+            return PseudoUltrametricSpace(names, matrix, (u, v))
+    return FiniteUltrametricSpace(names, matrix)
 
 
 def differential_spaces(rng: random.Random, count: int) -> list[FiniteUltrametricSpace]:
