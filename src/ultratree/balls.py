@@ -25,6 +25,7 @@ from .core import (
     format_rational,
     parse_rational,
     _subset_diam_rank,
+    _subset_points,
 )
 
 
@@ -52,9 +53,6 @@ class Ball:
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, point: int):
-        return point in self.points
-
     def __repr__(self):
         return f"<Ball {{{','.join(map(str, self.points))}}} diam={self.diameter}>"
 
@@ -77,9 +75,6 @@ class Ballean:
     def __iter__(self):
         return iter(self.balls)
 
-    def __contains__(self, ball: Ball):
-        return any(b == ball for b in self.balls)
-
     def point_sets(self) -> set[tuple[int, ...]]:
         return {b.points for b in self.balls}
 
@@ -97,6 +92,7 @@ def closed_ball(space: FiniteUltrametricSpace, center: int, radius) -> Ball:
     canonical radius: re-drawing the ball at that radius gives the same set.
     """
     _require_ultrametric(space)
+    _subset_points(space, (center,), "ball")
     radius = parse_rational(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")

@@ -398,11 +398,25 @@ def distance_set(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
     return space.distance_values
 
 
+def _subset_points(space: FiniteMetricSpace, subset: Optional[Iterable[int]],
+                   what: str) -> tuple[int, ...]:
+    """`subset` as distinct point indices in range(n), the whole space when None."""
+    if subset is None:
+        return tuple(space.points())
+    pts = tuple(subset)
+    if not pts:
+        raise ValueError(f"{what} of an empty subset")
+    n, low, high = len(space), min(pts), max(pts)
+    if low < 0 or high >= n:
+        raise ValueError(f"point {low if low < 0 else high!r} is not an index in range({n})")
+    if len(set(pts)) < len(pts):
+        raise ValueError(f"{what} of a subset with a repeated point")
+    return pts
+
+
 def diam(space: FiniteMetricSpace, subset: Optional[Iterable[int]] = None) -> Fraction:
     """Largest pairwise distance within `subset` (whole space by default)."""
-    pts = tuple(space.points()) if subset is None else tuple(subset)
-    if not pts:
-        raise ValueError("diameter of an empty subset")
+    pts = _subset_points(space, subset, "diameter")
     return space.distance_values[_subset_diam_rank(space, pts)]
 
 
@@ -505,9 +519,7 @@ def diametrical_partition(
     ultrametric space the result always has at least two parts and each
     part is a ball.
     """
-    pts = tuple(space.points()) if subset is None else tuple(subset)
-    if not pts:
-        raise ValueError("diametrical partition of an empty subset")
+    pts = _subset_points(space, subset, "diametrical partition")
     if len(pts) == 1:
         return None
     t = _subset_diam_rank(space, pts)

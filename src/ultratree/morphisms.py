@@ -10,7 +10,9 @@ in the distance set.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 from .core import (
@@ -291,17 +293,11 @@ class PiecewiseLinearFn:
         if t < 0:
             raise ValueError("defined on nonnegative inputs only")
         pts = self.breakpoints
-        if t >= pts[-1][0]:
+        i = bisect_right(pts, t, key=itemgetter(0))   # pts[i - 1][0] <= t
+        if i == len(pts):
             x0, y0 = pts[-1]
             return y0 + self.tail_slope * (t - x0)
-        lo, hi = 0, len(pts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if pts[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        (x0, y0), (x1, y1) = pts[lo], pts[hi]
+        (x0, y0), (x1, y1) = pts[i - 1], pts[i]
         return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
 
 
@@ -328,17 +324,13 @@ def quantize_binary(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     A distance t >= 1/2 becomes 1/2, and t in [2^-(n+1), 2^-n) becomes
     2^-(n+1).  Output distances are dyadic, never exceed the input, and
     the input never exceeds twice the output when it was at most 1/2.
+    This is `quantize_ladder` on 1/2, 1/4, ..., 2^-k, the first power of
+    1/2 at or below the smallest positive distance.
     """
-
-    def snap(t: Fraction) -> Fraction:
-        if t == 0:
-            return t
-        step = Fraction(1, 2)
-        while step > t:
-            step /= 2
-        return step
-
-    return apply_preserving(space, snap)
+    s = space.distance_values[1] if len(space) > 1 else Fraction(1, 2)
+    # 2^-k <= s = a/b iff 2^k > (b - 1) // a, whose bit length is the least such k
+    k = max(1, ((s.denominator - 1) // s.numerator).bit_length())
+    return quantize_ladder(space, [Fraction(1, 2 ** i) for i in range(1, k + 1)])
 
 
 def quantize_ladder(space: FiniteUltrametricSpace, ladder) -> FiniteUltrametricSpace:

@@ -9,14 +9,13 @@ through `verify_tree_invariants`.
 
 Orders are kept as up-set bitmasks: `_up_closure` closes (lower, upper)
 arcs and `_covering_pairs` reads the covers (the transitive reduction)
-back off.  `tree_order`, `edge_characterization_check` and
-`tree_metric.check_ballean_poset` all go through these two.  Vertex ids
-are ints; bools, floats and strings are refused.
+back off, for `tree_order`, `edge_characterization_check` and
+`tree_metric.check_ballean_poset`.  A tree is walked once, when built;
+vertex ids are ints, and bools, floats and strings are refused.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional
@@ -26,7 +25,6 @@ from .core import (
     diametrical_partition,
     format_rational,
     parse_rational,
-    _subset_diam_rank,
 )
 from .balls import _inclusion_up_sets, ballean
 
@@ -39,13 +37,13 @@ def _is_index(value, n: int) -> bool:
 class RootedLabeledTree:
     """A tree with rational vertex labels and an optional root.
 
-    Free-tree operations accept `root=None`; rooted-only operations refuse
-    it.  When built from a space, `ball_points[v]` carries the point set of
-    the ball the vertex stands for.  `truncated` marks prefixes of infinite
-    trees whose leaves still carry positive labels.
+    Rooted operations refuse a free tree; they read the parents and depths
+    of the constructor's one walk.  `ball_points[v]`, from a space, is the
+    point set of the ball a vertex stands for.  `truncated` marks prefixes
+    of infinite trees whose leaves still carry positive labels.
     """
 
-    __slots__ = ("labels", "edges", "root", "ball_points", "truncated", "_adj")
+    __slots__ = ("labels", "edges", "root", "ball_points", "truncated", "_adj", "_parent", "_depth")
 
     def __init__(self, labels, edges, root: Optional[int] = None,
                  ball_points=None, truncated: bool = False):
@@ -68,12 +66,26 @@ class RootedLabeledTree:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(a)) for a in adj)
-        if -1 in self.levels(0):
+        # the one walk, from vertex 0 when there is no valid root to start at
+        start = root if _is_index(root, n) else 0
+        parent: list[Optional[int]] = [None] * n
+        depth = [-1] * n
+        depth[start] = 0
+        reached = [start]
+        for u in reached:   # grows while it is read
+            for v in self._adj[u]:
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    parent[v] = u
+                    reached.append(v)
+        if len(reached) < n:
             raise ValueError("edges do not connect the vertex set")
         if any(l < 0 for l in self.labels):
             raise ValueError("labels must be nonnegative")
         if root is not None and not _is_index(root, n):
             raise ValueError(f"root {root!r} is not a vertex index")
+        self._parent = tuple(parent)
+        self._depth = tuple(depth)
         self.root = root
         if ball_points is not None:
             ball_points = tuple(tuple(p) for p in ball_points)
@@ -97,49 +109,23 @@ class RootedLabeledTree:
             raise ValueError("operation needs a rooted tree")
         return self.root
 
-    def parent_map(self, root: Optional[int] = None) -> tuple[Optional[int], ...]:
-        root = self.require_root() if root is None else root
-        parent: list[Optional[int]] = [None] * self.n
-        order = deque([root])
-        seen = [False] * self.n
-        seen[root] = True
-        while order:
-            u = order.popleft()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parent[v] = u
-                    order.append(v)
-        return tuple(parent)
+    def parent_map(self) -> tuple[Optional[int], ...]:
+        self.require_root()
+        return self._parent
 
-    def children_map(self, root: Optional[int] = None) -> tuple[tuple[int, ...], ...]:
-        root = self.require_root() if root is None else root
-        parent = self.parent_map(root)
-        kids: list[list[int]] = [[] for _ in range(self.n)]
-        for v, p in enumerate(parent):
-            if p is not None:
-                kids[p].append(v)
-        return tuple(tuple(sorted(k)) for k in kids)
+    def children_map(self) -> tuple[tuple[int, ...], ...]:
+        parent = self.parent_map()
+        return tuple(tuple(w for w in adj if w != parent[v]) for v, adj in enumerate(self._adj))
 
-    def out_degree(self, v: int, root: Optional[int] = None) -> int:
-        root = self.require_root() if root is None else root
-        return self.degree(v) if v == root else self.degree(v) - 1
+    def out_degree(self, v: int) -> int:
+        return self.degree(v) - (v != self.require_root())
 
     def leaves(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.degree(v) <= 1)
 
-    def levels(self, root: Optional[int] = None) -> tuple[int, ...]:
-        root = self.require_root() if root is None else root
-        depth = [-1] * self.n
-        depth[root] = 0
-        order = deque([root])
-        while order:
-            u = order.popleft()
-            for v in self._adj[u]:
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    order.append(v)
-        return tuple(depth)
+    def levels(self) -> tuple[int, ...]:
+        self.require_root()
+        return self._depth
 
     def __repr__(self):
         r = "free" if self.root is None else f"root={self.root}"
@@ -259,9 +245,11 @@ def verify_tree_invariants(tree: RootedLabeledTree,
         "vertices-equal-ballean", ok,
         None if ok else f"tree {len(tree_sets)} sets vs ballean {len(ball_sets)}"))
 
+    # each ball split once: the threshold is its diameter, None a singleton's
+    splits = [diametrical_partition(space, p) for p in pts]
     bad = next(
-        (v for v in range(tree.n)
-         if tree.labels[v] != space.distance_values[_subset_diam_rank(space, pts[v])]),
+        (v for v, s in enumerate(splits)
+         if tree.labels[v] != (space.distance_values[0] if s is None else s.threshold)),
         None)
     entries.append(CheckEntry(
         "labels-are-diameters", bad is None,
@@ -272,15 +260,14 @@ def verify_tree_invariants(tree: RootedLabeledTree,
         "degree-two-at-most-once", len(deg2) <= 1,
         None if len(deg2) <= 1 else f"vertices {deg2}"))
 
-    bad = next((v for v in range(tree.n) if tree.out_degree(v, root) == 1), None)
+    bad = next((v for v in range(tree.n) if tree.out_degree(v) == 1), None)
     entries.append(CheckEntry(
         "out-degree-never-one", bad is None,
         None if bad is None else f"vertex {bad}"))
 
     bad = None
-    for v in range(tree.n):
+    for v, parts in enumerate(splits):
         # a parent edge, plus one child per part when the label is positive
-        parts = diametrical_partition(space, pts[v])
         expected = (v != root) + (len(parts) if parts is not None and tree.labels[v] else 0)
         d = tree.degree(v)
         if d != expected:
@@ -290,7 +277,7 @@ def verify_tree_invariants(tree: RootedLabeledTree,
 
     bad = next(
         (v for v in range(tree.n)
-         if (tree.out_degree(v, root) == 0) != (tree.labels[v] == 0)),
+         if (tree.out_degree(v) == 0) != (tree.labels[v] == 0)),
         None)
     entries.append(CheckEntry(
         "leaf-iff-zero-label", bad is None,
@@ -409,7 +396,7 @@ def tree_order(tree: RootedLabeledTree) -> TreeOrder:
     the covers, the covers are the edges, and the order is ball inclusion.
     """
     root = tree.require_root()
-    parent = tree.parent_map(root)
+    parent = tree.parent_map()
     covers = tuple((v, p) for v, p in enumerate(parent) if p is not None)
     up = _up_closure(tree.n, covers)
     return TreeOrder(root, parent, tuple(up), covers)

@@ -1,10 +1,10 @@
 """Metrics generated by labeled trees and the characterization checkers.
 
 The path-max metric turns vertex labels into distances; monotone labelings
-on rooted trees are exactly the ones whose maximal chains reconstruct an
-ultrametric space; and the covering-digraph checker decides which finite
-posets arise as ball lattices, reading the covers off the closure's up-set
-bitmasks (`repr_tree._covering_pairs`) instead of testing every triple.
+are the ones whose maximal chains reconstruct an ultrametric space, and
+only a vertex of largest label can root one; and the covering-digraph
+checker decides which finite posets are ball lattices, reading the covers
+off the closure's up-set bitmasks (`repr_tree._covering_pairs`).
 """
 
 from __future__ import annotations
@@ -75,21 +75,17 @@ def path_max_metric(tree: RootedLabeledTree) -> Union[FiniteUltrametricSpace,
     return FiniteUltrametricSpace._from_ranks(names, values, rank)
 
 
-def is_monotone_labeling(tree: RootedLabeledTree,
-                         root: Optional[int] = None) -> tuple[bool, Optional[str]]:
+def is_monotone_labeling(tree: RootedLabeledTree) -> tuple[bool, Optional[str]]:
     """Labels strictly decrease toward the leaves and every leaf is labeled zero.
 
     This is the finite reading of a monotone labeling: maximal chains end
     in a leaf, and their labels must reach zero there.
     """
-    root = tree.require_root() if root is None else root
-    parent = tree.parent_map(root)
-    for v in range(tree.n):
-        p = parent[v]
+    for v, p in enumerate(tree.parent_map()):
         if p is not None and not tree.labels[v] < tree.labels[p]:
             return False, f"label of {v} does not drop below its parent {p}"
     for v in range(tree.n):
-        if tree.out_degree(v, root) == 0 and tree.labels[v] != 0:
+        if tree.out_degree(v) == 0 and tree.labels[v] != 0:
             return False, f"leaf {v} has positive label {tree.labels[v]}"
     return True, None
 
@@ -108,32 +104,26 @@ class Representability:
         return f"<rejected: {self.reason}>"
 
 
-def _out_degree_violation(tree: RootedLabeledTree, root: int) -> Optional[int]:
-    for v in range(tree.n):
-        if tree.out_degree(v, root) == 1:
-            return v
-    return None
-
-
 def check_representable(tree: RootedLabeledTree) -> Representability:
     """Decide whether a labeled tree is the representing tree of some space.
 
-    Tries every root in index order and accepts the first one under which
-    the labeling is monotone and no vertex has out-degree one.  Rejects
-    with the blocking condition of the smallest-index root otherwise.
+    Accepts under a root where the labeling is monotone and no vertex has
+    out-degree one.  Only the first vertex of largest label can be such a
+    root; vertex 0 is tried first, as its blocking condition is the reason
+    reported on rejection.  O(n).
     """
+    labels = tree.labels
     first_reason = None
-    for root in range(tree.n):
-        v = _out_degree_violation(tree, root)
+    for root in sorted({0, labels.index(max(labels))}):
+        rooted = tree if tree.root == root else RootedLabeledTree(labels, tree.edges, root=root)
+        v = next((v for v in range(tree.n) if rooted.out_degree(v) == 1), None)
         if v is not None:
-            if first_reason is None:
-                first_reason = f"root {root}: out-degree 1 at vertex {v}"
-            continue
-        ok, reason = is_monotone_labeling(tree, root)
-        if ok:
-            return Representability(True, root, None)
-        if first_reason is None:
-            first_reason = f"root {root}: {reason}"
+            reason = f"out-degree 1 at vertex {v}"
+        else:
+            ok, reason = is_monotone_labeling(rooted)
+            if ok:
+                return Representability(True, root, None)
+        first_reason = first_reason or f"root {root}: {reason}"
     return Representability(False, None, first_reason)
 
 
@@ -168,7 +158,7 @@ class MaxChain:
 def maximal_chains(tree: RootedLabeledTree) -> tuple[MaxChain, ...]:
     """One chain per leaf, each the unique root-to-leaf path, in leaf order."""
     root = tree.require_root()
-    kids = tree.children_map(root)
+    kids = tree.children_map()
     chains: list[MaxChain] = []
     stack: list[tuple[int, tuple[int, ...]]] = [(root, (root,))]
     while stack:

@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 
 from ultratree import (
+    Ball,
     ball_poset,
     ballean,
     ballean_to_json,
@@ -31,6 +32,22 @@ def test_closed_ball_examples():
     assert closed_ball(space, 1, 1).points == (1, 2, 3)
     assert closed_ball(space, 2, 0).points == (2,)
     assert closed_ball(space, 0, 2).points == (0, 1, 2, 3)
+
+
+def test_closed_ball_refuses_a_center_outside_the_space():
+    space = nested_four_point_space()
+    for center in (-1, 4):
+        with pytest.raises(ValueError, match=rf"point {center} is not an index in range\(4\)"):
+            closed_ball(space, center, 1)
+
+
+def test_membership_follows_iteration():
+    space = nested_four_point_space()
+    bn = ballean(space)
+    ball = closed_ball(space, 1, 1)
+    assert [x for x in range(-1, 6) if x in ball] == [1, 2, 3]
+    assert ball in bn and closed_ball(space, 2, 0) in bn
+    assert Ball((1, 2), 1, 1, 1) not in bn and (1, 2, 3) not in bn
 
 
 def test_ball_identity_ignores_witnesses():

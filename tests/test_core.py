@@ -380,6 +380,23 @@ def test_diametrical_partition_examples():
     assert diametrical_partition(space, [2]) is None
 
 
+def test_subsets_are_distinct_point_indices():
+    space = nested_four_point_space()
+    for subset in ([1, 1], [1, 2, 2], (3, 0, 3)):
+        with pytest.raises(ValueError, match="diameter of a subset with a repeated point"):
+            diam(space, subset)
+        with pytest.raises(ValueError, match="partition of a subset with a repeated point"):
+            diametrical_partition(space, subset)
+    for subset, bad in (([-1, 0], -1), ([7], 7), ([0, 4], 4), ([-2, 5], -2)):
+        for f in (diam, diametrical_partition):
+            with pytest.raises(ValueError, match=rf"point {bad} is not an index in range\(4\)"):
+                f(space, subset)
+    with pytest.raises(ValueError, match="^diameter of an empty subset$"):
+        diam(space, [])
+    with pytest.raises(ValueError, match="^diametrical partition of an empty subset$"):
+        diametrical_partition(space, iter(()))
+
+
 def test_diametrical_partition_covers_and_separates():
     rng = random.Random(99)
     for _ in range(60):

@@ -7,6 +7,7 @@ import pytest
 
 from ultratree import (
     FiniteUltrametricSpace,
+    PiecewiseLinearFn,
     PreservingFunctionError,
     RootedLabeledTree,
     ScalingFunction,
@@ -263,6 +264,30 @@ def test_extended_function_strictly_increasing_on_probes():
                      for _ in range(2000)})
     images = [g(t) for t in probes]
     assert all(a < b for a, b in zip(images, images[1:]))
+
+
+def linear_scan_value(fn: PiecewiseLinearFn, t: Fraction) -> Fraction:
+    """`fn(t)` from the first segment holding t, or the tail past the last breakpoint."""
+    pts = fn.breakpoints
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+        if x0 <= t < x1:
+            return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
+    x0, y0 = pts[-1]
+    return y0 + fn.tail_slope * (t - x0)
+
+
+def test_piecewise_linear_segments_match_a_linear_scan():
+    rng = random.Random(46)
+    for count in range(1, 12):
+        xs = sorted(rng.sample(range(1, 60), count - 1))
+        ys = sorted(rng.sample(range(1, 60), count - 1))
+        fn = PiecewiseLinearFn([(0, 0)] + [(Fraction(x, 3), y) for x, y in zip(xs, ys)],
+                               tail_slope=Fraction(rng.randint(1, 9), 4))
+        at = [x for x, _ in fn.breakpoints]
+        between = [(a + b) / 2 for a, b in zip(at, at[1:])] + [a + Fraction(1, 97) for a in at]
+        past = [at[-1] + 1, at[-1] * 3 + Fraction(1, 7)]
+        for t in at + between + past:
+            assert fn(t) == linear_scan_value(fn, t), (fn.breakpoints, t)
 
 
 def test_quantize_binary_values():

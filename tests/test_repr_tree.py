@@ -20,6 +20,7 @@ from ultratree import (
 from ultratree import FiniteUltrametricSpace
 from ultratree.repr_tree import TreeOrder
 from util import (
+    bfs_tree_maps,
     caterpillar_matrix,
     differential_spaces,
     flat_matrix,
@@ -27,6 +28,7 @@ from util import (
     padic_matrix,
     path_set_order,
     permuted,
+    random_labeled_tree,
     random_monotone_tree,
     random_ultrametric_matrix,
     random_ultrametric_space,
@@ -87,6 +89,32 @@ def test_tree_constructor_validates():
     assert RootedLabeledTree([1, 0], [(0, 1)], root=1).root == 1
 
 
+def test_connectivity_is_checked_before_the_root():
+    # the walk starts at a valid root, and at vertex 0 otherwise
+    cyclic = [(0, 1), (1, 2), (0, 2)]   # vertex 3 is left out
+    for root in (None, 9, True, 0, 3):
+        with pytest.raises(ValueError, match="do not connect"):
+            RootedLabeledTree([1, 0, 0, 0], cyclic, root=root)
+
+
+def test_rooted_maps_match_a_fresh_walk():
+    rng = random.Random(24)
+    for _ in range(300):
+        free = random_labeled_tree(rng, rng.randint(1, 30))
+        root = rng.randrange(free.n)
+        tree = RootedLabeledTree(free.labels, free.edges, root=root)
+        parent, depth, kids = bfs_tree_maps(tree, root)
+        assert tree.parent_map() == parent
+        assert tree.levels() == depth
+        assert tree.children_map() == kids
+        assert [tree.out_degree(v) for v in range(tree.n)] == list(map(len, kids))
+    for rooted_only in (free.parent_map, free.levels, free.children_map):
+        with pytest.raises(ValueError, match="needs a rooted tree"):
+            rooted_only()
+    with pytest.raises(ValueError, match="needs a rooted tree"):
+        free.out_degree(0)
+
+
 def test_invariants_pass_on_worked_example_and_random_spaces():
     space = nested_four_point_space()
     tree = build_representing_tree(space)
@@ -114,6 +142,17 @@ def test_invariants_catch_an_injected_degree_two_vertex():
     assert not report.ok
     names = {e.name for e in report.failures()}
     assert "out-degree-never-one" in names
+
+
+def test_invariants_catch_a_label_that_is_not_the_diameter():
+    space = nested_four_point_space()
+    tree = build_representing_tree(space)
+    for v in (0, tree.leaves()[-1]):
+        labels = list(tree.labels)
+        labels[v] += 3
+        bad = RootedLabeledTree(labels, tree.edges, root=0, ball_points=tree.ball_points)
+        failed = {e.name: e.witness for e in verify_tree_invariants(bad, space).failures()}
+        assert failed["labels-are-diameters"] == f"vertex {v}"
 
 
 def test_vertex_count_equals_ballean_size():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -22,13 +23,16 @@ from ultratree import (
     reconstruct_space,
     spaces_isometric,
     sphere_plus_center_condition,
+    sphere_tree,
 )
 from util import (
+    all_roots_representable,
     chain_scan_reconstruct,
     differential_spaces,
     equilateral_space,
     nested_four_point_space,
     partition_sphere_plus_center,
+    random_labeled_tree,
     random_monotone_tree,
     random_ultrametric_space,
     triple_loop_ballean_poset,
@@ -135,6 +139,55 @@ def test_check_representable_rejects_truncated_trees():
 def test_check_representable_single_vertex():
     assert check_representable(RootedLabeledTree([0], [])).accepted
     assert not check_representable(RootedLabeledTree([1], [])).accepted
+
+
+def test_check_representable_matches_the_all_roots_oracle():
+    rng = random.Random(34)
+
+    def free_and_rerooted(tree):
+        return [RootedLabeledTree(tree.labels, tree.edges),
+                RootedLabeledTree(tree.labels, tree.edges, root=rng.randrange(tree.n))]
+
+    trees = [RootedLabeledTree([0], []), RootedLabeledTree([1], [])]
+    trees += [bethe_ball_tree(p, depth, 1) for p in (2, 3) for depth in range(4)]
+    trees += [sphere_tree(p, depth, 1) for p in (2, 3) for depth in (1, 2)]
+    for leaves, centre, leaf in product(range(1, 6), (0, 1, 2), (0, 1)):
+        star = RootedLabeledTree([centre] + [leaf] * leaves,
+                                 [(0, v) for v in range(1, leaves + 1)], root=0)
+        trees += [star] + free_and_rerooted(star)
+    for _ in range(400):
+        # labels from {0, 1/2, 1, 2, 3}: tied top labels and positive leaves
+        trees += free_and_rerooted(random_labeled_tree(rng, rng.randint(1, 10)))
+    for _ in range(300):
+        tree = random_monotone_tree(rng, rng.randint(1, 10))
+        trees += [tree] + free_and_rerooted(tree)
+    for _ in range(300):
+        tree = build_representing_tree(random_ultrametric_space(rng, rng.randint(1, 8)))
+        trees += [tree] + free_and_rerooted(tree)
+    assert len(trees) >= 2000
+
+    kinds = set()
+    for tree in trees:
+        got = check_representable(tree)
+        assert (got.accepted, got.root, got.reason) == all_roots_representable(tree)
+        if got.accepted:
+            kinds.add("accepted at 0" if got.root == 0 else "accepted elsewhere")
+        else:
+            kinds.add(next(k for k in ("out-degree 1", "does not drop", "positive label")
+                           if k in got.reason))
+    assert kinds == {"accepted at 0", "accepted elsewhere", "out-degree 1",
+                     "does not drop", "positive label"}
+
+
+def test_check_representable_is_linear_on_a_large_star():
+    # two roots, each tried in O(n); trying all 4,001 roots is quadratic
+    star = RootedLabeledTree([1] * 4001, [(0, v) for v in range(1, 4001)])
+    start = time.perf_counter()
+    result = check_representable(star)
+    elapsed = time.perf_counter() - start
+    assert (result.accepted, result.root, result.reason) == \
+        (False, None, "root 0: label of 1 does not drop below its parent 0")
+    assert elapsed < 0.2
 
 
 def test_maximal_chains_examples():

@@ -5,16 +5,19 @@ strictly decreasing level values, so validity holds by construction and
 the library's validators act as an independent check.  The top-down tree
 builder, the center-by-radius ballean, the pairwise Hausdorff matrix, the
 partition-based sphere-plus-center test, the chain-scan reconstruction, the
-triple-loop poset check, the frozenset root-path order and the `Fraction`
-path-max walk are the implementations the library's faster ones replaced,
-kept here as oracles.
+triple-loop poset check, the frozenset root-path order, the `Fraction`
+path-max walk, the all-roots representability test and the per-call
+breadth-first walk are the implementations the library's faster ones
+replaced, kept here as oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
+from typing import Optional
 
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
 from ultratree.balls import Ball, Ballean, HausdorffBallSpace
@@ -419,8 +422,8 @@ def path_set_order(tree: RootedLabeledTree) -> tuple[list[frozenset], tuple]:
     u <= v iff v is in the root path of u.  O(n * depth) memory.
     """
     root = tree.require_root()
-    parent = tree.parent_map(root)
-    depth = tree.levels(root)
+    parent = tree.parent_map()
+    depth = tree.levels()
     paths: list = [None] * tree.n
     for v in sorted(range(tree.n), key=depth.__getitem__):
         paths[v] = frozenset({v}) if v == root else paths[parent[v]] | {v}
@@ -443,7 +446,7 @@ def tree_order_failures(tree: RootedLabeledTree, order: TreeOrder) -> list[str]:
     ball payloads the order is ball inclusion.
     """
     n, root, up = tree.n, tree.require_root(), order.up
-    parent = tree.parent_map(root)
+    parent = tree.parent_map()
     failures = []
     if not all(order.leq(v, root) for v in range(n)):
         failures.append("root-largest")
@@ -465,3 +468,53 @@ def tree_order_failures(tree: RootedLabeledTree, order: TreeOrder) -> list[str]:
                for u in range(n) for v in range(n)):
             failures.append("order-is-ball-inclusion")
     return failures
+
+
+def all_roots_representable(tree: RootedLabeledTree) -> tuple[bool, Optional[int], Optional[str]]:
+    """Oracle for `check_representable`: every root in index order.
+
+    Each root gets a copy of the tree rooted there.  Accepts the first root
+    under which no vertex has out-degree one and the labeling is monotone;
+    otherwise rejects with the blocking condition of root 0.
+    """
+    first_reason = None
+    for root in range(tree.n):
+        rooted = RootedLabeledTree(tree.labels, tree.edges, root=root)
+        v = next((v for v in range(tree.n) if rooted.out_degree(v) == 1), None)
+        if v is not None:
+            if first_reason is None:
+                first_reason = f"root {root}: out-degree 1 at vertex {v}"
+            continue
+        ok, reason = is_monotone_labeling(rooted)
+        if ok:
+            return True, root, None
+        if first_reason is None:
+            first_reason = f"root {root}: {reason}"
+    return False, None, first_reason
+
+
+def bfs_tree_maps(tree: RootedLabeledTree, root: int):
+    """Oracle for `parent_map`, `levels` and `children_map`: a fresh walk from `root`.
+
+    Reads only `tree.edges`, so it shares nothing with the constructor's walk.
+    """
+    adj: list[list[int]] = [[] for _ in range(tree.n)]
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent: list[Optional[int]] = [None] * tree.n
+    depth = [-1] * tree.n
+    depth[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if depth[v] < 0:
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                queue.append(v)
+    kids: list[list[int]] = [[] for _ in range(tree.n)]
+    for v, p in enumerate(parent):
+        if p is not None:
+            kids[p].append(v)
+    return tuple(parent), tuple(depth), tuple(tuple(sorted(k)) for k in kids)
