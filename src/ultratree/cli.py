@@ -209,9 +209,7 @@ def _cmd_roundtrip(args) -> int:
     space = _load_ultrametric(args.space)
     tree = repr_tree.build_representing_tree(space)
     rebuilt = tree_metric.reconstruct_space(tree)
-    # isometric iff the representing trees' codes agree
-    verdict = morphisms.canonical_code(tree) == morphisms.canonical_code(
-        repr_tree.build_representing_tree(rebuilt.space))
+    verdict = morphisms.spaces_isometric(space, rebuilt.space)
     _emit({"points": len(space), "balls": tree.n, "isometric": verdict})
     return 0 if verdict else 1
 

@@ -324,13 +324,10 @@ def quantize_binary(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     A distance t >= 1/2 becomes 1/2, and t in [2^-(n+1), 2^-n) becomes
     2^-(n+1).  Output distances are dyadic, never exceed the input, and
     the input never exceeds twice the output when it was at most 1/2.
-    This is `quantize_ladder` on 1/2, 1/4, ..., 2^-k, the first power of
-    1/2 at or below the smallest positive distance.
     """
-    s = space.distance_values[1] if len(space) > 1 else Fraction(1, 2)
-    # 2^-k <= s = a/b iff 2^k > (b - 1) // a, whose bit length is the least such k
-    k = max(1, ((s.denominator - 1) // s.numerator).bit_length())
-    return quantize_ladder(space, [Fraction(1, 2 ** i) for i in range(1, k + 1)])
+    # 2^-k <= t = a/b iff 2^k > (b - 1) // a, whose bit length is the least such k
+    return apply_preserving(space, lambda t: t and Fraction(
+        1, 2 ** max(1, ((t.denominator - 1) // t.numerator).bit_length())))
 
 
 def quantize_ladder(space: FiniteUltrametricSpace, ladder) -> FiniteUltrametricSpace:

@@ -226,11 +226,12 @@ def verify_tree_invariants(tree: RootedLabeledTree,
                            space: FiniteUltrametricSpace) -> InvariantReport:
     """Structural audit of a representing tree against its space.
 
-    Checks, each with a witness on failure: the vertex set equals the
-    independently enumerated ballean; labels are ball diameters; degree 2
-    occurs at most once; no vertex has out-degree 1; the degree of every
-    vertex matches the part count of its diametrical graph; and leaves are
-    exactly the zero-labeled vertices.
+    Checks, each with a witness on failure: every payload is a ball and
+    the vertex set equals the independently enumerated ballean; labels are
+    ball diameters; degree 2 occurs at most once; no vertex has out-degree
+    1; the degree of every vertex matches the part count of its diametrical
+    graph; and leaves are exactly the zero-labeled vertices.  The diameter
+    and degree checks skip vertices whose payload is not a ball.
     """
     entries: list[CheckEntry] = []
     root = tree.require_root()
@@ -240,16 +241,20 @@ def verify_tree_invariants(tree: RootedLabeledTree,
 
     tree_sets = {frozenset(p) for p in pts}
     ball_sets = {frozenset(b.points) for b in ballean(space)}
-    ok = tree_sets == ball_sets and len(tree_sets) == tree.n
+    # a payload is a ball when its points are distinct and make one
+    is_ball = [len(set(p)) == len(p) and frozenset(p) in ball_sets for p in pts]
+    ok = all(is_ball) and tree_sets == ball_sets and len(tree_sets) == tree.n
     entries.append(CheckEntry(
         "vertices-equal-ballean", ok,
-        None if ok else f"tree {len(tree_sets)} sets vs ballean {len(ball_sets)}"))
+        None if ok else f"tree {len(tree_sets)} sets vs ballean {len(ball_sets)}"
+        + ("" if all(is_ball) else f", vertex {is_ball.index(False)} is not a ball")))
 
-    # each ball split once: the threshold is its diameter, None a singleton's
-    splits = [diametrical_partition(space, p) for p in pts]
+    # each ball split once, the rest not at all: a split's threshold is the
+    # ball's diameter, and None stands for a singleton's
+    splits = [diametrical_partition(space, p) if b else None for p, b in zip(pts, is_ball)]
     bad = next(
-        (v for v, s in enumerate(splits)
-         if tree.labels[v] != (space.distance_values[0] if s is None else s.threshold)),
+        (v for v, s in enumerate(splits) if is_ball[v]
+         and tree.labels[v] != (space.distance_values[0] if s is None else s.threshold)),
         None)
     entries.append(CheckEntry(
         "labels-are-diameters", bad is None,
@@ -267,6 +272,8 @@ def verify_tree_invariants(tree: RootedLabeledTree,
 
     bad = None
     for v, parts in enumerate(splits):
+        if not is_ball[v]:
+            continue
         # a parent edge, plus one child per part when the label is positive
         expected = (v != root) + (len(parts) if parts is not None and tree.labels[v] else 0)
         d = tree.degree(v)

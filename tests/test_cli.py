@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -272,6 +273,25 @@ def test_transform(capsys, space_file):
 
     code, out, err = invoke(capsys, "transform", "--fn", "bound:1/0", space_file)
     assert (code, out) == (2, "") and err == "error: zero denominator in '1/0'\n"
+
+
+def test_transform_quantize_snaps_a_tiny_distance_in_little_memory(tmp_path, capsys):
+    # 1e-30000 snaps to 2^-99658 in one step; a ladder of its 99,658 rungs
+    # peaks near 670 MB
+    tiny = tmp_path / "tiny.json"
+    tiny.write_text(json.dumps({"points": ["a", "b"],
+                                "matrix": [["0", "1e-30000"], ["1e-30000", "0"]]}))
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(capsys, "transform", "--fn", "quantize", str(tiny))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    # the 30,001-digit denominator is past Python's int-to-str limit, as
+    # the input's is for `dset`
+    assert (code, out) == (3, "") and "4300 digits" in err
+    assert invoke(capsys, "dset", str(tiny))[0] == 3
 
 
 def test_padic_and_bethe(tmp_path, capsys):

@@ -303,6 +303,12 @@ def test_quantize_binary_values():
     assert q.distance(0, 0) == 0
 
 
+def test_quantize_binary_snaps_a_tiny_distance_in_one_step():
+    tiny = Fraction(1, 10 ** 30000)   # 2^-99658 < tiny < 2^-99657
+    q = quantize_binary(FiniteUltrametricSpace(["a", "b"], [[0, tiny], [tiny, 0]]))
+    assert q.distance_values == (0, Fraction(1, 2 ** 99658))
+
+
 def test_quantize_binary_properties():
     rng = random.Random(46)
     for _ in range(30):

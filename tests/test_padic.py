@@ -76,18 +76,6 @@ def test_primes_past_the_deterministic_range_are_refused():
     assert not is_prime(10 ** 30)   # even: decided before the range check
 
 
-def test_a_prime_is_tested_once_and_a_refused_one_on_every_call():
-    is_prime.cache_clear()
-    for _ in range(50):
-        assert p_valuation(12, 1_000_003).gamma == 0
-    info = is_prime.cache_info()
-    assert (info.misses, info.hits) == (1, 49)
-    for calls in range(1, 4):
-        with pytest.raises(ValueError, match="too large"):
-            p_valuation(12, padic.MR_LIMIT)
-        assert is_prime.cache_info().misses == 1 + calls
-
-
 def test_bethe_sizes_past_the_cap_are_refused_before_building(monkeypatch):
     monkeypatch.setattr(padic, "BETHE_MAX_VERTICES", 7)
     assert bethe_ball_tree(2, 2, 1).n == 7

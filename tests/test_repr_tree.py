@@ -155,6 +155,21 @@ def test_invariants_catch_a_label_that_is_not_the_diameter():
         assert failed["labels-are-diameters"] == f"vertex {v}"
 
 
+def test_invariants_report_payloads_that_are_not_balls():
+    space = nested_four_point_space()
+    tree = build_representing_tree(space)
+    leaf = tree.leaves()[-1]
+    (p,) = tree.ball_points[leaf]
+    for payload in ((p, p), (7,), (-1,), (p, 9)):
+        points = list(tree.ball_points)
+        points[leaf] = payload
+        bad = RootedLabeledTree(tree.labels, tree.edges, root=0, ball_points=points)
+        failed = {e.name: e.witness for e in verify_tree_invariants(bad, space).failures()}
+        assert list(failed) == ["vertices-equal-ballean"], payload
+        assert failed["vertices-equal-ballean"] == \
+            f"tree {tree.n} sets vs ballean {tree.n}, vertex {leaf} is not a ball"
+
+
 def test_vertex_count_equals_ballean_size():
     rng = random.Random(22)
     for _ in range(30):

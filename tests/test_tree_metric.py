@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import random
-import time
 from itertools import product
 
 import pytest
 
+from ultratree import tree_metric
 from ultratree import (
     FiniteUltrametricSpace,
     PseudoUltrametricSpace,
@@ -179,15 +179,29 @@ def test_check_representable_matches_the_all_roots_oracle():
                      "does not drop", "positive label"}
 
 
-def test_check_representable_is_linear_on_a_large_star():
+def test_check_representable_is_linear_on_a_large_star(monkeypatch):
     # two roots, each tried in O(n); trying all 4,001 roots is quadratic
-    star = RootedLabeledTree([1] * 4001, [(0, v) for v in range(1, 4001)])
-    start = time.perf_counter()
-    result = check_representable(star)
-    elapsed = time.perf_counter() - start
-    assert (result.accepted, result.root, result.reason) == \
-        (False, None, "root 0: label of 1 does not drop below its parent 0")
-    assert elapsed < 0.2
+    calls = {"out_degree": 0, "monotone": 0}
+    out_degree, monotone = RootedLabeledTree.out_degree, tree_metric.is_monotone_labeling
+
+    def counted_out_degree(tree, v):
+        calls["out_degree"] += 1
+        return out_degree(tree, v)
+
+    def counted_monotone(tree):
+        calls["monotone"] += 1
+        return monotone(tree)
+
+    monkeypatch.setattr(RootedLabeledTree, "out_degree", counted_out_degree)
+    monkeypatch.setattr(tree_metric, "is_monotone_labeling", counted_monotone)
+    edges = [(0, v) for v in range(1, 4001)]
+    # every label 1 tries vertex 0 alone; a largest label on leaf 4000 adds it
+    for labels in ([1] * 4001, [1] * 4000 + [2]):
+        calls.update(out_degree=0, monotone=0)
+        result = check_representable(RootedLabeledTree(labels, edges))
+        assert (result.accepted, result.root, result.reason) == \
+            (False, None, "root 0: label of 1 does not drop below its parent 0")
+        assert calls["monotone"] <= 2 and calls["out_degree"] <= 4 * len(labels), calls
 
 
 def test_maximal_chains_examples():
