@@ -140,11 +140,9 @@ def _inclusion_up_sets(point_sets, npoints: int) -> list[int]:
 
 
 def smallest_enclosing_ball(space: FiniteUltrametricSpace, points: Iterable[int]) -> Ball:
-    """Smallest ball containing `points`: the ball around any member at radius diam."""
+    """Smallest ball containing `points` (repeats allowed): any member at radius diam."""
     _require_ultrametric(space)
-    pts = tuple(sorted(points))
-    if not pts:
-        raise ValueError("smallest enclosing ball of an empty set")
+    pts = sorted(_subset_points(space, set(points), "smallest enclosing ball"))
     return closed_ball(space, pts[0], space.distance_values[_subset_diam_rank(space, pts)])
 
 

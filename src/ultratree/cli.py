@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every verb maps to one library pipeline and prints deterministic JSON (or
-DOT).  Exit codes: 0 for success or a positive decision, 1 for a negative
-decision, 2 for input errors, 3 for internal errors (any other exception,
-reported as one `internal error: <Type>: <message>` line on stderr).
+DOT); its handler imports only the submodules it runs.  Exit codes: 0 for
+success or a positive decision, 1 for a negative decision, 2 for input
+errors, 3 for internal errors (any other exception, reported as one
+`internal error: <Type>: <message>` line on stderr).
 
 `check` runs one ultrametricity test, the O(n^2) single-linkage pass
 that every space constructor also runs, and prints a sorted violating
@@ -17,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import core, balls, repr_tree, tree_metric, morphisms, padic
+from . import core
 
 
 class InputError(Exception):
@@ -55,6 +56,7 @@ def _load_ultrametric(path: str) -> core.FiniteUltrametricSpace:
 
 
 def _load_tree(path: str) -> repr_tree.RootedLabeledTree:
+    from . import repr_tree
     try:
         return repr_tree.tree_from_json(_load_json(path))
     except (ValueError, TypeError, KeyError) as exc:
@@ -88,12 +90,14 @@ def _cmd_dset(args) -> int:
 
 
 def _cmd_balls(args) -> int:
+    from . import balls
     space = _load_ultrametric(args.space)
     _emit(balls.ballean_to_json(balls.ballean(space)))
     return 0
 
 
 def _cmd_tree(args) -> int:
+    from . import repr_tree
     space = _load_ultrametric(args.space)
     tree = repr_tree.build_representing_tree(space)
     if args.dot:
@@ -104,6 +108,7 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_iso(args) -> int:
+    from . import morphisms
     a = _load_ultrametric(args.space_a)
     b = _load_ultrametric(args.space_b)
     verdict = morphisms.spaces_isometric(a, b)
@@ -112,6 +117,7 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_weaksim(args) -> int:
+    from . import morphisms
     a = _load_ultrametric(args.space_a)
     b = _load_ultrametric(args.space_b)
     verdict = morphisms.weakly_similar(a, b)
@@ -120,6 +126,7 @@ def _cmd_weaksim(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from . import tree_metric
     tree = _load_tree(args.tree)
     try:
         rebuilt = tree_metric.reconstruct_space(tree)
@@ -130,6 +137,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_representable(args) -> int:
+    from . import tree_metric
     tree = _load_tree(args.tree)
     result = tree_metric.check_representable(tree)
     _emit({"accepted": result.accepted, "root": result.root, "reason": result.reason})
@@ -137,6 +145,7 @@ def _cmd_representable(args) -> int:
 
 
 def _cmd_posetcheck(args) -> int:
+    from . import tree_metric
     try:
         n, covers = tree_metric.poset_from_json(_load_json(args.poset))
         report = tree_metric.check_ballean_poset(n, covers)
@@ -155,6 +164,7 @@ def _cmd_posetcheck(args) -> int:
 
 
 def _parse_fn(spec: str, space: core.FiniteUltrametricSpace):
+    from . import morphisms
     if spec == "quantize":
         return morphisms.quantize_binary(space)
     if ":" in spec:
@@ -175,13 +185,14 @@ def _cmd_transform(args) -> int:
     space = _load_ultrametric(args.space)
     try:
         result = _parse_fn(args.fn, space)
-    except (ValueError, morphisms.PreservingFunctionError) as exc:
+    except ValueError as exc:  # PreservingFunctionError among them
         raise InputError(str(exc)) from exc
     _emit(core.space_to_json(result))
     return 0
 
 
 def _cmd_padic(args) -> int:
+    from . import padic
     obj = _load_json(args.points)
     if not isinstance(obj, list):
         raise InputError(f"{args.points}: expected a JSON array of rationals")
@@ -194,6 +205,7 @@ def _cmd_padic(args) -> int:
 
 
 def _cmd_bethe(args) -> int:
+    from . import padic, repr_tree
     try:
         if args.sphere:
             tree = padic.sphere_tree(args.prime, args.depth, args.top)
@@ -206,6 +218,7 @@ def _cmd_bethe(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
+    from . import morphisms, repr_tree, tree_metric
     space = _load_ultrametric(args.space)
     tree = repr_tree.build_representing_tree(space)
     rebuilt = tree_metric.reconstruct_space(tree)

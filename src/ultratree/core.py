@@ -20,10 +20,14 @@ representing tree.  The O(n^3) triple scan stays as the tests' oracle.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Optional, Sequence, Union
+
+# 0 means no limit, as on interpreters older than the limit
+_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class SpaceValidationError(ValueError):
@@ -52,18 +56,28 @@ def parse_rational(value) -> Fraction:
     """Convert ints, Fractions, "p/q" strings or decimal strings exactly.
 
     Floats are rejected: binary floating point artifacts must never leak
-    into the exact arithmetic.  Decimal strings are parsed in base 10.
+    into the exact arithmetic.  Decimal strings are parsed in base 10.  An
+    int or string whose numerator or denominator has more digits than the
+    interpreter's int-to-str limit is refused, since `format_rational`
+    could not print it; a Fraction is taken as it is.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise ValueError(f"refusing inexact float {value!r}; pass a string or Fraction")
     try:
-        return Fraction(str(value))
+        q = Fraction(value) if isinstance(value, int) else Fraction(str(value))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+    limit = _MAX_STR_DIGITS()
+    # 10**limit > 2**(3*limit): only a part longer than 3*limit bits can be too long
+    if limit and (abs(q.numerator) | q.denominator).bit_length() > 3 * limit:
+        for part, name in ((q.numerator, "numerator"), (q.denominator, "denominator")):
+            if abs(part) >= 10 ** limit:
+                what = name if isinstance(value, int) else f"{name} of {str(value)[:60]!r}"
+                raise ValueError(f"{what} exceeds the limit ({limit} digits) "
+                                 "for integer string conversion")
+    return q
 
 
 def format_rational(value: Fraction) -> str:

@@ -9,7 +9,6 @@ in the distance set.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
@@ -28,14 +27,22 @@ class CanonicalCode:
     """Order-independent encoding of a rooted labeled tree.
 
     Two rooted labeled trees are isomorphic iff their codes are equal.
-    `digest` is a short fingerprint of the full nested text.
+    `digest` is a short fingerprint of the full nested text, hashed on
+    first read.
     """
 
-    __slots__ = ("text", "digest")
+    __slots__ = ("text", "_digest")
 
     def __init__(self, text: str):
         self.text = text
-        self.digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        self._digest = None
+
+    @property
+    def digest(self) -> str:
+        if self._digest is None:
+            import hashlib  # loads OpenSSL, so only when a digest is read
+            self._digest = hashlib.sha256(self.text.encode("ascii")).hexdigest()
+        return self._digest
 
     def __eq__(self, other):
         return isinstance(other, CanonicalCode) and self.text == other.text

@@ -90,8 +90,12 @@ def test_smallest_enclosing_ball_examples():
     assert smallest_enclosing_ball(space, [1, 2]).points == (1, 2, 3)
     assert smallest_enclosing_ball(space, [0, 1]).points == (0, 1, 2, 3)
     assert smallest_enclosing_ball(space, [2]).points == (2,)
+    assert smallest_enclosing_ball(space, [2, 1, 2]).points == (1, 2, 3)
     with pytest.raises(ValueError):
         smallest_enclosing_ball(space, [])
+    for pts, bad in (([7], 7), ([0, 7], 7), ([-1, 0], -1)):
+        with pytest.raises(ValueError, match=rf"^point {bad} is not an index in range\(4\)$"):
+            smallest_enclosing_ball(space, pts)
 
 
 def test_smallest_enclosing_ball_has_the_set_diameter_and_holds_the_set():

@@ -276,8 +276,8 @@ def test_transform(capsys, space_file):
 
 
 def test_transform_quantize_snaps_a_tiny_distance_in_little_memory(tmp_path, capsys):
-    # 1e-30000 snaps to 2^-99658 in one step; a ladder of its 99,658 rungs
-    # peaks near 670 MB
+    # a ladder of the 99,658 rungs down to 1e-30000 peaks near 670 MB;
+    # parsing refuses the value before any transform runs
     tiny = tmp_path / "tiny.json"
     tiny.write_text(json.dumps({"points": ["a", "b"],
                                 "matrix": [["0", "1e-30000"], ["1e-30000", "0"]]}))
@@ -288,10 +288,10 @@ def test_transform_quantize_snaps_a_tiny_distance_in_little_memory(tmp_path, cap
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
-    # the 30,001-digit denominator is past Python's int-to-str limit, as
-    # the input's is for `dset`
-    assert (code, out) == (3, "") and "4300 digits" in err
-    assert invoke(capsys, "dset", str(tiny))[0] == 3
+    # the 30,001-digit denominator is past Python's int-to-str limit, so
+    # neither the input nor a transform of it could be printed
+    assert (code, out) == (2, "") and "4300 digits" in err
+    assert invoke(capsys, "dset", str(tiny))[0] == 2
 
 
 def test_padic_and_bethe(tmp_path, capsys):

@@ -220,6 +220,8 @@ _DIGITS = ("Exceeds the limit (4300 digits) for integer string conversion: value
      SpaceValidationError, "names", (), "point names must be unique"),
     ([], [], SpaceValidationError, "nonempty", (), "a space needs at least one point"),
     (["a", "b"], [["0", _BIG], [_BIG, "0"]], ValueError, None, None, _DIGITS),
+    (["a", "b"], [["0", "1e-30000"], ["1e-30000", "0"]], ValueError, None, None,
+     "denominator of '1e-30000' exceeds the limit (4300 digits) for integer string conversion"),
     # parse errors come first, in row-major order
     (["a", "b"], [["1", "1"], ["1", "x"]], ValueError, None, None,
      "Invalid literal for Fraction: 'x'"),
@@ -230,7 +232,7 @@ _DIGITS = ("Exceeds the limit (4300 digits) for integer string conversion: value
 ], ids=["float", "float-after-equal-int", "null", "nested-list", "object", "null-matrix",
         "null-row", "ragged", "non-square", "nonzero-diagonal", "asymmetric", "zero",
         "negative", "negative-diagonal", "short-names", "duplicate-names", "no-points",
-        "over-digit-limit", "parse-before-validation", "row-major", "zero-denominator"])
+        "over-digit-limit", "over-digit-limit-once-parsed", "parse-before-validation", "row-major", "zero-denominator"])
 def test_bad_input_errors_are_pinned(tmp_path, capsys, points, matrix, error, axiom,
                                      witness, message):
     with pytest.raises(Exception) as info:
@@ -292,6 +294,21 @@ def test_parse_rational_rejects_floats_and_reads_decimals_exactly():
     assert parse_rational("3/10") == Fraction(3, 10)
     with pytest.raises(ValueError):
         parse_rational(0.25)
+
+
+def test_parse_rational_refuses_what_format_rational_cannot_print(monkeypatch):
+    # 10**4299 has 4,300 digits, 10**4300 one more
+    monkeypatch.setattr(core, "_MAX_STR_DIGITS", lambda: 4300)
+    assert parse_rational(10 ** 4300 - 1) == 10 ** 4300 - 1
+    assert parse_rational("1e-4299") == Fraction(1, 10 ** 4299)
+    for value, part in ((10 ** 4300, "numerator"), ("-1e4300", "numerator of '-1e4300'"),
+                        ("1e-4300", "denominator of '1e-4300'")):
+        with pytest.raises(ValueError, match=rf"^{part} exceeds the limit \(4300 digits\)"):
+            parse_rational(value)
+    tiny = Fraction(1, 10 ** 30000)
+    assert parse_rational(tiny) is tiny
+    monkeypatch.setattr(core, "_MAX_STR_DIGITS", lambda: 0)  # an interpreter with no limit
+    assert parse_rational("1e-30000") == tiny
 
 
 def test_triangle_test_on_worked_examples():

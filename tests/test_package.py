@@ -1,0 +1,119 @@
+"""The package's public names, and the modules each CLI verb loads."""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import ultratree
+from ultratree import canonical_code, build_representing_tree, space_to_json
+from util import nested_four_point_space
+
+PUBLIC = [
+    "Ball", "BallPoset", "Ballean", "CanonicalCode", "FiniteMetricSpace",
+    "FiniteUltrametricSpace", "HausdorffBallSpace", "InvariantReport", "MaxChain",
+    "MaxChainSpace", "MultipartitePartition", "NotUltrametricError", "PAdicValuation",
+    "PiecewiseLinearFn", "PosetCheckReport", "PreservingFunctionError",
+    "PseudoUltrametricSpace", "Representability", "RootedLabeledTree", "ScalingFunction",
+    "SpaceValidationError", "TreeOrder", "apply_preserving", "ball_poset", "ballean",
+    "ballean_to_json", "balls", "bethe_ball_tree", "bound_transform", "brute_force_isometry",
+    "build_representing_tree", "canonical_code", "check_ballean_poset", "check_representable",
+    "closed_ball", "core", "diam", "diametrical_partition", "distance_set",
+    "edge_characterization_check", "extend_scaling_function", "format_rational",
+    "hausdorff_ball_space", "hausdorff_distance", "hausdorff_distance_direct",
+    "is_monotone_labeling", "is_prime", "is_ultrametric_multipartite",
+    "is_ultrametric_triangle", "make_space", "maximal_chains", "morphisms", "p_valuation",
+    "padic", "padic_ball_tree_vs_sample", "padic_metric", "padic_space", "parse_rational",
+    "path_max_metric", "poset_from_json", "quantize_binary", "quantize_ladder",
+    "rank_transform", "reconstruct_space", "repr_tree", "residue_partition_check",
+    "smallest_enclosing_ball", "space_from_json", "space_from_sequence", "space_to_json",
+    "spaces_isometric", "sphere_plus_center_condition", "sphere_tree", "threshold_function",
+    "threshold_partition", "tree_from_json", "tree_metric", "tree_order", "tree_to_dot",
+    "tree_to_json", "unbound_transform", "verify_tree_invariants", "weak_similarity_check",
+    "weakly_similar",
+]
+SUBMODULES = {"core", "balls", "repr_tree", "tree_metric", "morphisms", "padic"}
+
+
+def test_all_is_the_pinned_public_names():
+    assert len(PUBLIC) == 84
+    assert ultratree.__all__ == PUBLIC
+
+
+def test_every_public_name_is_its_submodules_attribute():
+    for name in PUBLIC:
+        obj = getattr(ultratree, name)
+        if name in SUBMODULES:
+            assert obj is importlib.import_module(f"ultratree.{name}")
+        else:
+            assert obj.__module__ in {f"ultratree.{m}" for m in SUBMODULES}
+            assert getattr(sys.modules[obj.__module__], name) is obj
+
+
+def test_star_import_and_dir_list_every_public_name():
+    namespace: dict = {}
+    exec("from ultratree import *", namespace)
+    assert {name: namespace[name] for name in PUBLIC} == \
+        {name: getattr(ultratree, name) for name in PUBLIC}
+    assert set(PUBLIC) <= set(dir(ultratree))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        ultratree.no_such_name
+
+
+def test_a_wrapper_on_a_submodule_is_what_the_package_returns(monkeypatch):
+    original = ultratree.core.make_space
+
+    def wrapper(*args):
+        return original(*args)
+
+    monkeypatch.setattr(ultratree.core, "make_space", wrapper)
+    assert ultratree.make_space is wrapper
+    monkeypatch.undo()
+    assert ultratree.make_space is original
+    assert "make_space" not in vars(ultratree)
+
+
+def test_canonical_code_digest_is_the_sha256_of_its_text():
+    code = canonical_code(build_representing_tree(nested_four_point_space()))
+    assert code.digest == hashlib.sha256(code.text.encode()).hexdigest()
+    assert repr(code) == f"<CanonicalCode {code.digest[:12]}>"
+
+
+CHILD = """
+import json, sys
+from ultratree.cli import run
+run(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def _modules_loaded_by(*argv: str) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultratree.__file__)))
+    # -S: no site hooks run, so every module listed was loaded by the verb
+    proc = subprocess.run([sys.executable, "-S", "-c", CHILD, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(space_to_json(nested_four_point_space())))
+    loaded = {verb: _modules_loaded_by(verb, str(space)) for verb in ("check", "dset", "tree")}
+    loaded["iso"] = _modules_loaded_by("iso", str(space), str(space))
+    for verb in ("check", "dset"):
+        assert {m for m in loaded[verb] if m.startswith("ultratree")} == \
+            {"ultratree", "ultratree.cli", "ultratree.core"}
+    assert not {"ultratree.morphisms", "ultratree.tree_metric", "ultratree.padic"} & loaded["tree"]
+    assert "ultratree.morphisms" in loaded["iso"]
+    for verb, modules in loaded.items():
+        assert "hashlib" not in modules, verb
