@@ -15,7 +15,10 @@ library's derived spaces come ranked and enter through `_from_ranks`.
 Both end in one body, `_assign`: validation on ranks, then one O(n^2)
 single-linkage pass that decides the strong triangle inequality and
 leaves the point order and gap ranks from which `repr_tree` builds the
-representing tree.  The O(n^3) triple scan stays as the tests' oracle.
+representing tree.  The pass reads the order off the balls by descending
+from point 0, checks it with slice comparisons of the permuted rows, and
+runs Prim's algorithm only on a matrix that check refutes, for the
+witness.  The O(n^3) triple scan stays as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter, neg
 from typing import Iterable, Optional, Sequence, Union
 
 # 0 means no limit, as on interpreters older than the limit
@@ -180,18 +184,85 @@ def _strong_triangle_witness(rank) -> Optional[tuple[int, int, int]]:
     return None
 
 
+def _ball_order(rank) -> tuple[list[int], list[int]]:
+    """A point order in which every ball is a run, read off the balls.
+
+    Each step takes points sorted by rank from the first, e, and puts e
+    next with the step's gap.  The rest fall into groups of equal rank r
+    from e, and each group, sorted by rank from its first point, is a
+    later step with gap r, in rising r.  On an ultrametric a group is
+    balls at distance r from e: its first step puts its first point's
+    ball (the points below r) before the rest, so every ball is finished
+    before the descent leaves it, as in Prim's algorithm, and the order
+    and gap ranks are Prim's from point 0, ties to the smaller index.  On
+    any validated matrix the order is a permutation.  One sort per point,
+    of the group it enters; an explicit stack replaces recursion.
+    """
+    order: list[int] = []
+    gaps: list[int] = []
+    stack = [(sorted(range(len(rank)), key=rank[0].__getitem__), 0)]
+    while stack:
+        pts, g = stack.pop()
+        order.append(pts[0])
+        gaps.append(g)
+        get = rank[pts[0]].__getitem__
+        groups = []
+        i, end = 1, len(pts)
+        while i < end:
+            r = get(pts[i])
+            j = bisect_right(pts, r, i, end, key=get)
+            group = pts[i:j]
+            group.sort(key=rank[group[0]].__getitem__)   # only its first has rank 0
+            groups.append((group, r))
+            i = j
+        stack.extend(reversed(groups))
+    return order, gaps
+
+
+def _is_single_linkage(rank, order: list[int], gaps: list[int]) -> bool:
+    """True iff rank(x_a, x_b) = max(gaps[a+1..b]) for all a < b.
+
+    Row b of the matrix in `order` must be row b-1's expected prefix with
+    every entry below gaps[b] raised to it.  That prefix falls as a rises,
+    so one bisection finds where it meets gaps[b], and the row is checked
+    by one slice comparison and one count.  O(n^2), in C.
+    """
+    if len(order) < 2:
+        return True
+    permute = itemgetter(*order)
+    prev: tuple = ()
+    for b in range(1, len(order)):
+        row = permute(rank[order[b]])
+        g = gaps[b]
+        t = bisect_left(prev, -g, 0, b - 1, key=neg)
+        if row[:t] != prev[:t] or row[t:b].count(g) != b - t:
+            return False
+        prev = row
+    return True
+
+
 def _single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int, int]]]:
     """Prim order, gap ranks and ultrametricity of a validated rank matrix.
 
-    Prim's algorithm from point 0 adds the points in the order
-    x_0..x_{n-1}; `gaps[b]` is the rank of the edge that added x_b
-    (`gaps[0]` is 0).  The largest gap between two points of the order is
-    their single-linkage distance, and a matrix is ultrametric iff it equals
+    Prim's algorithm from point 0, ties to the smaller index, adds the
+    points in the order x_0..x_{n-1}; `gaps[b]` is the rank of the edge
+    that added x_b (`gaps[0]` is 0).  A matrix is ultrametric iff it equals
     its single-linkage ultrametric (Gower & Ross 1969), i.e. iff
-    rank(x_a, x_b) = max(gaps[a+1..b]) for all a < b.  O(n^2).  The third
-    item is None, or a sorted triple violating the strong triangle
-    inequality.
+    rank(x_a, x_b) = max(gaps[a+1..b]) for all a < b; any order that
+    passes this check proves it.  So `_ball_order`, which is Prim's on an
+    ultrametric, is checked, and Prim's loop runs only when the check
+    fails, for its witness.  O(n^2).  The third item is None, or a sorted
+    triple violating the strong triangle inequality.
     """
+    order, gaps = _ball_order(rank)
+    if _is_single_linkage(rank, order, gaps):
+        return order, gaps, None
+    return _prim_single_linkage(rank)
+
+
+def _prim_single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int, int]]]:
+    # Prim's loop and the first mismatch of its order, for `_single_linkage`
+    # on a matrix that is not ultrametric.
     order = [0]
     gaps = [0]
     left = list(range(1, len(rank)))

@@ -8,6 +8,7 @@ the ball structure.  No digit-stream representation is kept.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .core import FiniteUltrametricSpace, diametrical_partition, parse_rational
@@ -20,10 +21,12 @@ MR_LIMIT = 318665857834031151167461
 BETHE_MAX_VERTICES = 1 << 17   # larger bethe and sphere trees are refused
 
 
+@lru_cache(maxsize=256)
 def is_prime(p: int) -> bool:
     """Miller-Rabin on the first 12 prime bases, exact below `MR_LIMIT`.
 
     (Sorenson & Webster, Math. Comp. 86, 2017.)  Larger p raise ValueError.
+    Verdicts are cached, since `p_valuation` tests its prime on every call.
     """
     if p < 2 or any(p % b == 0 for b in _MR_BASES):
         return p in _MR_BASES

@@ -26,7 +26,6 @@ from .core import (
     format_rational,
     parse_rational,
 )
-from .balls import _inclusion_up_sets, ballean
 
 
 def _is_index(value, n: int) -> bool:
@@ -233,6 +232,7 @@ def verify_tree_invariants(tree: RootedLabeledTree,
     graph; and leaves are exactly the zero-labeled vertices.  The diameter
     and degree checks skip vertices whose payload is not a ball.
     """
+    from .balls import ballean   # only the audits need the ballean
     entries: list[CheckEntry] = []
     root = tree.require_root()
     pts = tree.ball_points
@@ -303,6 +303,7 @@ def edge_characterization_check(space: FiniteUltrametricSpace,
     pts = tree.ball_points
     if pts is None:
         raise ValueError("tree carries no ball payloads")
+    from .balls import _inclusion_up_sets
     up = _inclusion_up_sets(pts, len(space))
     if len(set(up)) != tree.n:   # equal up-sets iff equal point sets
         return False

@@ -35,7 +35,9 @@ from util import (
     mixed_validity_matrix,
     nested_four_point_space,
     padic_matrix,
+    permuted,
     perturbed,
+    prim_single_linkage,
     random_ultrametric_matrix,
     violates_strong_triangle,
 )
@@ -143,6 +145,66 @@ def test_single_linkage_check_on_perturbed_shapes(shape, n):
     _oracle_agrees(matrix)
     for _ in range(6):
         _oracle_agrees(perturbed(rng, matrix))
+
+
+def _matches_prim(matrix) -> bool:
+    """`_single_linkage` against the Prim oracle; True iff the matrix is ultrametric.
+
+    On an ultrametric the ball order itself must be Prim's and pass the
+    slice check; on any other matrix it must be a permutation that fails it.
+    """
+    n = len(matrix)
+    rank = core._RankedMatrix(range(n), matrix).rank
+    expected = prim_single_linkage(rank)
+    assert core._single_linkage(rank) == expected
+    order, gaps = core._ball_order(rank)
+    assert sorted(order) == list(range(n))
+    ultrametric = expected[2] is None
+    assert core._is_single_linkage(rank, order, gaps) is ultrametric
+    if ultrametric:
+        assert (order, gaps) == expected[:2]
+    return ultrametric
+
+
+def _shape_matrix(rng, shape: str, n: int):
+    if shape == "bushy":
+        return random_ultrametric_matrix(rng, n)
+    if shape == "flat":
+        return flat_matrix(n)
+    if shape == "caterpillar":
+        return caterpillar_matrix(n)
+    p = rng.choice((2, 3, 5, 7))
+    return padic_matrix(p, rng.randint(0, {2: 6, 3: 3, 5: 2, 7: 2}[p]))
+
+
+def test_ball_order_is_prims_on_permuted_ultrametrics():
+    rng = random.Random(9009)
+    shapes = ("bushy", "flat", "caterpillar", "padic")
+    for case in range(2000):
+        shape = shapes[case % 4]
+        matrix = _shape_matrix(rng, shape, rng.randint(1, 64))
+        if shape == "caterpillar" and case % 8 == 2:
+            matrix = [row[::-1] for row in reversed(matrix)]   # far point first
+        else:
+            matrix = permuted(rng, matrix)
+        assert _matches_prim(matrix), (case, shape)
+
+
+def test_slice_check_refutes_as_prim_does_on_non_ultrametric_matrices():
+    rng = random.Random(9010)
+    refuted = 0
+    for case in range(3200):
+        n = rng.randint(2, 40)
+        if case % 2:
+            matrix = mixed_validity_matrix(rng, n)
+        else:
+            shape = ("bushy", "flat", "caterpillar", "padic")[case // 2 % 4]
+            matrix = _shape_matrix(rng, shape, n)
+            if len(matrix) < 2:
+                continue
+            matrix = perturbed(rng, permuted(rng, matrix))
+        refuted += not _matches_prim(matrix)
+    assert refuted >= 2000
 
 
 def _metric_matrix(rng, n):

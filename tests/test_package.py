@@ -108,12 +108,23 @@ def _modules_loaded_by(*argv: str) -> set[str]:
 def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
     space = tmp_path / "space.json"
     space.write_text(json.dumps(space_to_json(nested_four_point_space())))
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps([0, 1, 2, 3]))
     loaded = {verb: _modules_loaded_by(verb, str(space)) for verb in ("check", "dset", "tree")}
-    loaded["iso"] = _modules_loaded_by("iso", str(space), str(space))
-    for verb in ("check", "dset"):
-        assert {m for m in loaded[verb] if m.startswith("ultratree")} == \
-            {"ultratree", "ultratree.cli", "ultratree.core"}
-    assert not {"ultratree.morphisms", "ultratree.tree_metric", "ultratree.padic"} & loaded["tree"]
-    assert "ultratree.morphisms" in loaded["iso"]
+    for verb in ("iso", "weaksim"):
+        loaded[verb] = _modules_loaded_by(verb, str(space), str(space))
+    loaded["transform"] = _modules_loaded_by("transform", "--fn", "quantize", str(space))
+    loaded["padic"] = _modules_loaded_by("padic", "--prime", "2", "--points", str(points))
+    base = {"ultratree", "ultratree.cli", "ultratree.core"}
+    # no verb below reads the ballean, so none loads `balls`
+    expected = {
+        "check": base, "dset": base, "tree": base | {"ultratree.repr_tree"},
+        "iso": base | {"ultratree.repr_tree", "ultratree.morphisms"},
+        "weaksim": base | {"ultratree.repr_tree", "ultratree.morphisms"},
+        "transform": base | {"ultratree.repr_tree", "ultratree.morphisms"},
+        "padic": base | {"ultratree.repr_tree", "ultratree.morphisms", "ultratree.padic"},
+    }
+    assert {verb: {m for m in modules if m.startswith("ultratree")}
+            for verb, modules in loaded.items()} == expected
     for verb, modules in loaded.items():
         assert "hashlib" not in modules, verb

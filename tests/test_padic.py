@@ -76,6 +76,20 @@ def test_primes_past_the_deterministic_range_are_refused():
     assert not is_prime(10 ** 30)   # even: decided before the range check
 
 
+def test_primality_is_tested_once_per_prime():
+    is_prime.cache_clear()
+    primes = (2, 3, 1_000_003, 998244353)
+    for i in range(1000):
+        p = primes[i % len(primes)]
+        if i % 2:
+            assert padic_metric(i, i + 5 * p ** 2, p) == Fraction(1, p ** 2)
+        else:
+            assert p_valuation(Fraction(7 * p, 11), p).gamma == 1
+    # one Miller-Rabin run per distinct prime, every other call a cache hit
+    assert is_prime.cache_info().misses == len(primes)
+    assert is_prime.cache_info().hits == 1000 - len(primes)
+
+
 def test_bethe_sizes_past_the_cap_are_refused_before_building(monkeypatch):
     monkeypatch.setattr(padic, "BETHE_MAX_VERTICES", 7)
     assert bethe_ball_tree(2, 2, 1).n == 7

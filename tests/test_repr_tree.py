@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,9 @@ from ultratree import (
     ballean,
     build_representing_tree,
     edge_characterization_check,
+    make_space,
+    space_from_sequence,
+    spaces_isometric,
     tree_from_json,
     tree_order,
     tree_to_dot,
@@ -355,3 +360,40 @@ def test_bottom_up_tree_matches_oracle_on_bench_shapes(shape):
     for m in (matrix, permuted(rng, matrix)):
         space = FiniteUltrametricSpace([f"p{i}" for i in range(len(m))], m)
         assert tree_to_json(build_representing_tree(space)) == tree_to_json(top_down_tree(space))
+
+
+def _with_deep_recursion(fn, *args):
+    """`fn(*args)` in a thread with a raised recursion limit and a large stack.
+
+    `canonical_code`, and so `spaces_isometric`, still recurses once per
+    tree level; space and tree construction run at the default limit.
+    """
+    result = []
+    limit = sys.getrecursionlimit()
+    stack = threading.stack_size(64 << 20)
+    try:
+        sys.setrecursionlimit(10_000)
+        worker = threading.Thread(target=lambda: result.append(fn(*args)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setrecursionlimit(limit)
+        threading.stack_size(stack)
+    assert not worker.is_alive() and len(result) == 1
+    return result[0]
+
+
+def test_index_reversed_caterpillar_of_2000_points_builds_without_recursion():
+    # point i sits at value n-1-i, so every nested ball is entered at its
+    # one far point: the deepest descent the single-linkage pass meets
+    n = 2000
+    ints = list(range(n))   # shared, so the matrix holds no int object per entry
+    matrix = [[ints[0] if i == j else ints[n - 1 - min(i, j)] for j in range(n)]
+              for i in range(n)]
+    space = make_space([str(n - 1 - i) for i in range(n)], matrix)
+    del matrix
+    tree = build_representing_tree(space)
+    assert isinstance(space, FiniteUltrametricSpace)
+    assert space._order == ints and space._gaps == [0] + ints[:0:-1]
+    assert tree.n == 2 * n - 1 and max(tree.levels()) == n - 1
+    assert _with_deep_recursion(spaces_isometric, space, space_from_sequence(ints[:0:-1]))

@@ -6,9 +6,9 @@ the library's validators act as an independent check.  The top-down tree
 builder, the center-by-radius ballean, the pairwise Hausdorff matrix, the
 partition-based sphere-plus-center test, the chain-scan reconstruction, the
 triple-loop poset check, the frozenset root-path order, the `Fraction`
-path-max walk, the all-roots representability test and the per-call
-breadth-first walk are the implementations the library's faster ones
-replaced, kept here as oracles.
+path-max walk, the all-roots representability test, the per-call
+breadth-first walk and Prim's single-linkage loop are the implementations
+the library's faster ones replaced, kept here as oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
 """
 
@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
@@ -124,6 +125,48 @@ def mixed_validity_matrix(rng: random.Random, n: int) -> list[list[Fraction]]:
         matrix[i][j] = matrix[j][i] = bumped
         return matrix
     return random_symmetric_matrix(rng, n)
+
+
+def prim_single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int, int]]]:
+    """Oracle for `core._single_linkage`: Prim's algorithm, then an entry-by-entry check.
+
+    Prim's algorithm from point 0 adds the points in the order
+    x_0..x_{n-1}, ties to the smaller index; `gaps[b]` is the rank of the
+    edge that added x_b (`gaps[0]` is 0).  The matrix is ultrametric iff
+    rank(x_a, x_b) = max(gaps[a+1..b]) for all a < b; the third item is
+    None, or the sorted triple found at the first pair where it is not.
+    """
+    order = [0]
+    gaps = [0]
+    left = list(range(1, len(rank)))
+    best = [rank[0][v] for v in left]  # shortest edge from the tree to left[i]
+    while left:
+        g = min(best)
+        i = best.index(g)
+        order.append(left.pop(i))
+        del best[i]
+        gaps.append(g)
+        row = rank[order[-1]]
+        best = list(map(min, best, map(row.__getitem__, left)))
+    # Check x_b against x_{b-1}, ..., x_0.  A pair's rank is never below its
+    # single-linkage rank, so the first mismatch is a rank above it, while
+    # every pair checked before is right.  If that pair is (x_{b-1}, x_b),
+    # x_b's Prim edge from an earlier p is shorter, and rank(p, x_{b-1}) is
+    # at most gaps[b]; otherwise it is (x_a, x_b) with (x_a, x_{a+1}) and
+    # (x_{a+1}, x_b) both at their single-linkage ranks.  Either way the
+    # triple's largest distance is attained once.
+    for b in range(1, len(order)):
+        row = rank[order[b]]
+        actual = [row[x] for x in order[b - 1::-1]]
+        expected = list(accumulate(gaps[b:0:-1], max))
+        if actual != expected:
+            a = b - 1 - next(i for i, r in enumerate(actual) if r != expected[i])
+            if a == b - 1:
+                third = next(p for p in order if row[p] == gaps[b])
+            else:
+                third = order[a + 1]
+            return order, gaps, tuple(sorted((order[a], third, order[b])))
+    return order, gaps, None
 
 
 def count_calls(monkeypatch, module, names) -> dict[str, int]:
