@@ -6,15 +6,16 @@ the whole ballean.  Balls are identified by their point sets; centers and
 radii are only witnesses, since every point of a ball is one of its
 centers.
 
-The enumeration reads each center's rank row once, sorted, and never
-consults the representing tree, so `verify_tree_invariants` still compares
-two independent constructions of the same set family.  Distances between
-balls come from their smallest points and diameter ranks, with no scan of
-their members.
+Everything reads ranks, never the `Fraction` matrix.  The enumeration
+reads each center's rank row once, sorted, and never consults the
+representing tree, so `verify_tree_invariants` still compares two
+independent constructions of the same set family.  Distances between balls
+come from their smallest points and diameter ranks, with no member scan.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from operator import and_
@@ -96,10 +97,10 @@ def closed_ball(space: FiniteUltrametricSpace, center: int, radius) -> Ball:
     radius = parse_rational(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    row = space.matrix[center]
-    members = tuple(x for x in space.points() if row[x] <= radius)
-    d = space.distance_values[_subset_diam_rank(space, members)]
-    return Ball(members, d, center, radius)
+    values, row = space.distance_values, space.rank[center]
+    t = bisect_right(values, radius)   # the ranks of the values <= radius
+    members = tuple(x for x, r in enumerate(row) if r < t)
+    return Ball(members, values[max(map(row.__getitem__, members))], center, radius)
 
 
 def ballean(space: FiniteUltrametricSpace) -> Ballean:

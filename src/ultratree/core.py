@@ -1,24 +1,23 @@
 """Finite metric and ultrametric spaces over exact rational distances.
 
-Distances are `fractions.Fraction` values throughout.  Exactness matters:
-all the partitioning machinery downstream branches on exact equality with
-a subset's diameter, so floating point is never used.
-
-Beside the raw matrix, every space carries an integer *rank* matrix that
-indexes each distance into the sorted tuple of distinct values.  The
-combinatorial algorithms (partitions, balls, trees) run on these machine
-integers and translate back to rationals only at the edges.
+Distances enter and leave as exact `fractions.Fraction` values, never
+floats.  Inside, a space is its integer *rank* matrix, indexing each
+distance into `distance_values`, the sorted distinct values.  Every
+decision the library makes depends only on the order of distances, so it
+runs on ranks, and each distinct value is parsed once and printed once.
+Only this module (the weak triangle test and the triangle error
+messages) and the brute-force isometry oracle read the `Fraction` matrix.
 
 A space has two entry points.  `FiniteUltrametricSpace(names, matrix)`
 parses each distinct raw entry of outside input once, then ranks; the
 library's derived spaces come ranked and enter through `_from_ranks`.
-Both end in one body, `_assign`: validation on ranks, then one O(n^2)
-single-linkage pass that decides the strong triangle inequality and
-leaves the point order and gap ranks from which `repr_tree` builds the
-representing tree.  The pass reads the order off the balls by descending
-from point 0, checks it with slice comparisons of the permuted rows, and
-runs Prim's algorithm only on a matrix that check refutes, for the
-witness.  The O(n^3) triple scan stays as the tests' oracle.
+Both end in `_RankedMatrix._assign`: validation on ranks, then one O(n^2)
+single-linkage pass whose strong-triangle verdict, point order and gap
+ranks every ranked matrix keeps; `repr_tree` builds the representing
+tree from the last two.  The pass reads the order off the balls by
+descending from point 0, checks it with slice comparisons of the permuted
+rows, and runs Prim's algorithm only on a matrix that check refutes, for
+the witness.  The O(n^3) triple scan stays as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -60,15 +59,18 @@ def parse_rational(value) -> Fraction:
     """Convert ints, Fractions, "p/q" strings or decimal strings exactly.
 
     Floats are rejected: binary floating point artifacts must never leak
-    into the exact arithmetic.  Decimal strings are parsed in base 10.  An
-    int or string whose numerator or denominator has more digits than the
-    interpreter's int-to-str limit is refused, since `format_rational`
-    could not print it; a Fraction is taken as it is.
+    into the exact arithmetic.  So are bools (JSON `true` and `false`).
+    Decimal strings are parsed in base 10.  An int or string whose
+    numerator or denominator has more digits than the interpreter's
+    int-to-str limit is refused, since `format_rational` could not print
+    it; a Fraction is taken as it is.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise ValueError(f"refusing inexact float {value!r}; pass a string or Fraction")
+    if isinstance(value, bool):
+        raise ValueError(f"refusing boolean {value!r}; pass a number or string")
     try:
         q = Fraction(value) if isinstance(value, int) else Fraction(str(value))
     except ZeroDivisionError:
@@ -310,14 +312,16 @@ def _weak_triangle_witness(matrix) -> Optional[tuple[int, int, int]]:
 
 
 class _RankedMatrix:
-    """Named points and a parsed, validated and ranked distance matrix.
+    """Named points, a validated rank matrix and its single-linkage verdict.
 
     The one path from raw input to a rank matrix: every space is built
-    through it, and the ultrametricity tests accept it as it is, since
-    they need no triangle inequality.
+    through it, and `check` decides a matrix with it.  `_order` and `_gaps`
+    are the Prim order and gap ranks; `_strong_witness` is a sorted
+    strong-triangle violation or None.
     """
 
-    __slots__ = ("names", "matrix", "distance_values", "rank")
+    __slots__ = ("names", "matrix", "distance_values", "rank", "_order", "_gaps",
+                 "_strong_witness")
 
     def __init__(self, names: Iterable[str], matrix):
         self._assign(names, *_rank_of(*_parse_entries(matrix)))
@@ -331,23 +335,20 @@ class _RankedMatrix:
         self.rank = rank
         get = values.__getitem__
         self.matrix = tuple(tuple(map(get, row)) for row in rank)
+        self._order, self._gaps, self._strong_witness = _single_linkage(rank)
 
 
 class FiniteMetricSpace(_RankedMatrix):
     """A finite metric space with named points and exact rational distances.
 
     Immutable after construction.  `distance_values` is the sorted distance
-    set (zero included) and `rank[i][j]` is the index of `matrix[i][j]` in
-    it.
+    set (zero included) and `rank[i][j]` is the index of d(i, j) in it.
     """
 
-    # Prim order and gap ranks from `_single_linkage` (the representing
-    # tree is built from them), and a strong-triangle violation or None
-    __slots__ = ("_order", "_gaps", "_strong_witness")
+    __slots__ = ()
 
     def _assign(self, names: Iterable[str], values, rank) -> None:
         super()._assign(names, values, rank)
-        self._order, self._gaps, self._strong_witness = _single_linkage(self.rank)
         self._check_triangle()
 
     @classmethod
@@ -385,7 +386,7 @@ class FiniteMetricSpace(_RankedMatrix):
         return len(self.names)
 
     def distance(self, i: int, j: int) -> Fraction:
-        return self.matrix[i][j]
+        return self.distance_values[self.rank[i][j]]
 
     def points(self) -> range:
         return range(len(self.names))
@@ -430,33 +431,27 @@ def make_space(names: Iterable[str], matrix) -> Space:
     return space
 
 
-def _as_rank_matrix(space_or_matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rank view of a space, a ranked matrix or a raw symmetric matrix.
+def _ranked(space_or_matrix) -> _RankedMatrix:
+    """A space or ranked matrix as it is; a raw symmetric matrix, ranked.
 
-    The ultrametricity tests are order-theoretic, so they are meaningful on
-    any symmetric, zero-diagonal, positive-off-diagonal matrix even when
-    the ordinary triangle inequality fails.
+    The ultrametricity tests are order-theoretic: they need no ordinary
+    triangle inequality.
     """
-    ranked = space_or_matrix
-    if not isinstance(ranked, _RankedMatrix):
-        rows = tuple(ranked)
-        ranked = _RankedMatrix([f"p{i}" for i in range(len(rows))], rows)
-    return ranked.rank, len(ranked.distance_values)
+    if isinstance(space_or_matrix, _RankedMatrix):
+        return space_or_matrix
+    rows = tuple(space_or_matrix)
+    return _RankedMatrix([f"p{i}" for i in range(len(rows))], rows)
 
 
 def is_ultrametric_triangle(space_or_matrix) -> tuple[bool, Optional[tuple[int, int, int]]]:
     """Strong triangle test, decided by one O(n^2) single-linkage pass.
 
     Returns `(True, None)` or `(False, (i, j, k))` with i < j < k, a
-    triple on which the strong triangle inequality fails.  A space
-    answers from the pass its constructor already ran.
+    triple on which the strong triangle inequality fails, read off the
+    pass that built the ranked matrix.
     """
-    if isinstance(space_or_matrix, FiniteMetricSpace):
-        w = space_or_matrix._strong_witness
-    else:
-        rank, _ = _as_rank_matrix(space_or_matrix)
-        w = _single_linkage(rank)[2]
-    return (w is None), w
+    w = _ranked(space_or_matrix)._strong_witness
+    return w is None, w
 
 
 def is_ultrametric_multipartite(space_or_matrix) -> bool:
@@ -468,11 +463,11 @@ def is_ultrametric_multipartite(space_or_matrix) -> bool:
     finds its classes or a witness.  Agrees with `is_ultrametric_triangle`
     on every input.
     """
-    rank, nvals = _as_rank_matrix(space_or_matrix)
-    pts = range(len(rank))
+    ranked = _ranked(space_or_matrix)
+    pts = range(len(ranked.rank))
     try:
-        for t in range(nvals - 1, 0, -1):
-            _partition_below(rank, pts, t)
+        for t in range(len(ranked.distance_values) - 1, 0, -1):
+            _partition_below(ranked.rank, pts, t)
     except NotUltrametricError:
         return False
     return True
@@ -652,10 +647,8 @@ def space_from_sequence(sequence: Iterable) -> FiniteUltrametricSpace:
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
-    return {
-        "points": list(space.names),
-        "matrix": [[format_rational(v) for v in row] for row in space.matrix],
-    }
+    get = [format_rational(v) for v in space.distance_values].__getitem__
+    return {"points": list(space.names), "matrix": [list(map(get, row)) for row in space.rank]}
 
 
 def space_from_json(obj: dict) -> Space:

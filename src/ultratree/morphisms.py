@@ -4,7 +4,7 @@ Two finite ultrametric spaces are isometric exactly when their labeled
 representing trees are isomorphic, so isometry reduces to comparing
 canonical codes.  Weak similarity (order-preserving bijection of
 distances) reduces to isometry after replacing every distance by its rank
-in the distance set.
+in the distance set, and checking a given bijection compares rank matrices.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from .core import (
     parse_rational,
     _rank_of,
 )
-from .repr_tree import RootedLabeledTree, build_representing_tree
+from .repr_tree import RootedLabeledTree, _is_index, build_representing_tree
+
+_BRUTE_FORCE_CAP = 8  # points; the search is exponential
 
 
 class CanonicalCode:
@@ -73,9 +75,7 @@ def spaces_isometric(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bo
 
 
 def brute_force_isometry(
-    x: FiniteUltrametricSpace,
-    y: FiniteUltrametricSpace,
-    max_size: int = 8,
+    x: FiniteUltrametricSpace, y: FiniteUltrametricSpace
 ) -> tuple[bool, Optional[tuple[int, ...]]]:
     """Exhaustive search for a distance-preserving bijection.
 
@@ -87,8 +87,8 @@ def brute_force_isometry(
     if len(x) != len(y):
         return False, None
     n = len(x)
-    if n > max_size:
-        raise ValueError(f"brute force capped at {max_size} points, got {n}")
+    if n > _BRUTE_FORCE_CAP:
+        raise ValueError(f"brute force capped at {_BRUTE_FORCE_CAP} points, got {n}")
     flat_x = sorted(v for row in x.matrix for v in row)
     flat_y = sorted(v for row in y.matrix for v in row)
     if flat_x != flat_y:
@@ -156,31 +156,22 @@ def weak_similarity_check(
     """Does the bijection preserve the order of distances?
 
     True iff d(a,b) <= d(c,e) exactly when the image distances compare the
-    same way, for all quadruples.  On success the scaling function mapping
-    each image distance back to its source distance is returned; it is a
-    strictly increasing bijection of the distance sets.
+    same way, for all quadruples: iff d(phi a, phi b) -> d(a, b) is a
+    strictly increasing map of D(Y) onto D(X).  Such a map of finite
+    sorted sets sends the i-th element to the i-th, so it exists iff
+    |D(X)| = |D(Y)| and phi carries the rank matrix of X onto that of Y.
+    On success it is returned as the scaling function.  Point ids must
+    be ints.
     """
     phi = tuple(bijection)
     n = len(x)
-    if len(phi) != n or len(y) != n or sorted(phi) != list(range(n)):
+    if len(y) != n or not all(_is_index(v, n) for v in phi) or sorted(phi) != list(range(n)):
         raise ValueError("mapping must be a bijection between the point sets")
-    forward: dict[Fraction, Fraction] = {}
-    for i in range(n):
-        for j in range(i, n):
-            src = x.matrix[i][j]
-            dst = y.matrix[phi[i]][phi[j]]
-            if forward.setdefault(dst, src) != src:
-                return False, None
-    # order equivalence for all quadruples == the map is strictly increasing
-    items = sorted(forward.items())
-    for (d1, s1), (d2, s2) in zip(items, items[1:]):
-        if not s1 < s2:
-            return False, None
-    domain = [d for d, _ in items]
-    values = [s for _, s in items]
-    if set(domain) != set(y.distance_values) or set(values) != set(x.distance_values):
+    ry = y.rank
+    if len(x.distance_values) != len(y.distance_values) or any(
+            row != tuple(map(ry[p].__getitem__, phi)) for row, p in zip(x.rank, phi)):
         return False, None
-    return True, ScalingFunction(domain, values)
+    return True, ScalingFunction(y.distance_values, x.distance_values)
 
 
 def rank_transform(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:

@@ -435,9 +435,9 @@ def tree_from_json(obj: dict) -> RootedLabeledTree:
     )
 
 
-def tree_to_dot(tree: RootedLabeledTree, name: str = "tree") -> str:
+def tree_to_dot(tree: RootedLabeledTree) -> str:
     """Graphviz rendering: labels on nodes, leaves drawn as double circles."""
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+    lines = ["graph tree {", "  node [shape=circle];"]
     leaf = set(tree.leaves())
     for v in range(tree.n):
         shape = ", shape=doublecircle" if v in leaf else ""

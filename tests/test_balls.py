@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
 from ultratree import (
     Ball,
+    FiniteUltrametricSpace,
     ball_poset,
     ballean,
     ballean_to_json,
@@ -18,10 +20,15 @@ from ultratree import (
     smallest_enclosing_ball,
 )
 from util import (
+    caterpillar_matrix,
     differential_spaces,
     enumerated_ballean,
+    flat_matrix,
+    fraction_closed_ball,
     nested_four_point_space,
+    padic_matrix,
     pairwise_hausdorff_ball_space,
+    permuted,
     random_ultrametric_space,
     two_pair_space,
 )
@@ -167,6 +174,25 @@ def test_inclusion_iff_intersection_and_diameter():
             sa, sb = set(a.points), set(b.points)
             expected = bool(sa & sb) and a.diameter <= b.diameter
             assert (sa <= sb) == expected
+
+
+def test_closed_ball_matches_the_fraction_scan():
+    # radii at, between, just below and just above every distance value
+    eps = Fraction(1, 10 ** 6)
+    rng = random.Random(18)
+    spaces = [random_ultrametric_space(rng, rng.randint(1, 24)) for _ in range(60)]
+    for m in (flat_matrix(32), caterpillar_matrix(32), padic_matrix(2, 5), padic_matrix(3, 3)):
+        m = permuted(rng, m)
+        spaces.append(FiniteUltrametricSpace([f"p{i}" for i in range(len(m))], m))
+    for space in spaces:
+        values = space.distance_values
+        radii = set(values) | {(a + b) / 2 for a, b in zip(values, values[1:])}
+        radii |= {v + eps for v in values} | {v - eps for v in values[1:]} | {2 * values[-1] + 1}
+        for c in space.points():
+            for r in radii:
+                ball, want = closed_ball(space, c, r), fraction_closed_ball(space, c, r)
+                assert (ball.points, ball.diameter, ball.witness_center, ball.witness_radius) \
+                    == (want.points, want.diameter, want.witness_center, want.witness_radius)
 
 
 def test_closed_ball_diameter_bounded_by_radius():

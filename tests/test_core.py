@@ -27,6 +27,8 @@ from ultratree import (
 )
 from ultratree.balls import ballean
 from ultratree.cli import run
+from ultratree.core import format_rational
+from ultratree.morphisms import bound_transform, quantize_binary
 from util import (
     caterpillar_matrix,
     count_calls,
@@ -110,6 +112,27 @@ def _oracle_agrees(matrix) -> None:
     else:
         assert list(witness) == sorted(set(witness)) and len(witness) == 3
         assert violates_strong_triangle(matrix, witness)
+
+
+def test_triangle_verdict_is_the_same_on_every_form_of_one_matrix():
+    # raw rows, a ranked matrix and both space classes carry one verdict
+    rng = random.Random(3004)
+    matrices = [mixed_validity_matrix(rng, rng.randint(1, 12)) for _ in range(300)]
+    matrices += [perturbed(rng, caterpillar_matrix(24)) for _ in range(20)]
+    for matrix in matrices:
+        names = [f"p{i}" for i in range(len(matrix))]
+        verdict = is_ultrametric_triangle(matrix)
+        assert is_ultrametric_triangle(tuple(map(tuple, matrix))) == verdict
+        assert is_ultrametric_triangle(core._RankedMatrix(names, matrix)) == verdict
+        for cls in (FiniteMetricSpace, FiniteUltrametricSpace):
+            try:
+                space = cls(names, matrix)
+            except SpaceValidationError as error:
+                assert not verdict[0]
+                if cls is FiniteUltrametricSpace:
+                    assert error.witness == verdict[1]
+            else:
+                assert is_ultrametric_triangle(space) == verdict
 
 
 def test_single_linkage_check_matches_triple_scan_on_mixed_matrices():
@@ -291,10 +314,13 @@ _DIGITS = ("Exceeds the limit (4300 digits) for integer string conversion: value
      "Invalid literal for Fraction: 'y'"),
     (["a", "b"], [["0", "1/0"], ["1/0", "0"]], ValueError, None, None,
      "zero denominator in '1/0'"),
+    (["a", "b", "c"], [[False, True, True], [True, False, True], [True, True, False]],
+     ValueError, None, None, "refusing boolean False; pass a number or string"),
 ], ids=["float", "float-after-equal-int", "null", "nested-list", "object", "null-matrix",
         "null-row", "ragged", "non-square", "nonzero-diagonal", "asymmetric", "zero",
         "negative", "negative-diagonal", "short-names", "duplicate-names", "no-points",
-        "over-digit-limit", "over-digit-limit-once-parsed", "parse-before-validation", "row-major", "zero-denominator"])
+        "over-digit-limit", "over-digit-limit-once-parsed", "parse-before-validation", "row-major", "zero-denominator",
+        "boolean"])
 def test_bad_input_errors_are_pinned(tmp_path, capsys, points, matrix, error, axiom,
                                      witness, message):
     with pytest.raises(Exception) as info:
@@ -313,12 +339,15 @@ def test_bad_input_errors_are_pinned(tmp_path, capsys, points, matrix, error, ax
 
 
 def test_equal_raw_values_of_other_types_are_parsed_apart():
-    # True == 1 == Fraction(1): an int and a bool both read as 1, and one
-    # Fraction object keyed by identity stands for itself only
+    # "1" == 1 == Fraction(1) once parsed: a string and an int both read as
+    # 1, one Fraction object keyed by identity stands for itself only, and
+    # True == 1 borrows no parse from the int before it
     half = Fraction(1, 2)
-    space = make_space(["a", "b", "c"], [[0, 1, True], [1, 0, half], [True, Fraction(1, 2), 0]])
+    space = make_space(["a", "b", "c"], [[0, 1, "1"], [1, 0, half], ["1", Fraction(1, 2), 0]])
     assert space.matrix[0][2] == 1 and space.matrix[1][2] == half
     assert space.distance_values == (0, half, 1)
+    with pytest.raises(ValueError, match="^refusing boolean True; pass a number or string$"):
+        make_space(["a", "b", "c"], [[0, 1, True], [1, 0, half], [True, half, 0]])
 
 
 def test_over_digit_limit_json_number_exits_2(tmp_path, capsys):
@@ -561,6 +590,15 @@ def test_one_center_diameter_matches_pairwise():
     space = make_space(["a", "b", "c"], [[0, 1, 1], [1, 0, 2], [1, 2, 0]])
     assert not isinstance(space, FiniteUltrametricSpace)
     assert diam(space, [0, 1, 2]) == 2 and diam(space, [0, 2]) == 1
+
+
+def test_space_to_json_formats_as_entry_by_entry():
+    spaces = differential_spaces(random.Random(97), 60)
+    spaces += [f(s) for s in spaces for f in (lambda s: bound_transform(s, 3), quantize_binary)]
+    for space in spaces:
+        want = {"points": list(space.names),
+                "matrix": [[format_rational(v) for v in row] for row in space.matrix]}
+        assert json.dumps(space_to_json(space), indent=2) == json.dumps(want, indent=2)
 
 
 def test_space_json_roundtrip():

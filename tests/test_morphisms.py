@@ -29,7 +29,13 @@ from ultratree import (
     weak_similarity_check,
     weakly_similar,
 )
-from util import equilateral_space, nested_four_point_space, random_ultrametric_space, two_pair_space
+from util import (
+    equilateral_space,
+    fraction_weak_similarity_check,
+    nested_four_point_space,
+    random_ultrametric_space,
+    two_pair_space,
+)
 
 
 def permute_space(space, perm):
@@ -86,8 +92,9 @@ def test_brute_force_isometry_examples():
     ok, witness = brute_force_isometry(space, two_pair_space())
     assert not ok and witness is None
 
+    assert brute_force_isometry(equilateral_space(8), equilateral_space(8))[0]
     big = equilateral_space(9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^brute force capped at 8 points, got 9$"):
         brute_force_isometry(big, big)
 
 
@@ -129,6 +136,58 @@ def test_weak_similarity_check_rejects_rank_collapse():
     assert not ok and scaling is None
     with pytest.raises(ValueError):
         weak_similarity_check(nested_four_point_space(), equilateral_space(4), [0, 0, 1, 2])
+
+
+def test_weak_similarity_check_refuses_ids_that_are_not_ints():
+    # floats passed the sort test and then failed as tuple indices; bools passed
+    space = equilateral_space(3)
+    for phi in ([0.0, 1.0, 2.0], [True, False, 2], ["0", "1", "2"], [0, 1, 1], [0, 1]):
+        with pytest.raises(ValueError, match="^mapping must be a bijection between the point sets$"):
+            weak_similarity_check(space, space, phi)
+
+
+def _weak_similarity_cases(rng, count):
+    """Seeded (x, y, bijection) triples, about a third of them weak similarities.
+
+    y is a permuted copy of x under an increasing map (accepted with the
+    matching bijection), under a threshold or `quantize_binary` that may
+    merge distances, or a permuted copy or another space under a random
+    bijection; every 49th case has one point.
+    """
+    increasing = (lambda t: 3 * t / (2 + t), lambda t: t * t, lambda t: t ** 3 + 5 * t)
+    for case in range(count):
+        n = 1 if case % 49 == 0 else rng.randint(2, 12)
+        x = random_ultrametric_space(rng, n)
+        perm = rng.sample(range(n), n)
+        inverse = [perm.index(k) for k in range(n)]   # x's point k is y's point inverse[k]
+        copy = permute_space(x, perm)
+        kind = case % 5
+        if kind == 0:
+            yield x, apply_preserving(copy, rng.choice(increasing)), inverse
+        elif kind == 1:
+            r = rng.choice(x.distance_values[1:] or (1,))
+            yield x, apply_preserving(copy, threshold_function(r)), inverse
+        elif kind == 2:
+            yield x, quantize_binary(copy), inverse
+        elif kind == 3:
+            yield x, copy, rng.sample(range(n), n)
+        else:
+            yield x, random_ultrametric_space(rng, n), rng.sample(range(n), n)
+
+
+def test_weak_similarity_check_matches_the_fraction_oracle():
+    accepted = 0
+    for x, y, phi in _weak_similarity_cases(random.Random(4410), 2500):
+        for a, b, f in ((x, y, phi), (y, x, [phi.index(k) for k in range(len(x))])):
+            ok, psi = weak_similarity_check(a, b, f)
+            want, want_psi = fraction_weak_similarity_check(a, b, f)
+            assert ok == want
+            if ok:
+                assert (psi.domain, psi.values) == (want_psi.domain, want_psi.values)
+            else:
+                assert psi is None
+            accepted += ok
+    assert 1200 <= accepted <= 3800
 
 
 def test_weakly_similar_on_two_max_metrics():

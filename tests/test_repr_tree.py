@@ -83,6 +83,8 @@ def test_tree_constructor_validates():
         RootedLabeledTree([1, 0, 0], [(0, 1), (1, 2), (0, 2)])  # cycle
     with pytest.raises(ValueError):
         RootedLabeledTree([1, -1], [(0, 1)])   # negative label
+    with pytest.raises(ValueError, match="^refusing boolean True; pass a number or string$"):
+        RootedLabeledTree([True, 0], [(0, 1)])
     with pytest.raises(ValueError):
         RootedLabeledTree([1, 0], [(0, 1)], root=5)
     for root in (True, 1.0, "1"):

@@ -7,8 +7,9 @@ builder, the center-by-radius ballean, the pairwise Hausdorff matrix, the
 partition-based sphere-plus-center test, the chain-scan reconstruction, the
 triple-loop poset check, the frozenset root-path order, the `Fraction`
 path-max walk, the all-roots representability test, the per-call
-breadth-first walk and Prim's single-linkage loop are the implementations
-the library's faster ones replaced, kept here as oracles.
+breadth-first walk, Prim's single-linkage loop, and the `Fraction`
+weak-similarity and closed-ball scans are the implementations the
+library's faster ones replaced, kept here as oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
 """
 
@@ -22,7 +23,8 @@ from typing import Optional
 
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
 from ultratree.balls import Ball, Ballean, HausdorffBallSpace
-from ultratree.core import _subset_diam_rank, diametrical_partition
+from ultratree.core import _subset_diam_rank, diametrical_partition, parse_rational
+from ultratree.morphisms import ScalingFunction
 from ultratree.repr_tree import TreeOrder
 from ultratree.tree_metric import (
     MaxChainSpace,
@@ -561,3 +563,39 @@ def bfs_tree_maps(tree: RootedLabeledTree, root: int):
         if p is not None:
             kids[p].append(v)
     return tuple(parent), tuple(depth), tuple(tuple(sorted(k)) for k in kids)
+
+
+def fraction_weak_similarity_check(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace,
+                                   phi) -> tuple[bool, Optional[ScalingFunction]]:
+    """Oracle for `weak_similarity_check` on a valid bijection: a `Fraction` scan.
+
+    Maps each image distance to its source distance, then requires the map
+    to be well defined, strictly increasing and onto both distance sets.
+    """
+    n = len(x)
+    forward: dict[Fraction, Fraction] = {}
+    for i in range(n):
+        for j in range(i, n):
+            src = x.matrix[i][j]
+            dst = y.matrix[phi[i]][phi[j]]
+            if forward.setdefault(dst, src) != src:
+                return False, None
+    # order equivalence for all quadruples == the map is strictly increasing
+    items = sorted(forward.items())
+    for (d1, s1), (d2, s2) in zip(items, items[1:]):
+        if not s1 < s2:
+            return False, None
+    domain = [d for d, _ in items]
+    values = [s for _, s in items]
+    if set(domain) != set(y.distance_values) or set(values) != set(x.distance_values):
+        return False, None
+    return True, ScalingFunction(domain, values)
+
+
+def fraction_closed_ball(space: FiniteUltrametricSpace, center: int, radius) -> Ball:
+    """Oracle for `closed_ball`: the center's `Fraction` row compared with the radius."""
+    radius = parse_rational(radius)
+    row = space.matrix[center]
+    members = tuple(x for x in space.points() if row[x] <= radius)
+    d = space.distance_values[_subset_diam_rank(space, members)]
+    return Ball(members, d, center, radius)
