@@ -1,30 +1,29 @@
 """Balls of a finite ultrametric space: enumeration, inclusion order, Hausdorff metric.
 
 For finite ultrametric spaces the open and closed balls coincide as set
-families, so a single enumeration over centers and realized radii yields
-the whole ballean.  Balls are identified by their point sets; centers and
-radii are only witnesses, since every point of a ball is one of its
-centers.
+families, and they are exactly the vertices of the representing tree
+(Gurvich & Vyalyi), so the ballean is read off `core._ball_tree`, the one
+construction of the balls.  Balls are identified by their point sets;
+centers and radii are only witnesses, since every point of a ball is one
+of its centers.
 
-Everything reads ranks, never the `Fraction` matrix.  The enumeration
-reads each center's rank row once, sorted, and never consults the
-representing tree, so `verify_tree_invariants` still compares two
-independent constructions of the same set family.  Distances between balls
-come from their smallest points and diameter ranks, with no member scan.
+Everything reads ranks, never the `Fraction` matrix.  Inclusion, joins
+and distances between balls come from their smallest points and diameter
+ranks, with no member scan.  The tests keep the center-by-radius
+enumerations the ballean replaced as its oracles.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import reduce
-from operator import and_
 from typing import Iterable, Optional
 
 from .core import (
     FiniteUltrametricSpace,
     format_rational,
     parse_rational,
+    _ball_tree,
     _subset_diam_rank,
     _subset_points,
 )
@@ -104,40 +103,19 @@ def closed_ball(space: FiniteUltrametricSpace, center: int, radius) -> Ball:
 
 
 def ballean(space: FiniteUltrametricSpace) -> Ballean:
-    """All distinct balls, enumerated over centers and radii.
+    """All distinct balls: the vertices of `core._ball_tree`, in canonical order.
 
-    Sorting a center's row by rank lists its balls as prefixes, one per
-    distinct rank.  Every member of a ball is one of its centers, so each
-    ball is kept only from its smallest point, which is its witness
-    center; its witness radius is its diameter.  Contains the whole space
-    and every singleton; the count never exceeds 2n - 1.  O(n^2 log n)
-    plus the total size of the balls.
+    Each ball's witness center is its smallest point and its witness
+    radius is its diameter.  Contains the whole space and every
+    singleton; the count never exceeds 2n - 1.  O(n log n) plus the total
+    size of the balls.
     """
     _require_ultrametric(space)
+    ranks, _, points, _ = _ball_tree(space)
     values = space.distance_values
-    n = len(space)
-    found = []
-    for c, row in enumerate(space.rank):
-        by_rank = sorted(range(n), key=row.__getitem__)
-        for end in range(1, n + 1):
-            last = by_rank[end - 1]
-            if last < c:
-                break  # this ball and every larger one around c has a smaller point
-            t = row[last]
-            if end == n or row[by_rank[end]] != t:
-                found.append((-t, c, Ball(by_rank[:end], values[t], c, values[t])))
-    found.sort(key=lambda f: f[:2])
-    return Ballean(f[2] for f in found)
-
-
-def _inclusion_up_sets(point_sets, npoints: int) -> list[int]:
-    """Bit j of entry i is set iff point set i lies inside point set j."""
-    holding = [0] * npoints   # holding[x]: the sets containing x
-    for i, pts in enumerate(point_sets):
-        for x in pts:
-            holding[x] |= 1 << i
-    full = (1 << len(point_sets)) - 1
-    return [reduce(and_, map(holding.__getitem__, pts), full) for pts in point_sets]
+    canonical = sorted(range(len(ranks)), key=lambda v: (-ranks[v], points[v][0]))
+    return Ballean(Ball(points[v], values[ranks[v]], points[v][0], values[ranks[v]])
+                   for v in canonical)
 
 
 def smallest_enclosing_ball(space: FiniteUltrametricSpace, points: Iterable[int]) -> Ball:
@@ -152,21 +130,22 @@ class BallPoset:
 
     Any two balls are nested or disjoint, so joins always exist (the
     smallest ball around the union) while meets exist exactly for
-    non-disjoint pairs, where the meet is the intersection.  A missing
-    meet is reported as None, not an error.
+    non-disjoint pairs, where the meet is the inner ball.  A missing meet
+    is reported as None, not an error.
 
-    `balls` come in canonical order, as `ballean` lists them, so a ball
-    comes after every ball around it.  The order is kept as
-    `_inclusion_up_sets` bitmasks.
+    The order is read off ranks: a lies in b iff diam(a) <= diam(b) and
+    d(a_0, b_0) <= diam(b) for their smallest points, and the join is the
+    ball around a_0 at the largest of those three distances.
     """
 
-    __slots__ = ("space", "balls", "_index", "_up")
+    __slots__ = ("space", "balls", "_index", "_diam")
 
     def __init__(self, space: FiniteUltrametricSpace, balls: tuple[Ball, ...]):
         self.space = space
         self.balls = balls
         self._index = {b.points: i for i, b in enumerate(balls)}
-        self._up = _inclusion_up_sets([b.points for b in balls], len(space))
+        rank = {v: t for t, v in enumerate(space.distance_values)}
+        self._diam = [rank[b.diameter] for b in balls]
 
     def __len__(self):
         return len(self.balls)
@@ -178,20 +157,22 @@ class BallPoset:
             raise ValueError(f"{ball!r} is not a ball of this space") from None
 
     def leq(self, lower: Ball, upper: Ball) -> bool:
-        return bool(self._up[self._resolve(lower)] >> self._resolve(upper) & 1)
+        t = self._diam[self._resolve(upper)]
+        return (self._diam[self._resolve(lower)] <= t
+                and self.space.rank[lower.points[0]][upper.points[0]] <= t)
 
     def comparable(self, a: Ball, b: Ball) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
     def join(self, a: Ball, b: Ball) -> Ball:
-        # the least common upper bound is the last one in canonical order
-        common = self._up[self._resolve(a)] & self._up[self._resolve(b)]
-        return self.balls[common.bit_length() - 1]
+        row = self.space.rank[a.points[0]]
+        t = max(self._diam[self._resolve(a)], self._diam[self._resolve(b)], row[b.points[0]])
+        return self.balls[self._index[tuple(x for x, r in enumerate(row) if r <= t)]]
 
     def meet(self, a: Ball, b: Ball) -> Optional[Ball]:
         # non-disjoint balls are nested, so the intersection is the inner ball
-        outer, inner = sorted((self._resolve(a), self._resolve(b)))
-        return self.balls[inner] if self._up[inner] >> outer & 1 else None
+        inner, outer = sorted((a, b), key=lambda x: self._diam[self._resolve(x)])
+        return self.balls[self._resolve(inner)] if self.leq(inner, outer) else None
 
     def largest(self) -> Ball:
         return self.balls[0]

@@ -5,19 +5,20 @@ floats.  Inside, a space is its integer *rank* matrix, indexing each
 distance into `distance_values`, the sorted distinct values.  Every
 decision the library makes depends only on the order of distances, so it
 runs on ranks, and each distinct value is parsed once and printed once.
-Only this module (the weak triangle test and the triangle error
-messages) and the brute-force isometry oracle read the `Fraction` matrix.
+Only spaces keep the `Fraction` matrix, and only this module (the weak
+triangle test, the triangle error messages) and the isometry oracle read it.
 
 A space has two entry points.  `FiniteUltrametricSpace(names, matrix)`
 parses each distinct raw entry of outside input once, then ranks; the
 library's derived spaces come ranked and enter through `_from_ranks`.
 Both end in `_RankedMatrix._assign`: validation on ranks, then one O(n^2)
 single-linkage pass whose strong-triangle verdict, point order and gap
-ranks every ranked matrix keeps; `repr_tree` builds the representing
-tree from the last two.  The pass reads the order off the balls by
-descending from point 0, checks it with slice comparisons of the permuted
-rows, and runs Prim's algorithm only on a matrix that check refutes, for
-the witness.  The O(n^3) triple scan stays as the tests' oracle.
+ranks every ranked matrix keeps.  The pass reads the order off the balls
+by descending from point 0, checks it with slice comparisons of the
+permuted rows, and runs Prim's algorithm only on a matrix that check
+refutes, for the witness.  The O(n^3) triple scan stays as the tests'
+oracle.  `_ball_tree` reads the balls off the order and the gaps; the
+representing tree and the ballean are two numberings of its vertices.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import itemgetter, neg
 from typing import Iterable, Optional, Sequence, Union
 
@@ -298,6 +299,45 @@ def _prim_single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int
     return order, gaps, None
 
 
+def _ball_tree(ranked: _RankedMatrix) -> tuple[list[int], list[list[int]], list[tuple[int, ...]], int]:
+    """The balls of an ultrametric: the Cartesian tree of its single-linkage gaps.
+
+    In the single-linkage order every ball is a run of consecutive points,
+    and the ball of diameter r around a run splits exactly at the gaps
+    equal to r, so the balls are the Cartesian tree of the gaps (Vuillemin
+    1980), built with a stack, one vertex per run of equal gaps.  Returns
+    each vertex's diameter rank, children sorted by smallest point and
+    sorted points, and the root.  O(n) plus the size of the point tuples.
+    """
+    order, gaps = ranked._order, ranked._gaps
+    n = len(order)
+    ranks = [0] * n
+    children: list[list[int]] = [[] for _ in order]
+    points: list = [(p,) for p in order]
+    open_nodes: list[int] = []   # gap ranks strictly decrease toward the top
+    cur = 0                      # finished subtree ending at the last point
+    # a gap above every rank after the last point closes every open vertex
+    for b, g in enumerate(gaps[1:] + [len(ranked.distance_values)], 1):
+        while open_nodes and ranks[open_nodes[-1]] < g:
+            top = open_nodes.pop()   # its children are all closed
+            kids = children[top]
+            kids.append(cur)
+            kids.sort(key=lambda c: points[c][0])
+            points[top] = tuple(sorted(chain.from_iterable(points[c] for c in kids)))
+            cur = top
+        if b == n:
+            break
+        if open_nodes and ranks[open_nodes[-1]] == g:
+            children[open_nodes[-1]].append(cur)
+        else:
+            open_nodes.append(len(ranks))
+            ranks.append(g)
+            children.append([cur])
+            points.append(None)
+        cur = b
+    return ranks, children, points, cur
+
+
 def _weak_triangle_witness(matrix) -> Optional[tuple[int, int, int]]:
     n = len(matrix)
     for i in range(n):
@@ -320,8 +360,7 @@ class _RankedMatrix:
     strong-triangle violation or None.
     """
 
-    __slots__ = ("names", "matrix", "distance_values", "rank", "_order", "_gaps",
-                 "_strong_witness")
+    __slots__ = ("names", "distance_values", "rank", "_order", "_gaps", "_strong_witness")
 
     def __init__(self, names: Iterable[str], matrix):
         self._assign(names, *_rank_of(*_parse_entries(matrix)))
@@ -333,8 +372,6 @@ class _RankedMatrix:
         self.names = names
         self.distance_values = values
         self.rank = rank
-        get = values.__getitem__
-        self.matrix = tuple(tuple(map(get, row)) for row in rank)
         self._order, self._gaps, self._strong_witness = _single_linkage(rank)
 
 
@@ -342,13 +379,16 @@ class FiniteMetricSpace(_RankedMatrix):
     """A finite metric space with named points and exact rational distances.
 
     Immutable after construction.  `distance_values` is the sorted distance
-    set (zero included) and `rank[i][j]` is the index of d(i, j) in it.
+    set (zero included), `rank[i][j]` is the index of d(i, j) in it, and
+    `matrix[i][j]` is d(i, j) itself.
     """
 
-    __slots__ = ()
+    __slots__ = ("matrix",)
 
     def _assign(self, names: Iterable[str], values, rank) -> None:
         super()._assign(names, values, rank)
+        get = values.__getitem__
+        self.matrix = tuple(tuple(map(get, row)) for row in rank)
         self._check_triangle()
 
     @classmethod

@@ -1,11 +1,11 @@
 """Representing trees of finite ultrametric spaces and rooted-tree orders.
 
-The representing tree is built bottom up, in O(n) after the O(n^2)
-single-linkage pass every space runs when it is constructed: it is the
-Cartesian tree of the pass's gap sequence, with runs of equal gaps merged
-into one vertex.  The construction never consults the ballean, so the
-fact that the vertex set coincides with it stays independently checkable
-through `verify_tree_invariants`.
+The representing tree is `core._ball_tree`, the Cartesian tree of the
+single-linkage gaps that every space computes when it is constructed,
+numbered depth first: O(n) after that O(n^2) pass, plus the size of the
+ball payloads.  `verify_tree_invariants` audits a tree against balls
+found another way, by splitting the whole space top down into
+diametrical parts, so the audit does not share the code it checks.
 
 Orders are kept as up-set bitmasks: `_up_closure` closes (lower, upper)
 arcs and `_covering_pairs` reads the covers (the transitive reduction)
@@ -17,11 +17,13 @@ vertex ids are ints, and bools, floats and strings are refused.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from functools import reduce
+from operator import and_
 from typing import Iterable, Optional
 
 from .core import (
     FiniteUltrametricSpace,
+    _ball_tree,
     diametrical_partition,
     format_rational,
     parse_rational,
@@ -134,60 +136,26 @@ class RootedLabeledTree:
 def build_representing_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
     """Representing tree of a space, labeled by ball diameters.
 
-    In the single-linkage order x_0..x_{n-1} every ball is a run of
-    consecutive points, and the ball of diameter r around a run splits
-    exactly at the gaps equal to r.  So the balls form the Cartesian tree
-    of the gap sequence (Vuillemin 1980), built here with a stack, one
-    vertex per run of equal gaps.  Vertices are then numbered depth first
+    The vertices are the balls of `core._ball_tree`, numbered depth first
     with children sorted by smallest point index.  Leaves are exactly the
     singletons, labeled zero.  O(n) plus the size of the ball payloads.
     """
     if not isinstance(space, FiniteUltrametricSpace):
         raise TypeError("representing trees need a FiniteUltrametricSpace")
-    order, gaps = space._order, space._gaps
-    # vertices: leaves first, as [gap rank, children]; the root comes last
-    nodes = [[0, ()] for _ in order]
-    open_nodes: list[int] = []   # gap ranks strictly decrease toward the top
-    closed: list[int] = []       # internal vertices, each after its children
-    cur = 0                      # finished subtree ending at the last point
-    for b in range(1, len(order)):
-        g = gaps[b]
-        while open_nodes and nodes[open_nodes[-1]][0] < g:
-            top = open_nodes.pop()
-            nodes[top][1].append(cur)
-            closed.append(top)
-            cur = top
-        if open_nodes and nodes[open_nodes[-1]][0] == g:
-            nodes[open_nodes[-1]][1].append(cur)
-        else:
-            nodes.append([g, [cur]])
-            open_nodes.append(len(nodes) - 1)
-        cur = b
-    while open_nodes:
-        top = open_nodes.pop()
-        nodes[top][1].append(cur)
-        closed.append(top)
-        cur = top
-
-    points: list = [(p,) for p in order] + [None] * (len(nodes) - len(order))
-    for v in closed:
-        kids = nodes[v][1]
-        kids.sort(key=lambda c: points[c][0])
-        points[v] = tuple(sorted(chain.from_iterable(points[c] for c in kids)))
-
+    ranks, children, points, root = _ball_tree(space)
     values = space.distance_values
     labels: list[Fraction] = []
     edges: list[tuple[int, int]] = []
     payload: list[tuple[int, ...]] = []
-    stack = [(cur, -1)]
+    stack = [(root, -1)]
     while stack:
         v, parent = stack.pop()
         vid = len(labels)
-        labels.append(values[nodes[v][0]])
+        labels.append(values[ranks[v]])
         payload.append(points[v])
         if parent >= 0:
             edges.append((parent, vid))
-        stack.extend((c, vid) for c in reversed(nodes[v][1]))
+        stack.extend((c, vid) for c in reversed(children[v]))
     return RootedLabeledTree(labels, edges, root=0, ball_points=payload)
 
 
@@ -226,36 +194,38 @@ def verify_tree_invariants(tree: RootedLabeledTree,
     """Structural audit of a representing tree against its space.
 
     Checks, each with a witness on failure: every payload is a ball and
-    the vertex set equals the independently enumerated ballean; labels are
-    ball diameters; degree 2 occurs at most once; no vertex has out-degree
-    1; the degree of every vertex matches the part count of its diametrical
-    graph; and leaves are exactly the zero-labeled vertices.  The diameter
-    and degree checks skip vertices whose payload is not a ball.
+    the vertex set equals the ballean; labels are ball diameters; degree 2
+    occurs at most once; no vertex has out-degree 1; the degree of every
+    vertex matches the part count of its diametrical graph; and leaves are
+    exactly the zero-labeled vertices.  The diameter and degree checks
+    skip vertices whose payload is not a ball.  The reference ballean is
+    split top down from the whole space: every other ball is a
+    diametrical part of the smallest ball strictly around it.
     """
-    from .balls import ballean   # only the audits need the ballean
     entries: list[CheckEntry] = []
     root = tree.require_root()
     pts = tree.ball_points
     if pts is None:
         raise ValueError("tree carries no ball payloads to verify against")
 
-    tree_sets = {frozenset(p) for p in pts}
-    ball_sets = {frozenset(b.points) for b in ballean(space)}
+    # each ball's point set -> (diameter, diametrical part count)
+    balls: dict = {}
+    todo = [tuple(space.points())]
+    for ball in todo:   # grows while it is read
+        split = diametrical_partition(space, ball) or ()   # no parts for a singleton
+        balls[frozenset(ball)] = (split.threshold if split else space.distance_values[0], len(split))
+        todo.extend(split)
+    keys = [frozenset(p) for p in pts]
+    tree_sets = set(keys)
     # a payload is a ball when its points are distinct and make one
-    is_ball = [len(set(p)) == len(p) and frozenset(p) in ball_sets for p in pts]
-    ok = all(is_ball) and tree_sets == ball_sets and len(tree_sets) == tree.n
+    found = [balls.get(k) if len(k) == len(p) else None for k, p in zip(keys, pts)]
+    ok = None not in found and tree_sets == balls.keys() and len(tree_sets) == tree.n
     entries.append(CheckEntry(
         "vertices-equal-ballean", ok,
-        None if ok else f"tree {len(tree_sets)} sets vs ballean {len(ball_sets)}"
-        + ("" if all(is_ball) else f", vertex {is_ball.index(False)} is not a ball")))
+        None if ok else f"tree {len(tree_sets)} sets vs ballean {len(balls)}"
+        + ("" if None not in found else f", vertex {found.index(None)} is not a ball")))
 
-    # each ball split once, the rest not at all: a split's threshold is the
-    # ball's diameter, and None stands for a singleton's
-    splits = [diametrical_partition(space, p) if b else None for p, b in zip(pts, is_ball)]
-    bad = next(
-        (v for v, s in enumerate(splits) if is_ball[v]
-         and tree.labels[v] != (space.distance_values[0] if s is None else s.threshold)),
-        None)
+    bad = next((v for v, f in enumerate(found) if f and tree.labels[v] != f[0]), None)
     entries.append(CheckEntry(
         "labels-are-diameters", bad is None,
         None if bad is None else f"vertex {bad}"))
@@ -271,11 +241,11 @@ def verify_tree_invariants(tree: RootedLabeledTree,
         None if bad is None else f"vertex {bad}"))
 
     bad = None
-    for v, parts in enumerate(splits):
-        if not is_ball[v]:
+    for v, f in enumerate(found):
+        if f is None:
             continue
         # a parent edge, plus one child per part when the label is positive
-        expected = (v != root) + (len(parts) if parts is not None and tree.labels[v] else 0)
+        expected = (v != root) + (f[1] if tree.labels[v] else 0)
         d = tree.degree(v)
         if d != expected:
             bad = f"vertex {v}: degree {d}, expected {expected}"
@@ -303,11 +273,20 @@ def edge_characterization_check(space: FiniteUltrametricSpace,
     pts = tree.ball_points
     if pts is None:
         raise ValueError("tree carries no ball payloads")
-    from .balls import _inclusion_up_sets
     up = _inclusion_up_sets(pts, len(space))
     if len(set(up)) != tree.n:   # equal up-sets iff equal point sets
         return False
     return {(min(p), max(p)) for p in _covering_pairs(up)} == set(tree.edges)
+
+
+def _inclusion_up_sets(point_sets, npoints: int) -> list[int]:
+    """Bit j of entry i is set iff point set i lies inside point set j."""
+    holding = [0] * npoints   # holding[x]: the sets containing x
+    for i, pts in enumerate(point_sets):
+        for x in pts:
+            holding[x] |= 1 << i
+    full = (1 << len(point_sets)) - 1
+    return [reduce(and_, map(holding.__getitem__, pts), full) for pts in point_sets]
 
 
 def _up_closure(n: int, arcs) -> list[int]:

@@ -29,7 +29,9 @@ from util import (
     padic_matrix,
     pairwise_hausdorff_ball_space,
     permuted,
+    random_ultrametric_matrix,
     random_ultrametric_space,
+    row_sort_ballean,
     two_pair_space,
 )
 
@@ -307,6 +309,17 @@ def test_ballean_matches_center_radius_oracle():
         fast, slow = ballean(space), enumerated_ballean(space)
         assert witnessed(fast) == witnessed(slow)
         assert ballean_to_json(fast) == ballean_to_json(slow)
+
+
+def test_ballean_matches_the_row_sort_oracle_at_scale():
+    # sizes the center-by-radius oracle, O(n^2 |D(X)|), is too slow for
+    rng = random.Random(43)
+    two_adic = [Fraction(0)] + [Fraction(1, k & -k) for k in range(1, 1024)]   # |k|_2
+    for m in (random_ultrametric_matrix(rng, 1024), caterpillar_matrix(1024),
+              permuted(rng, caterpillar_matrix(1024)),
+              [[two_adic[abs(i - j)] for j in range(1024)] for i in range(1024)]):
+        space = FiniteUltrametricSpace([f"p{i}" for i in range(len(m))], m)
+        assert witnessed(ballean(space)) == witnessed(row_sort_ballean(space))
 
 
 def test_hausdorff_ball_space_matches_pairwise_oracle():

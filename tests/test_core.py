@@ -249,7 +249,7 @@ def test_make_space_separates_metrics_from_triangle_violations():
         ranked = core._RankedMatrix([f"p{i}" for i in range(n)], matrix)
         if core._single_linkage(ranked.rank)[2] is None:
             continue
-        d = ranked.matrix
+        d = [[parse_rational(v) for v in row] for row in matrix]
         try:
             space = make_space(ranked.names, matrix)
         except SpaceValidationError as error:

@@ -110,15 +110,18 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
     space.write_text(json.dumps(space_to_json(nested_four_point_space())))
     points = tmp_path / "points.json"
     points.write_text(json.dumps([0, 1, 2, 3]))
-    loaded = {verb: _modules_loaded_by(verb, str(space)) for verb in ("check", "dset", "tree")}
+    loaded = {verb: _modules_loaded_by(verb, str(space))
+              for verb in ("check", "dset", "balls", "tree")}
     for verb in ("iso", "weaksim"):
         loaded[verb] = _modules_loaded_by(verb, str(space), str(space))
     loaded["transform"] = _modules_loaded_by("transform", "--fn", "quantize", str(space))
     loaded["padic"] = _modules_loaded_by("padic", "--prime", "2", "--points", str(points))
     base = {"ultratree", "ultratree.cli", "ultratree.core"}
-    # no verb below reads the ballean, so none loads `balls`
+    # `balls` reads the ballean off core's ball tree, without `repr_tree`;
+    # no other verb below reads the ballean, so none other loads `balls`
     expected = {
-        "check": base, "dset": base, "tree": base | {"ultratree.repr_tree"},
+        "check": base, "dset": base, "balls": base | {"ultratree.balls"},
+        "tree": base | {"ultratree.repr_tree"},
         "iso": base | {"ultratree.repr_tree", "ultratree.morphisms"},
         "weaksim": base | {"ultratree.repr_tree", "ultratree.morphisms"},
         "transform": base | {"ultratree.repr_tree", "ultratree.morphisms"},

@@ -177,6 +177,32 @@ def test_invariants_report_payloads_that_are_not_balls():
             f"tree {tree.n} sets vs ballean {tree.n}, vertex {leaf} is not a ball"
 
 
+def test_invariants_catch_a_missing_ball():
+    # contracting an internal vertex into its parent leaves every payload a
+    # ball, but that vertex's ball is no longer a vertex
+    rng = random.Random(24)
+    spaces = [nested_four_point_space()]
+    spaces += [random_ultrametric_space(rng, rng.randint(3, 24)) for _ in range(20)]
+    contracted = 0
+    for space in spaces:
+        tree = build_representing_tree(space)
+        parent = tree.parent_map()
+        for v in range(tree.n):
+            p = parent[v]
+            if p is None or tree.out_degree(v) == 0:
+                continue
+            keep = [u for u in range(tree.n) if u != v]
+            new = {u: i for i, u in enumerate(keep)}
+            new[v] = new[p]
+            edges = [(new[a], new[b]) for a, b in tree.edges if {a, b} != {v, p}]
+            bad = RootedLabeledTree([tree.labels[u] for u in keep], edges, root=0,
+                                    ball_points=[tree.ball_points[u] for u in keep])
+            failed = {e.name: e.witness for e in verify_tree_invariants(bad, space).failures()}
+            assert failed["vertices-equal-ballean"] == f"tree {tree.n - 1} sets vs ballean {tree.n}"
+            contracted += 1
+    assert contracted > 20
+
+
 def test_vertex_count_equals_ballean_size():
     rng = random.Random(22)
     for _ in range(30):

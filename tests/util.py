@@ -3,13 +3,14 @@
 Random ultrametric matrices are built by recursive partitioning with
 strictly decreasing level values, so validity holds by construction and
 the library's validators act as an independent check.  The top-down tree
-builder, the center-by-radius ballean, the pairwise Hausdorff matrix, the
-partition-based sphere-plus-center test, the chain-scan reconstruction, the
-triple-loop poset check, the frozenset root-path order, the `Fraction`
-path-max walk, the all-roots representability test, the per-call
-breadth-first walk, Prim's single-linkage loop, and the `Fraction`
-weak-similarity and closed-ball scans are the implementations the
-library's faster ones replaced, kept here as oracles.
+builder, the center-by-radius and row-sort balleans, the pairwise
+Hausdorff matrix, the partition-based sphere-plus-center test, the
+chain-scan reconstruction, the triple-loop poset check, the frozenset
+root-path order, the `Fraction` path-max walk, the all-roots
+representability test, the per-call breadth-first walk, Prim's
+single-linkage loop, and the `Fraction` weak-similarity and closed-ball
+scans are the implementations the library's faster ones replaced, kept
+here as oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
 """
 
@@ -344,6 +345,32 @@ def enumerated_ballean(space: FiniteUltrametricSpace) -> Ballean:
                 seen[members] = Ball(members, d, c, value)
     index = {v: i for i, v in enumerate(values)}
     return Ballean(sorted(seen.values(), key=lambda b: (-index[b.diameter], b.points[0])))
+
+
+def row_sort_ballean(space: FiniteUltrametricSpace) -> Ballean:
+    """Oracle for `ballean`: each center's rank row, sorted once.
+
+    Sorting a center's row by rank lists its balls as prefixes, one per
+    distinct rank.  Every member of a ball is one of its centers, so each
+    ball is kept only from its smallest point, which is its witness
+    center; its witness radius is its diameter.  O(n^2 log n) plus the
+    total size of the balls, so it reaches the sizes `enumerated_ballean`
+    cannot.
+    """
+    values = space.distance_values
+    n = len(space)
+    found = []
+    for c, row in enumerate(space.rank):
+        by_rank = sorted(range(n), key=row.__getitem__)
+        for end in range(1, n + 1):
+            last = by_rank[end - 1]
+            if last < c:
+                break  # this ball and every larger one around c has a smaller point
+            t = row[last]
+            if end == n or row[by_rank[end]] != t:
+                found.append((-t, c, Ball(by_rank[:end], values[t], c, values[t])))
+    found.sort(key=lambda f: f[:2])
+    return Ballean(f[2] for f in found)
 
 
 def pairwise_hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
