@@ -165,9 +165,10 @@ class BallPoset:
         return self.leq(a, b) or self.leq(b, a)
 
     def join(self, a: Ball, b: Ball) -> Ball:
-        row = self.space.rank[a.points[0]]
-        t = max(self._diam[self._resolve(a)], self._diam[self._resolve(b)], row[b.points[0]])
-        return self.balls[self._index[tuple(x for x, r in enumerate(row) if r <= t)]]
+        space, a0 = self.space, a.points[0]
+        t = max(self._diam[self._resolve(a)], self._diam[self._resolve(b)],
+                space.rank[a0][b.points[0]])
+        return self.balls[self._index[closed_ball(space, a0, space.distance_values[t]).points]]
 
     def meet(self, a: Ball, b: Ball) -> Optional[Ball]:
         # non-disjoint balls are nested, so the intersection is the inner ball

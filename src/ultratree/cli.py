@@ -31,21 +31,23 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deeply
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # a number over Python's int digit limit
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_space(path: str) -> core.Space:
+def _decode(path: str, build):
+    """`build` applied to the JSON in `path`; what it refuses is an input error."""
+    obj = _load_json(path)
     try:
-        return core.space_from_json(_load_json(path))
+        return build(obj)
     except (ValueError, TypeError, KeyError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_ultrametric(path: str) -> core.FiniteUltrametricSpace:
-    space = _load_space(path)
+    space = _decode(path, core.space_from_json)
     if not isinstance(space, core.FiniteUltrametricSpace):
         i, j, k = space._strong_witness
         raise InputError(
@@ -55,26 +57,14 @@ def _load_ultrametric(path: str) -> core.FiniteUltrametricSpace:
     return space
 
 
-def _load_tree(path: str) -> repr_tree.RootedLabeledTree:
-    from . import repr_tree
-    try:
-        return repr_tree.tree_from_json(_load_json(path))
-    except (ValueError, TypeError, KeyError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
-
-
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _cmd_check(args) -> int:
-    obj = _load_json(args.space)
-    try:
-        # validated and ranked with the file's own names, but with no
-        # triangle inequality required: check decides matrices that fail it
-        ranked = core._RankedMatrix(obj["points"], obj["matrix"])
-    except (ValueError, TypeError, KeyError) as exc:
-        raise InputError(f"{args.space}: {exc}") from exc
+    # validated and ranked with the file's own names, but with no triangle
+    # inequality required: check decides matrices that fail it
+    ranked = _decode(args.space, lambda obj: core._RankedMatrix(obj["points"], obj["matrix"]))
     ok, witness = core.is_ultrametric_triangle(ranked)
     _emit({
         "ultrametric": ok,
@@ -84,7 +74,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dset(args) -> int:
-    space = _load_space(args.space)
+    space = _decode(args.space, core.space_from_json)
     _emit({"distances": [core.format_rational(v) for v in core.distance_set(space)]})
     return 0
 
@@ -126,19 +116,16 @@ def _cmd_weaksim(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    from . import tree_metric
-    tree = _load_tree(args.tree)
-    try:
-        rebuilt = tree_metric.reconstruct_space(tree)
-    except ValueError as exc:
-        raise InputError(f"{args.tree}: {exc}") from exc
+    from . import repr_tree, tree_metric
+    rebuilt = _decode(args.tree, lambda obj: tree_metric.reconstruct_space(
+        repr_tree.tree_from_json(obj)))
     _emit(core.space_to_json(rebuilt.space))
     return 0
 
 
 def _cmd_representable(args) -> int:
-    from . import tree_metric
-    tree = _load_tree(args.tree)
+    from . import repr_tree, tree_metric
+    tree = _decode(args.tree, repr_tree.tree_from_json)
     result = tree_metric.check_representable(tree)
     _emit({"accepted": result.accepted, "root": result.root, "reason": result.reason})
     return 0 if result.accepted else 1
@@ -146,11 +133,8 @@ def _cmd_representable(args) -> int:
 
 def _cmd_posetcheck(args) -> int:
     from . import tree_metric
-    try:
-        n, covers = tree_metric.poset_from_json(_load_json(args.poset))
-        report = tree_metric.check_ballean_poset(n, covers)
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{args.poset}: {exc}") from exc
+    report = _decode(args.poset, lambda obj: tree_metric.check_ballean_poset(
+        *tree_metric.poset_from_json(obj)))
     _emit({
         "accepted": report.accepted,
         "has_largest": report.has_largest,

@@ -16,16 +16,17 @@ single-linkage pass whose strong-triangle verdict, point order and gap
 ranks every ranked matrix keeps.  The pass reads the order off the balls
 by descending from point 0, checks it with slice comparisons of the
 permuted rows, and runs Prim's algorithm only on a matrix that check
-refutes, for the witness.  The O(n^3) triple scan stays as the tests'
-oracle.  `_ball_tree` reads the balls off the order and the gaps; the
-representing tree and the ballean are two numberings of its vertices.
+refutes, for the witness in the first row the check breaks on.  The
+O(n^3) triple scan stays as the tests' oracle.  `_ball_tree` reads the
+balls off the order and the gaps; the representing tree and the ballean
+are two numberings of its vertices.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
+from fractions import Fraction, _RATIONAL_FORMAT
 from itertools import accumulate, chain
 from operator import itemgetter, neg
 from typing import Iterable, Optional, Sequence, Union
@@ -64,7 +65,8 @@ def parse_rational(value) -> Fraction:
     Decimal strings are parsed in base 10.  An int or string whose
     numerator or denominator has more digits than the interpreter's
     int-to-str limit is refused, since `format_rational` could not print
-    it; a Fraction is taken as it is.
+    it, and a huge decimal exponent is cut first (`_clamp_exponent`); a
+    Fraction is taken as it is.
     """
     if isinstance(value, Fraction):
         return value
@@ -72,11 +74,11 @@ def parse_rational(value) -> Fraction:
         raise ValueError(f"refusing inexact float {value!r}; pass a string or Fraction")
     if isinstance(value, bool):
         raise ValueError(f"refusing boolean {value!r}; pass a number or string")
+    limit = _MAX_STR_DIGITS()
     try:
-        q = Fraction(value) if isinstance(value, int) else Fraction(str(value))
+        q = Fraction(value if isinstance(value, int) else _clamp_exponent(str(value), limit))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
-    limit = _MAX_STR_DIGITS()
     # 10**limit > 2**(3*limit): only a part longer than 3*limit bits can be too long
     if limit and (abs(q.numerator) | q.denominator).bit_length() > 3 * limit:
         for part, name in ((q.numerator, "numerator"), (q.denominator, "denominator")):
@@ -85,6 +87,26 @@ def parse_rational(value) -> Fraction:
                 raise ValueError(f"{what} exceeds the limit ({limit} digits) "
                                  "for integer string conversion")
     return q
+
+
+def _clamp_exponent(text: str, limit: int) -> str:
+    """`text` with a decimal exponent cut to 4 * len(text.strip()) + `limit` in size.
+
+    Fraction forms 10**exponent before any digit limit applies.  Past the
+    bound the same part of the value is too long, since a negative exponent
+    has cancelled every factor 2 and 5 of the mantissa.  Only text that
+    Fraction's own pattern accepts is rewritten, and only under a limit.
+    """
+    m = limit and _RATIONAL_FORMAT.match(text)
+    if m and m.group("exp"):
+        try:
+            e = int(m.group("exp"))
+        except ValueError:   # over the digit limit: Fraction refuses it as well
+            return text
+        bound = 4 * len(text.strip()) + limit
+        if abs(e) > bound:
+            return text[:m.start("exp")] + str(bound if e > 0 else -bound) + text[m.end("exp"):]
+    return text
 
 
 def format_rational(value: Fraction) -> str:
@@ -222,16 +244,14 @@ def _ball_order(rank) -> tuple[list[int], list[int]]:
     return order, gaps
 
 
-def _is_single_linkage(rank, order: list[int], gaps: list[int]) -> bool:
-    """True iff rank(x_a, x_b) = max(gaps[a+1..b]) for all a < b.
+def _first_break(rank, order: list[int], gaps: list[int]) -> int:
+    """The first b with rank(x_a, x_b) != max(gaps[a+1..b]) for some a < b, or 0.
 
     Row b of the matrix in `order` must be row b-1's expected prefix with
     every entry below gaps[b] raised to it.  That prefix falls as a rises,
     so one bisection finds where it meets gaps[b], and the row is checked
     by one slice comparison and one count.  O(n^2), in C.
     """
-    if len(order) < 2:
-        return True
     permute = itemgetter(*order)
     prev: tuple = ()
     for b in range(1, len(order)):
@@ -239,9 +259,9 @@ def _is_single_linkage(rank, order: list[int], gaps: list[int]) -> bool:
         g = gaps[b]
         t = bisect_left(prev, -g, 0, b - 1, key=neg)
         if row[:t] != prev[:t] or row[t:b].count(g) != b - t:
-            return False
+            return b
         prev = row
-    return True
+    return 0
 
 
 def _single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int, int]]]:
@@ -258,14 +278,14 @@ def _single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int
     triple violating the strong triangle inequality.
     """
     order, gaps = _ball_order(rank)
-    if _is_single_linkage(rank, order, gaps):
+    if not _first_break(rank, order, gaps):
         return order, gaps, None
     return _prim_single_linkage(rank)
 
 
 def _prim_single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int, int]]]:
     # Prim's loop and the first mismatch of its order, for `_single_linkage`
-    # on a matrix that is not ultrametric.
+    # on a matrix that is not ultrametric, so some row breaks.
     order = [0]
     gaps = [0]
     left = list(range(1, len(rank)))
@@ -278,25 +298,20 @@ def _prim_single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int
         gaps.append(g)
         row = rank[order[-1]]
         best = list(map(min, best, map(row.__getitem__, left)))
-    # Check x_b against x_{b-1}, ..., x_0.  A pair's rank is never below its
-    # single-linkage rank, so the first mismatch is a rank above it, while
-    # every pair checked before is right.  If that pair is (x_{b-1}, x_b),
-    # x_b's Prim edge from an earlier p is shorter, and rank(p, x_{b-1}) is
-    # at most gaps[b]; otherwise it is (x_a, x_b) with (x_a, x_{a+1}) and
-    # (x_{a+1}, x_b) both at their single-linkage ranks.  Either way the
-    # triple's largest distance is attained once.
-    for b in range(1, len(order)):
-        row = rank[order[b]]
-        actual = [row[x] for x in order[b - 1::-1]]
-        expected = list(accumulate(gaps[b:0:-1], max))
-        if actual != expected:
-            a = b - 1 - next(i for i, r in enumerate(actual) if r != expected[i])
-            if a == b - 1:
-                third = next(p for p in order if row[p] == gaps[b])
-            else:
-                third = order[a + 1]
-            return order, gaps, tuple(sorted((order[a], third, order[b])))
-    return order, gaps, None
+    # In the first row that breaks, check x_b against x_{b-1}, ..., x_0.  A
+    # pair's rank is never below its single-linkage rank, so the first
+    # mismatch is a rank above it, while every pair checked before is
+    # right.  If that pair is (x_{b-1}, x_b), x_b's Prim edge from an
+    # earlier p is shorter, and rank(p, x_{b-1}) is at most gaps[b];
+    # otherwise it is (x_a, x_b) with (x_a, x_{a+1}) and (x_{a+1}, x_b)
+    # both at their single-linkage ranks.  Either way the triple's largest
+    # distance is attained once.
+    b = _first_break(rank, order, gaps)
+    row = rank[order[b]]
+    expected = accumulate(gaps[b:0:-1], max)   # for a = b - 1, ..., 0
+    a = next(a for a, r in zip(range(b - 1, -1, -1), expected) if row[order[a]] != r)
+    third = next(p for p in order if row[p] == gaps[b]) if a == b - 1 else order[a + 1]
+    return order, gaps, tuple(sorted((order[a], third, order[b])))
 
 
 def _ball_tree(ranked: _RankedMatrix) -> tuple[list[int], list[list[int]], list[tuple[int, ...]], int]:

@@ -50,13 +50,15 @@ def _require_prime(p: int) -> int:
     return p
 
 
-def _int_valuation(n: int, p: int) -> int:
-    count = 0
-    n = abs(n)
+def _valuation(t: Fraction, p: int) -> int:
+    """gamma with t = p^gamma * m/n for m, n prime to p; t must be nonzero."""
+    # in lowest terms, p divides the numerator, the denominator, or neither
+    n, step = (t.numerator, 1) if t.numerator % p == 0 else (t.denominator, -1)
+    gamma = 0
     while n % p == 0:
         n //= p
-        count += 1
-    return count
+        gamma += step
+    return gamma
 
 
 class PAdicValuation:
@@ -85,7 +87,7 @@ def p_valuation(t, p: int) -> PAdicValuation:
     t = parse_rational(t)
     if t == 0:
         return PAdicValuation(p, None, Fraction(0))
-    gamma = _int_valuation(t.numerator, p) - _int_valuation(t.denominator, p)
+    gamma = _valuation(t, p)
     norm = Fraction(1, p ** gamma) if gamma >= 0 else Fraction(p ** (-gamma))
     return PAdicValuation(p, gamma, norm)
 
@@ -110,9 +112,7 @@ def padic_space(points: Iterable, p: int) -> FiniteUltrametricSpace:
     gamma = [[None] * n for _ in range(n)]   # valuations, as in p_valuation
     for i in range(n):
         for j in range(i + 1, n):
-            d = pts[i] - pts[j]
-            g = _int_valuation(d.numerator, p) - _int_valuation(d.denominator, p)
-            gamma[i][j] = gamma[j][i] = g
+            gamma[i][j] = gamma[j][i] = _valuation(pts[i] - pts[j], p)
     # the norm p^-g falls as g grows: rank top + 1 - g, and 0 on the diagonal
     found = {g for row in gamma for g in row} - {None}
     top, low = max(found, default=0), min(found, default=0)

@@ -4,7 +4,8 @@ The path-max metric turns vertex labels into distances; monotone labelings
 are the ones whose maximal chains reconstruct an ultrametric space, and
 only a vertex of largest label can root one; and the covering-digraph
 checker decides which finite posets are ball lattices, reading the covers
-off the closure's up-set bitmasks (`repr_tree._covering_pairs`).
+off the closure's up-set bitmasks (`repr_tree._covering_pairs`).  A
+ball's diametrical parts are its children in `core._ball_tree`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from itertools import accumulate
 from operator import and_
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import FiniteUltrametricSpace, _rank_of
-from .balls import Ball, ballean
+from .core import FiniteUltrametricSpace, _ball_tree, _rank_of
+from .balls import Ball, _require_ultrametric
 from .repr_tree import RootedLabeledTree, _covering_pairs, _is_index, _up_closure
 
 
@@ -307,19 +308,16 @@ def sphere_plus_center_condition(
     """Every ball of positive diameter has a singleton part in its diametrical graph.
 
     Equivalently each such ball is a sphere with its center added.  The
-    witness is the first offending ball in canonical order.  The parts
-    are the ball's largest proper sub-balls, so a member x is a singleton
-    part exactly when no smaller ball of positive diameter contains x.
-    Balls are visited smallest first, keeping the points such balls
-    cover: O(n^2) after the ballean.
+    parts of a ball are its children in `core._ball_tree`, so a ball
+    passes iff one of its children is a point.  The witness is the first
+    offending ball in canonical order.  O(n) after the ball tree.
     """
-    covered: set[int] = set()
-    witness = None
-    # equal diameters mean disjoint balls, so only smaller ones inside a
-    # ball have been visited when it is reached
-    for ball in reversed(ballean(space).balls):
-        if len(ball) > 1:
-            if covered.issuperset(ball.points):
-                witness = ball
-            covered.update(ball.points)
-    return witness is None, witness
+    _require_ultrametric(space)
+    ranks, children, points, _ = _ball_tree(space)
+    failing = [v for v, kids in enumerate(children)
+               if ranks[v] and all(ranks[c] for c in kids)]
+    if not failing:
+        return True, None
+    v = min(failing, key=lambda v: (-ranks[v], points[v][0]))
+    d = space.distance_values[ranks[v]]
+    return False, Ball(points[v], d, points[v][0], d)

@@ -164,6 +164,27 @@ def test_module_runs_as_a_script(tmp_path):
     assert json.loads(proc.stdout) == {"ultrametric": False, "witness": ["a", "b", "c"]}
 
 
+def test_huge_exponent_entry_exits_2_without_forming_the_power(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"points": ["a", "b"],
+                                "matrix": [["0", "1e99999999"], ["1e99999999", "0"]]}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultratree.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "ultratree.cli", "dset", str(path)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {path}: numerator of '1e99999999' exceeds the limit")
+
+
+@pytest.mark.parametrize("argv", [["check"], ["dset"], ["reconstruct"], ["posetcheck"],
+                                  ["padic", "--prime", "2", "--points"]])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000)
+    code, out, err = invoke(capsys, *argv, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ") and "\n" not in err[:-1]
+
+
 def test_dset(capsys, space_file):
     code, out, _ = invoke(capsys, "dset", space_file)
     assert code == 0

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from util import (
     caterpillar_matrix,
     count_calls,
     differential_spaces,
+    first_mismatch,
     flat_matrix,
     mixed_validity_matrix,
     nested_four_point_space,
@@ -183,7 +185,7 @@ def _matches_prim(matrix) -> bool:
     order, gaps = core._ball_order(rank)
     assert sorted(order) == list(range(n))
     ultrametric = expected[2] is None
-    assert core._is_single_linkage(rank, order, gaps) is ultrametric
+    assert (core._first_break(rank, order, gaps) == 0) is ultrametric
     if ultrametric:
         assert (order, gaps) == expected[:2]
     return ultrametric
@@ -228,6 +230,34 @@ def test_slice_check_refutes_as_prim_does_on_non_ultrametric_matrices():
             matrix = perturbed(rng, permuted(rng, matrix))
         refuted += not _matches_prim(matrix)
     assert refuted >= 2000
+
+
+def test_first_break_is_the_first_row_the_entry_scan_refutes():
+    # on Prim's order and on the ball order of the refuted matrices above;
+    # a wrong first gap breaks row 1, the a == b - 1 case
+    rng = random.Random(9011)
+    seen = set()
+    for case in range(1200):
+        n = rng.randint(2, 40)
+        if case % 2:
+            matrix = mixed_validity_matrix(rng, n)
+        else:
+            shape = ("bushy", "flat", "caterpillar", "padic")[case // 2 % 4]
+            matrix = _shape_matrix(rng, shape, n)
+            if len(matrix) < 2:
+                continue
+            matrix = perturbed(rng, permuted(rng, matrix))
+        rank = core._RankedMatrix(range(len(matrix)), matrix).rank
+        order, gaps, _ = prim_single_linkage(rank)
+        for order, gaps in ((order, gaps), core._ball_order(rank),
+                            (order, [0, gaps[1] + 1] + gaps[2:])):
+            mismatch = first_mismatch(rank, order, gaps)
+            assert core._first_break(rank, order, gaps) == (mismatch or (0,))[0]
+            if mismatch:
+                b, a = mismatch
+                seen.add((b == 1, b == len(order) - 1, a == b - 1))
+    assert {(True, False, True), (False, True, True), (False, True, False),
+            (False, False, True), (False, False, False)} <= seen
 
 
 def _metric_matrix(rng, n):
@@ -400,6 +430,58 @@ def test_parse_rational_refuses_what_format_rational_cannot_print(monkeypatch):
     assert parse_rational(tiny) is tiny
     monkeypatch.setattr(core, "_MAX_STR_DIGITS", lambda: 0)  # an interpreter with no limit
     assert parse_rational("1e-30000") == tiny
+
+
+def test_huge_exponents_are_refused_without_forming_the_power(monkeypatch):
+    monkeypatch.setattr(core, "_MAX_STR_DIGITS", lambda: 4300)
+    for text, part in (("1e99999999", "numerator"), ("-1e99999999", "numerator"),
+                       ("1e-99999999", "denominator"), (" 1E+9_999_999 ", "numerator")):
+        with pytest.raises(ValueError, match=rf"^{part} of {re.escape(repr(text))} exceeds the limit"):
+            parse_rational(text)
+    assert parse_rational("0e99999999") == 0
+    assert parse_rational("0.00e-99999999") == 0
+    # 15 * 10**-4299 = 3 / (2 * 10**4298): a 4,299-digit denominator
+    assert parse_rational("1.5e-4298") == Fraction(3, 2 * 10 ** 4298)
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: 'x1e99999999'$"):
+        parse_rational("x1e99999999")
+    assert core._clamp_exponent("1e99999999", 0) == "1e99999999"   # no limit: as it is
+
+
+def _unclamped(text: str, limit: int):
+    # the parse without the exponent cut: the value, or the part refused
+    try:
+        q = Fraction(text)
+    except ValueError as exc:
+        return str(exc)
+    for part, name in ((q.numerator, "numerator"), (q.denominator, "denominator")):
+        if abs(part) >= 10 ** limit:
+            return name
+    return q
+
+
+def test_exponent_cut_keeps_every_verdict(monkeypatch):
+    monkeypatch.setattr(core, "_MAX_STR_DIGITS", lambda: 4300)
+    rng = random.Random(4300)
+    for case in range(600):
+        digits = rng.choice((rng.randint(1, 30), rng.randint(4290, 4310)))
+        mantissa = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=digits - 1))
+        if case % 3:
+            point = rng.randint(1, len(mantissa))
+            mantissa = mantissa[:point] + "." + mantissa[point:]
+        if case % 5 == 0:
+            mantissa = "0" * rng.randint(1, 3) + mantissa
+        e = rng.choice((rng.randint(-20000, 20000), rng.randint(-4400, -4200),
+                        rng.randint(4200, 4400)))
+        text = f"{rng.choice(('', '-'))}{mantissa}e{e}"
+        want = _unclamped(text, 4300)
+        try:
+            got = parse_rational(text)
+        except ValueError as exc:
+            got = str(exc)
+            if isinstance(want, str) and want in ("numerator", "denominator"):
+                assert got.startswith(f"{want} of {text[:60]!r} exceeds"), text[:80]
+                continue
+        assert got == want, text[:80]
 
 
 def test_triangle_test_on_worked_examples():

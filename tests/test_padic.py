@@ -163,6 +163,20 @@ def test_padic_metric_shortcut():
     assert padic_metric(9, 0, 3) == Fraction(1, 9)
 
 
+def test_padic_space_distances_are_the_padic_metric():
+    # p in numerators and denominators alike, so valuations of both signs
+    rng = random.Random(53)
+    for p in (2, 3, 5, 7):
+        pts = {Fraction(rng.randint(-40, 40) * p ** rng.randint(0, 3),
+                        rng.randint(1, 30) * p ** rng.randint(0, 3)) for _ in range(30)}
+        pts = sorted(pts)
+        space = padic_space(pts, p)
+        assert {p_valuation(d, p).gamma for d in distance_set(space)[1:]} >= {-1, 1}
+        for i, a in enumerate(pts):
+            for j, b in enumerate(pts):
+                assert space.distance(i, j) == padic_metric(a, b, p)
+
+
 def test_residue_partition_examples():
     assert residue_partition_check(range(10), 3)
     assert residue_partition_check([0, 1], 2)

@@ -27,14 +27,20 @@ from ultratree import (
 )
 from util import (
     all_roots_representable,
+    caterpillar_matrix,
     chain_scan_reconstruct,
     differential_spaces,
     equilateral_space,
+    flat_matrix,
     nested_four_point_space,
+    padic_matrix,
     partition_sphere_plus_center,
+    permuted,
     random_labeled_tree,
     random_monotone_tree,
+    random_ultrametric_matrix,
     random_ultrametric_space,
+    row_sort_ballean,
     triple_loop_ballean_poset,
     two_pair_space,
 )
@@ -403,6 +409,38 @@ def test_sphere_plus_center_matches_partition_oracle():
                 want_witness.witness_center, want_witness.witness_radius)
         verdicts.add(ok)
     assert verdicts == {True, False}
+
+
+def _pairs_under_a_caterpillar(n: int) -> list[list[int]]:
+    # {0, 1} and {2, 3} at 1 inside a ball of diameter 2, and each point
+    # k > 3 at k + 1 from every smaller point: only that inner ball lacks
+    # a singleton part
+    def d(x, y):
+        if max(x, y) > 3:
+            return max(x, y) + 1
+        return 1 if (x < 2) == (y < 2) else 2
+
+    return [[0 if x == y else d(x, y) for y in range(n)] for x in range(n)]
+
+
+def test_sphere_plus_center_matches_partition_oracle_at_scale():
+    rng = random.Random(45)
+    witnesses = set()
+    for m in (random_ultrametric_matrix(rng, 1024), flat_matrix(1024),
+              caterpillar_matrix(1024), padic_matrix(2, 10), padic_matrix(3, 6),
+              _pairs_under_a_caterpillar(1024)):
+        for m in (m, permuted(rng, m)):
+            space = FiniteUltrametricSpace([f"p{i}" for i in range(len(m))], m)
+            ok, witness = sphere_plus_center_condition(space)
+            want_ok, want = partition_sphere_plus_center(space, row_sort_ballean)
+            assert ok is want_ok
+            assert (witness is None) is (want is None)
+            if want is not None:
+                assert (witness.points, witness.diameter, witness.witness_center,
+                        witness.witness_radius) == (
+                    want.points, want.diameter, want.witness_center, want.witness_radius)
+                witnesses.add(len(witness))
+    assert 4 in witnesses and 1024 in witnesses
 
 
 def test_reconstruct_space_matches_chain_scan_oracle():

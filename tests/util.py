@@ -151,25 +151,37 @@ def prim_single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int,
         gaps.append(g)
         row = rank[order[-1]]
         best = list(map(min, best, map(row.__getitem__, left)))
-    # Check x_b against x_{b-1}, ..., x_0.  A pair's rank is never below its
-    # single-linkage rank, so the first mismatch is a rank above it, while
-    # every pair checked before is right.  If that pair is (x_{b-1}, x_b),
-    # x_b's Prim edge from an earlier p is shorter, and rank(p, x_{b-1}) is
-    # at most gaps[b]; otherwise it is (x_a, x_b) with (x_a, x_{a+1}) and
-    # (x_{a+1}, x_b) both at their single-linkage ranks.  Either way the
-    # triple's largest distance is attained once.
+    # A pair's rank is never below its single-linkage rank, so the first
+    # mismatch is a rank above it, while every pair checked before is
+    # right.  If that pair is (x_{b-1}, x_b), x_b's Prim edge from an
+    # earlier p is shorter, and rank(p, x_{b-1}) is at most gaps[b];
+    # otherwise it is (x_a, x_b) with (x_a, x_{a+1}) and (x_{a+1}, x_b)
+    # both at their single-linkage ranks.  Either way the triple's largest
+    # distance is attained once.
+    mismatch = first_mismatch(rank, order, gaps)
+    if mismatch is None:
+        return order, gaps, None
+    b, a = mismatch
+    row = rank[order[b]]
+    if a == b - 1:
+        third = next(p for p in order if row[p] == gaps[b])
+    else:
+        third = order[a + 1]
+    return order, gaps, tuple(sorted((order[a], third, order[b])))
+
+
+def first_mismatch(rank, order, gaps) -> Optional[tuple[int, int]]:
+    """The first pair (b, a) with rank(x_a, x_b) != max(gaps[a+1..b]), or None.
+
+    Checks x_b against x_{b-1}, ..., x_0 for b = 1, 2, ..., entry by entry.
+    """
     for b in range(1, len(order)):
         row = rank[order[b]]
         actual = [row[x] for x in order[b - 1::-1]]
         expected = list(accumulate(gaps[b:0:-1], max))
         if actual != expected:
-            a = b - 1 - next(i for i, r in enumerate(actual) if r != expected[i])
-            if a == b - 1:
-                third = next(p for p in order if row[p] == gaps[b])
-            else:
-                third = order[a + 1]
-            return order, gaps, tuple(sorted((order[a], third, order[b])))
-    return order, gaps, None
+            return b, b - 1 - next(i for i, r in enumerate(actual) if r != expected[i])
+    return None
 
 
 def count_calls(monkeypatch, module, names) -> dict[str, int]:
@@ -231,7 +243,8 @@ def padic_matrix(p: int, k: int) -> list[list[Fraction]]:
         return Fraction(1, p ** v)
 
     n = p ** k
-    return [[norm(abs(i - j)) for j in range(n)] for i in range(n)]
+    norms = [norm(m) for m in range(n)]
+    return [[norms[abs(i - j)] for j in range(n)] for i in range(n)]
 
 
 def permuted(rng: random.Random, matrix) -> list[list]:
@@ -390,9 +403,13 @@ def pairwise_hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBal
     return HausdorffBallSpace(FiniteUltrametricSpace(names, matrix), balls)
 
 
-def partition_sphere_plus_center(space: FiniteUltrametricSpace):
-    """Oracle for `sphere_plus_center_condition`: each ball's diametrical partition."""
-    for ball in enumerated_ballean(space):
+def partition_sphere_plus_center(space: FiniteUltrametricSpace, balls=enumerated_ballean):
+    """Oracle for `sphere_plus_center_condition`: each ball's diametrical partition.
+
+    `balls` lists the ballean in canonical order; `row_sort_ballean` reaches
+    the sizes the default cannot.
+    """
+    for ball in balls(space):
         if ball.diameter == 0:
             continue
         parts = diametrical_partition(space, ball.points)
