@@ -24,6 +24,8 @@ from .core import (
     format_rational,
     parse_rational,
     _ball_tree,
+    _gap_rows,
+    _gather,
     _subset_diam_rank,
     _subset_points,
 )
@@ -110,12 +112,20 @@ def ballean(space: FiniteUltrametricSpace) -> Ballean:
     singleton; the count never exceeds 2n - 1.  O(n log n) plus the total
     size of the balls.
     """
+    return Ballean(_tree_balls(space)[-1])
+
+
+def _tree_balls(space: FiniteUltrametricSpace):
+    # `core._ball_tree`, its vertices in canonical order and their balls, each
+    # witnessed by its smallest point at its diameter (the points are sorted)
     _require_ultrametric(space)
-    ranks, _, points, _ = _ball_tree(space)
-    values = space.distance_values
+    ranks, children, points, root = _ball_tree(space)
     canonical = sorted(range(len(ranks)), key=lambda v: (-ranks[v], points[v][0]))
-    return Ballean(Ball(points[v], values[ranks[v]], points[v][0], values[ranks[v]])
-                   for v in canonical)
+    balls = tuple(Ball.__new__(Ball) for _ in canonical)
+    for ball, v in zip(balls, canonical):
+        ball.points, ball.witness_center = points[v], points[v][0]
+        ball.diameter = ball.witness_radius = space.distance_values[ranks[v]]
+    return ranks, children, root, canonical, balls
 
 
 def smallest_enclosing_ball(space: FiniteUltrametricSpace, points: Iterable[int]) -> Ball:
@@ -226,24 +236,24 @@ def hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
     """Build (ballean, Hausdorff metric) as a validated ultrametric space.
 
     Point names are brace-wrapped member lists; the map x -> {x} embeds
-    the original space isometrically.  Each distance follows
-    `hausdorff_distance`, with the diameter ranks read once per ball:
-    O(b^2) for b balls.
+    the original space isometrically.  Distinct balls are at the diameter
+    of their union (`hausdorff_distance`), the label of their lowest common
+    ancestor in `core._ball_tree`.  So in preorder each ball joins at its
+    parent's diameter rank: `core._gap_rows` builds the rows from those
+    gaps, then they are permuted into canonical order.  O(b^2) for b balls.
     """
-    _require_ultrametric(space)
-    balls = ballean(space).balls
-    names = ["{" + ",".join(space.names[p] for p in b.points) + "}" for b in balls]
-    rank = space.rank
-    values = space.distance_values
-    index = {v: t for t, v in enumerate(values)}
-    firsts = [b.points[0] for b in balls]
-    diams = [index[b.diameter] for b in balls]
-    ranks = []
-    for i, (a, ra) in enumerate(zip(firsts, diams)):
-        row = [max(rank[a][b], ra, rb) for b, rb in zip(firsts, diams)]
-        row[i] = 0
-        ranks.append(row)
-    return HausdorffBallSpace(FiniteUltrametricSpace._from_ranks(names, values, ranks), balls)
+    ranks, children, root, canonical, balls = _tree_balls(space)
+    names = ["{" + ",".join(_gather(b.points)(space.names)) + "}" for b in balls]
+    at, gaps, stack = [0] * len(ranks), [], [(root, 0)]   # at[v]: v's place in preorder
+    while stack:
+        v, g = stack.pop()
+        at[v] = len(gaps)
+        gaps.append(g)
+        stack += [(c, ranks[v]) for c in children[v]]
+    get = _gather([at[v] for v in canonical])
+    rank = tuple(map(get, get(_gap_rows(gaps))))
+    return HausdorffBallSpace(
+        FiniteUltrametricSpace._from_ranks(names, space.distance_values, rank), balls)
 
 
 def ballean_to_json(bn: Ballean) -> dict:

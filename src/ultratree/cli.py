@@ -177,14 +177,16 @@ def _cmd_transform(args) -> int:
 
 def _cmd_padic(args) -> int:
     from . import padic
-    obj = _load_json(args.points)
-    if not isinstance(obj, list):
-        raise InputError(f"{args.points}: expected a JSON array of rationals")
-    try:
-        space = padic.padic_space(obj, args.prime)
+    try:   # before the file: a bad prime concerns no path
+        prime = padic._require_prime(args.prime)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit(core.space_to_json(space))
+
+    def build(obj):
+        if not isinstance(obj, list):
+            raise ValueError("expected a JSON array of rationals")
+        return padic.padic_space(obj, prime)
+    _emit(core.space_to_json(_decode(args.points, build)))
     return 0
 
 

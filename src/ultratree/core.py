@@ -19,7 +19,8 @@ permuted rows, and runs Prim's algorithm only on a matrix that check
 refutes, for the witness in the first row the check breaks on.  The
 O(n^3) triple scan stays as the tests' oracle.  `_ball_tree` reads the
 balls off the order and the gaps; the representing tree and the ballean
-are two numberings of its vertices.
+are two numberings of its vertices.  `_gap_rows` inverts the pass: the
+spaces derived from a tree build their rank rows from its gaps.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction, _RATIONAL_FORMAT
 from itertools import accumulate, chain
 from operator import itemgetter, neg
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 # 0 means no limit, as on interpreters older than the limit
 _MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -150,8 +151,15 @@ def _rank_of(parsed: list[Fraction], rows) -> tuple[tuple[Fraction, ...], tuple[
     values = tuple(sorted(set(parsed)))
     index = {v: i for i, v in enumerate(values)}
     to_rank = [index[v] for v in parsed]
-    get = to_rank.__getitem__
-    return values, tuple(tuple(map(get, row)) for row in rows)
+    return values, tuple(_gather(row)(to_rank) for row in rows)
+
+
+def _gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
+    # table -> tuple(table[i] for i in idx), in C where `itemgetter` can:
+    # it returns a bare item for one index, and takes no empty list
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda table: tuple(table[i] for i in idx)
 
 
 def _basic_validate(names: tuple[str, ...], rank, values) -> None:
@@ -252,7 +260,7 @@ def _first_break(rank, order: list[int], gaps: list[int]) -> int:
     so one bisection finds where it meets gaps[b], and the row is checked
     by one slice comparison and one count.  O(n^2), in C.
     """
-    permute = itemgetter(*order)
+    permute = _gather(order)
     prev: tuple = ()
     for b in range(1, len(order)):
         row = permute(rank[order[b]])
@@ -262,6 +270,22 @@ def _first_break(rank, order: list[int], gaps: list[int]) -> int:
             return b
         prev = row
     return 0
+
+
+def _gap_rows(gaps: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The rank matrix of points 0..n-1 in single-linkage order with these gaps.
+
+    The inverse of the single-linkage pass: rank(x_a, x_b) = max(gaps[a+1..b]).
+    Left of the diagonal, row b is row b-1 with its entries below gaps[b]
+    raised, by one bisection and one slice; right of it are the columns of
+    those rows.  O(n^2), in C.
+    """
+    left = [()]
+    for g in gaps[1:]:
+        t = bisect_left(left[-1], -g, key=neg)
+        left.append(left[-1][:t] + (g,) * (len(left) - t))
+    cols = zip(*[row + (0,) * (len(left) - b) for b, row in enumerate(left)])
+    return tuple(row + col[b:] for b, (row, col) in enumerate(zip(left, cols)))
 
 
 def _single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int, int]]]:
@@ -402,8 +426,7 @@ class FiniteMetricSpace(_RankedMatrix):
 
     def _assign(self, names: Iterable[str], values, rank) -> None:
         super()._assign(names, values, rank)
-        get = values.__getitem__
-        self.matrix = tuple(tuple(map(get, row)) for row in rank)
+        self.matrix = tuple(_gather(row)(values) for row in rank)
         self._check_triangle()
 
     @classmethod
@@ -416,7 +439,7 @@ class FiniteMetricSpace(_RankedMatrix):
         used = sorted(set().union(*rank))
         if len(used) < len(values):
             remap = dict(zip(used, range(len(used))))
-            rank = [map(remap.__getitem__, row) for row in rank]
+            rank = [_gather(row)(remap) for row in rank]
             values = [values[r] for r in used]
         space = cls.__new__(cls)
         space._assign(names, tuple(values), tuple(map(tuple, rank)))
@@ -702,8 +725,8 @@ def space_from_sequence(sequence: Iterable) -> FiniteUltrametricSpace:
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:
-    get = [format_rational(v) for v in space.distance_values].__getitem__
-    return {"points": list(space.names), "matrix": [list(map(get, row)) for row in space.rank]}
+    text = [format_rational(v) for v in space.distance_values]
+    return {"points": list(space.names), "matrix": [list(_gather(row)(text)) for row in space.rank]}
 
 
 def space_from_json(obj: dict) -> Space:

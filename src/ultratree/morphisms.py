@@ -18,6 +18,7 @@ from .core import (
     FiniteUltrametricSpace,
     format_rational,
     parse_rational,
+    _gather,
     _rank_of,
 )
 from .repr_tree import RootedLabeledTree, _is_index, build_representing_tree
@@ -167,9 +168,9 @@ def weak_similarity_check(
     n = len(x)
     if len(y) != n or not all(_is_index(v, n) for v in phi) or sorted(phi) != list(range(n)):
         raise ValueError("mapping must be a bijection between the point sets")
-    ry = y.rank
+    ry, get = y.rank, _gather(phi)
     if len(x.distance_values) != len(y.distance_values) or any(
-            row != tuple(map(ry[p].__getitem__, phi)) for row, p in zip(x.rank, phi)):
+            row != get(ry[p]) for row, p in zip(x.rank, phi)):
         return False, None
     return True, ScalingFunction(y.distance_values, x.distance_values)
 

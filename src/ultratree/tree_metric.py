@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
 from operator import and_
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import FiniteUltrametricSpace, _ball_tree, _rank_of
-from .balls import Ball, _require_ultrametric
+from .core import FiniteUltrametricSpace, _gap_rows, _gather, _rank_of
+from .balls import Ball, _tree_balls
 from .repr_tree import RootedLabeledTree, _covering_pairs, _is_index, _up_closure
 
 
@@ -48,26 +47,27 @@ def path_max_metric(tree: RootedLabeledTree) -> Union[FiniteUltrametricSpace,
 
     Yields a genuine ultrametric iff every edge has a positively labeled
     endpoint; otherwise the pseudoultrametric is returned with a witness
-    pair at distance zero.
+    pair at distance zero.  The rows come from one run's gaps (`core._gap_rows`).
     """
     n = tree.n
     # the labels ranked together with 0, the distance on the diagonal
     values, (ranks,) = _rank_of((Fraction(0),) + tree.labels, [range(1, n + 1)])
     # Vertices join in order of label (Kruskal): a vertex's label is the
-    # path maximum between any two of the groups it joins.
-    rank = [[0] * n for _ in range(n)]
-    group = [[v] for v in range(n)]   # group[v]: the joined vertices with v
+    # path maximum between any two of the groups it joins.  So a group is a
+    # run of single-linkage order, and a join puts the runs end to end.
+    group = [[v] for v in range(n)]   # group[v]: the joined vertices with v, in run order
+    gap = [0] * n                     # gap[v]: the rank at which v joins the run before it
     joined = set()
     for v in sorted(range(n), key=ranks.__getitem__):
-        r, mine = ranks[v], group[v]
+        mine = group[v]
         for other in [group[w] for w in tree.neighbors(v) if w in joined]:
-            for x in mine:
-                for y in other:
-                    rank[x][y] = rank[y][x] = r
+            gap[other[0]] = ranks[v]
             mine += other
             for y in other:
                 group[y] = mine
         joined.add(v)
+    get = _gather(sorted(range(n), key=group[0].__getitem__))   # each vertex's place in the run
+    rank = tuple(map(get, get(_gap_rows(_gather(group[0])(gap)))))
     names = [f"v{i}" for i in range(n)]
     for u, v in tree.edges:
         if ranks[u] == 0 and ranks[v] == 0:   # both labels 0
@@ -188,27 +188,24 @@ def reconstruct_space(tree: RootedLabeledTree) -> MaxChainSpace:
     The deepest common vertex of two chains is the meet of their
     intersection, i.e. the lowest common ancestor of their leaves.
     Requires a monotone labeling.  Chains come in depth-first leaf order,
-    so the deepest common vertex of chains i < j is the shallowest of
-    those of the consecutive pairs between them: each row is a running
-    minimum of depths.  O(m^2) for m chains.
+    so the deepest common vertex of chains i < j is the shallowest, and so
+    the highest labeled, of those where consecutive chains between them
+    part: the parting labels are the chains' single-linkage gaps, and
+    `core._gap_rows` builds the rows from them.  O(m^2) in C, plus the chains.
     """
     ok, reason = is_monotone_labeling(tree)
     if not ok:
         raise ValueError(f"labeling is not monotone: {reason}")
     chains = maximal_chains(tree)
-    # split[j]: depth of the deepest common vertex of chains j - 1 and j
-    split = [0]
-    for prev, cur in zip(chains, chains[1:]):
-        split.append(next(d for d, (a, b) in enumerate(zip(prev, cur)) if a != b) - 1)
-    # deepest common vertices, ranked by label at the end (leaves are
-    # labeled 0, so each chain's leaf stands on the diagonal)
-    common = []
-    for i, chain in enumerate(chains):
-        upper = list(map(chain.vertices.__getitem__, accumulate(split[i + 1:], min)))
-        # left of the diagonal: column i of the rows already built
-        common.append([row[i] for row in common] + [chain.leaf] + upper)
+    # a chain parts from the one before at its last vertex an earlier chain holds
+    seen, parting = set(), []
+    for chain in chains:
+        shared = sum(map(seen.__contains__, chain.vertices))   # a prefix
+        parting.append(chain.vertices[shared - 1])   # the first chain's leaf: gap 0
+        seen.update(chain.vertices)
+    values, (gaps,) = _rank_of([tree.labels[v] for v in parting], [range(len(parting))])
     names = [str(c.leaf) for c in chains]
-    space = FiniteUltrametricSpace._from_ranks(names, *_rank_of(tree.labels, common))
+    space = FiniteUltrametricSpace._from_ranks(names, values, _gap_rows(gaps))
     return MaxChainSpace(chains, space)
 
 
@@ -310,14 +307,9 @@ def sphere_plus_center_condition(
     Equivalently each such ball is a sphere with its center added.  The
     parts of a ball are its children in `core._ball_tree`, so a ball
     passes iff one of its children is a point.  The witness is the first
-    offending ball in canonical order.  O(n) after the ball tree.
+    offending ball in canonical order.  O(n log n) after the ball tree.
     """
-    _require_ultrametric(space)
-    ranks, children, points, _ = _ball_tree(space)
-    failing = [v for v, kids in enumerate(children)
-               if ranks[v] and all(ranks[c] for c in kids)]
-    if not failing:
-        return True, None
-    v = min(failing, key=lambda v: (-ranks[v], points[v][0]))
-    d = space.distance_values[ranks[v]]
-    return False, Ball(points[v], d, points[v][0], d)
+    ranks, children, _, canonical, balls = _tree_balls(space)
+    ball = next((b for v, b in zip(canonical, balls)
+                 if ranks[v] and all(ranks[c] for c in children[v])), None)
+    return ball is None, ball

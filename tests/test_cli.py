@@ -336,6 +336,18 @@ def test_padic_and_bethe(tmp_path, capsys):
     assert code == 2
 
 
+def test_padic_refusals_name_the_points_file(tmp_path, capsys):
+    path = tmp_path / "pg.json"
+    for points, message in ((["x"], "Invalid literal for Fraction: 'x'"),
+                            ([0, 0], "sample points must be distinct")):
+        path.write_text(json.dumps(points))
+        code, out, err = invoke(capsys, "padic", "--prime", "2", "--points", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+    # a bad prime concerns no file: it is refused before the file is read
+    code, out, err = invoke(capsys, "padic", "--prime", "4", "--points", str(tmp_path / "none"))
+    assert (code, out, err) == (2, "", "error: 4 is not prime\n")
+
+
 def test_padic_and_bethe_refuse_sizes_they_cannot_finish(tmp_path, capsys):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps(["0", "1"]))

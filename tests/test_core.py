@@ -260,6 +260,27 @@ def test_first_break_is_the_first_row_the_entry_scan_refutes():
             (False, False, True), (False, False, False)} <= seen
 
 
+def test_gap_rows_hold_the_single_linkage_identity():
+    # rank(x_a, x_b) = max(gaps[a+1..b]) entry by entry, on one and two
+    # points, ties, all-equal gaps and zero gaps; the single-linkage check
+    # passes every result in index order
+    rng = random.Random(9012)
+    cases = [[0], [0, 3], [0, 0], [0, 2, 2, 2, 2], [0, 1, 2, 3, 4], [0, 4, 3, 2, 1]]
+    cases += [[0] + [rng.randint(0, rng.choice([1, 3, 8])) for _ in range(rng.randint(0, 40))]
+              for _ in range(500)]
+    for gaps in cases:
+        n = len(gaps)
+        rows = core._gap_rows(gaps)
+        assert rows == tuple(tuple(0 if a == b else max(gaps[min(a, b) + 1:max(a, b) + 1])
+                                   for b in range(n)) for a in range(n))
+        assert core._first_break(rows, list(range(n)), gaps) == 0
+
+
+def test_gather_reads_index_lists_of_every_length():
+    for idx in ([], [2], (3, 0), range(4)):
+        assert core._gather(idx)("abcd") == tuple("abcd"[i] for i in idx)
+
+
 def _metric_matrix(rng, n):
     # distances in [1, 2) always satisfy the triangle inequality
     matrix = [[Fraction(0)] * n for _ in range(n)]

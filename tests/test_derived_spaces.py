@@ -34,11 +34,19 @@ from ultratree import (
     tree_to_json,
 )
 from util import (
+    caterpillar_matrix,
     chain_scan_reconstruct,
     differential_spaces,
+    first_point_hausdorff_ball_space,
+    flat_matrix,
+    kruskal_fill_path_max_metric,
+    padic_matrix,
     pairwise_hausdorff_ball_space,
+    permuted,
     random_labeled_tree,
     random_monotone_tree,
+    random_ultrametric_matrix,
+    running_min_reconstruct,
     walk_path_max_metric,
 )
 
@@ -86,6 +94,47 @@ def test_transforms_match_public_constructor():
             assert_same_space(apply_preserving(space, threshold_function(r)),
                               rebuilt(space, lambda t: min(r, t)))
         assert_same_space(quantize_binary(space), rebuilt(space, snap_binary))
+
+
+def same_fields(got, want):
+    """The fields of two derived spaces, pseudo-ultrametrics included, match."""
+    assert type(got) is type(want)
+    assert (got.names, got.matrix) == (want.names, want.matrix)
+    if isinstance(want, PseudoUltrametricSpace):
+        assert got.zero_pair == want.zero_pair
+    else:
+        assert (got.distance_values, got.rank) == (want.distance_values, want.rank)
+
+
+def test_gap_rows_match_the_row_loops_they_replaced():
+    # every field of the three tree-derived constructions equals the row
+    # loop's, on the bench shapes plain and permuted, a deep caterpillar and
+    # random trees with zero-labeled edges and labels that rise and fall
+    rng = random.Random(66)
+    matrices = [random_ultrametric_matrix(rng, 300), flat_matrix(300), caterpillar_matrix(300),
+                padic_matrix(2, 8), padic_matrix(3, 5)]
+    spaces = [FiniteUltrametricSpace([f"p{i}" for i in range(len(m))], m)
+              for matrix in matrices for m in (matrix, permuted(rng, matrix))]
+    trees = [build_representing_tree(s) for s in spaces]
+    for space, tree in zip(spaces, trees):
+        got, want = hausdorff_ball_space(space), first_point_hausdorff_ball_space(space)
+        same_fields(got.space, want.space)
+        assert ([(b.points, b.diameter, b.witness_center, b.witness_radius) for b in got.balls]
+                == [(b.points, b.diameter, b.witness_center, b.witness_radius)
+                    for b in want.balls])
+        same_fields(path_max_metric(tree), kruskal_fill_path_max_metric(tree))
+    trees.append(build_representing_tree(space_from_sequence(range(699, 0, -1))))
+    for tree in trees:
+        got, want = reconstruct_space(tree), running_min_reconstruct(tree)
+        assert got.chains == want.chains
+        same_fields(got.space, want.space)
+    kinds = set()
+    for _ in range(300):
+        tree = random_labeled_tree(rng, rng.randint(1, 40))
+        got = path_max_metric(tree)
+        kinds.add(type(got))
+        same_fields(got, kruskal_fill_path_max_metric(tree))
+    assert kinds == {FiniteUltrametricSpace, PseudoUltrametricSpace}
 
 
 def test_threshold_drops_the_distances_it_merges():

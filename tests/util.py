@@ -24,7 +24,7 @@ from typing import Optional
 
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
 from ultratree.balls import Ball, Ballean, HausdorffBallSpace
-from ultratree.core import _subset_diam_rank, diametrical_partition, parse_rational
+from ultratree.core import _rank_of, _subset_diam_rank, diametrical_partition, parse_rational
 from ultratree.morphisms import ScalingFunction
 from ultratree.repr_tree import TreeOrder
 from ultratree.tree_metric import (
@@ -438,6 +438,81 @@ def chain_scan_reconstruct(tree: RootedLabeledTree) -> MaxChainSpace:
             matrix[i][j] = matrix[j][i] = tree.labels[deepest]
     names = [str(c.leaf) for c in chains]
     return MaxChainSpace(chains, FiniteUltrametricSpace(names, matrix))
+
+
+def running_min_reconstruct(tree: RootedLabeledTree) -> MaxChainSpace:
+    """Oracle for `reconstruct_space`: each row a running minimum of parting depths.
+
+    Chains come in depth-first leaf order, so the deepest common vertex of
+    chains i < j is the shallowest of those of the consecutive pairs
+    between them.  O(m^2) in Python for m chains, through `_from_ranks`.
+    """
+    ok, reason = is_monotone_labeling(tree)
+    if not ok:
+        raise ValueError(f"labeling is not monotone: {reason}")
+    chains = maximal_chains(tree)
+    # split[j]: depth of the deepest common vertex of chains j - 1 and j
+    split = [0]
+    for prev, cur in zip(chains, chains[1:]):
+        split.append(next(d for d, (a, b) in enumerate(zip(prev, cur)) if a != b) - 1)
+    common = []
+    for i, chain in enumerate(chains):
+        upper = list(map(chain.vertices.__getitem__, accumulate(split[i + 1:], min)))
+        # left of the diagonal: column i of the rows already built
+        common.append([row[i] for row in common] + [chain.leaf] + upper)
+    names = [str(c.leaf) for c in chains]
+    space = FiniteUltrametricSpace._from_ranks(names, *_rank_of(tree.labels, common))
+    return MaxChainSpace(chains, space)
+
+
+def first_point_hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
+    """Oracle for `hausdorff_ball_space`: max(d(a_0, b_0), diam A, diam B) for A != B.
+
+    The balls come from `row_sort_ballean`; O(b^2) in Python for b balls,
+    through `_from_ranks`.
+    """
+    balls = row_sort_ballean(space).balls
+    names = ["{" + ",".join(space.names[p] for p in b.points) + "}" for b in balls]
+    rank = space.rank
+    values = space.distance_values
+    index = {v: t for t, v in enumerate(values)}
+    firsts = [b.points[0] for b in balls]
+    diams = [index[b.diameter] for b in balls]
+    ranks = []
+    for i, (a, ra) in enumerate(zip(firsts, diams)):
+        row = [max(rank[a][b], ra, rb) for b, rb in zip(firsts, diams)]
+        row[i] = 0
+        ranks.append(row)
+    return HausdorffBallSpace(FiniteUltrametricSpace._from_ranks(names, values, ranks), balls)
+
+
+def kruskal_fill_path_max_metric(tree: RootedLabeledTree):
+    """Oracle for `path_max_metric`: Kruskal joins that fill every joined pair's rank.
+
+    Vertices join in order of label, and a vertex's label is the path
+    maximum between any two of the groups it joins.  O(n^2) in Python.
+    """
+    n = tree.n
+    values, (ranks,) = _rank_of((Fraction(0),) + tree.labels, [range(1, n + 1)])
+    rank = [[0] * n for _ in range(n)]
+    group = [[v] for v in range(n)]   # group[v]: the joined vertices with v
+    joined = set()
+    for v in sorted(range(n), key=ranks.__getitem__):
+        r, mine = ranks[v], group[v]
+        for other in [group[w] for w in tree.neighbors(v) if w in joined]:
+            for x in mine:
+                for y in other:
+                    rank[x][y] = rank[y][x] = r
+            mine += other
+            for y in other:
+                group[y] = mine
+        joined.add(v)
+    names = [f"v{i}" for i in range(n)]
+    for u, v in tree.edges:
+        if ranks[u] == 0 and ranks[v] == 0:   # both labels 0
+            matrix = [[values[r] for r in row] for row in rank]
+            return PseudoUltrametricSpace(names, matrix, (u, v))
+    return FiniteUltrametricSpace._from_ranks(names, values, rank)
 
 
 def triple_loop_ballean_poset(n: int, covers) -> PosetCheckReport:
