@@ -26,6 +26,7 @@ from .core import (
     _ball_tree,
     _gap_rows,
     _gather,
+    _require_ultrametric,
     _subset_diam_rank,
     _subset_points,
 )
@@ -81,19 +82,13 @@ class Ballean:
         return {b.points for b in self.balls}
 
 
-def _require_ultrametric(space) -> FiniteUltrametricSpace:
-    if not isinstance(space, FiniteUltrametricSpace):
-        raise TypeError("ball operations need a FiniteUltrametricSpace")
-    return space
-
-
 def closed_ball(space: FiniteUltrametricSpace, center: int, radius) -> Ball:
     """The ball of points within `radius` of `center`.
 
     The stored diameter is the diameter of the member set, which is the
     canonical radius: re-drawing the ball at that radius gives the same set.
     """
-    _require_ultrametric(space)
+    _require_ultrametric(space, "ball operations")
     _subset_points(space, (center,), "ball")
     radius = parse_rational(radius)
     if radius < 0:
@@ -118,7 +113,7 @@ def ballean(space: FiniteUltrametricSpace) -> Ballean:
 def _tree_balls(space: FiniteUltrametricSpace):
     # `core._ball_tree`, its vertices in canonical order and their balls, each
     # witnessed by its smallest point at its diameter (the points are sorted)
-    _require_ultrametric(space)
+    _require_ultrametric(space, "ball operations")
     ranks, children, points, root = _ball_tree(space)
     canonical = sorted(range(len(ranks)), key=lambda v: (-ranks[v], points[v][0]))
     balls = tuple(Ball.__new__(Ball) for _ in canonical)
@@ -130,7 +125,7 @@ def _tree_balls(space: FiniteUltrametricSpace):
 
 def smallest_enclosing_ball(space: FiniteUltrametricSpace, points: Iterable[int]) -> Ball:
     """Smallest ball containing `points` (repeats allowed): any member at radius diam."""
-    _require_ultrametric(space)
+    _require_ultrametric(space, "ball operations")
     pts = sorted(_subset_points(space, set(points), "smallest enclosing ball"))
     return closed_ball(space, pts[0], space.distance_values[_subset_diam_rank(space, pts)])
 
@@ -199,7 +194,7 @@ def hausdorff_distance(space: FiniteUltrametricSpace, a: Ball, b: Ball) -> Fract
     In an ultrametric that diameter is the largest of the two diameters and
     the distance between any member of one ball and any member of the other.
     """
-    _require_ultrametric(space)
+    _require_ultrametric(space, "ball operations")
     if a.points == b.points:
         return Fraction(0)
     t = max(space.rank[a.points[0]][b.points[0]],
@@ -235,15 +230,19 @@ class HausdorffBallSpace:
 def hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
     """Build (ballean, Hausdorff metric) as a validated ultrametric space.
 
-    Point names are brace-wrapped member lists; the map x -> {x} embeds
-    the original space isometrically.  Distinct balls are at the diameter
-    of their union (`hausdorff_distance`), the label of their lowest common
-    ancestor in `core._ball_tree`.  So in preorder each ball joins at its
-    parent's diameter rank: `core._gap_rows` builds the rows from those
-    gaps, then they are permuted into canonical order.  O(b^2) for b balls.
+    Point names are brace-wrapped member lists, with a backslash before
+    each `\\`, `,`, `{` and `}` of a member's name, so no two balls share a
+    name; the map x -> {x} embeds the original space isometrically.
+    Distinct balls are at the diameter of their union (`hausdorff_distance`),
+    the label of their lowest common ancestor in `core._ball_tree`.  So in
+    preorder each ball joins at its parent's diameter rank: `core._gap_rows`
+    builds the rows from those gaps, then they are permuted into canonical
+    order.  O(b^2) for b balls.
     """
     ranks, children, root, canonical, balls = _tree_balls(space)
-    names = ["{" + ",".join(_gather(b.points)(space.names)) + "}" for b in balls]
+    escape = str.maketrans({c: "\\" + c for c in "\\,{}"})
+    members = [x.translate(escape) for x in space.names]
+    names = ["{" + ",".join(_gather(b.points)(members)) + "}" for b in balls]
     at, gaps, stack = [0] * len(ranks), [], [(root, 0)]   # at[v]: v's place in preorder
     while stack:
         v, g = stack.pop()

@@ -46,6 +46,14 @@ def _decode(path: str, build):
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _argument(build, *args):
+    """`build(*args)`; what it refuses concerns an argument, and names no file."""
+    try:
+        return build(*args)
+    except ValueError as exc:   # PreservingFunctionError among them
+        raise InputError(str(exc)) from exc
+
+
 def _load_ultrametric(path: str) -> core.FiniteUltrametricSpace:
     space = _decode(path, core.space_from_json)
     if not isinstance(space, core.FiniteUltrametricSpace):
@@ -64,7 +72,8 @@ def _emit(obj) -> None:
 def _cmd_check(args) -> int:
     # validated and ranked with the file's own names, but with no triangle
     # inequality required: check decides matrices that fail it
-    ranked = _decode(args.space, lambda obj: core._RankedMatrix(obj["points"], obj["matrix"]))
+    ranked = _decode(args.space, lambda obj: core._RankedMatrix(
+        *core._document(obj, "space", "points", "matrix")))
     ok, witness = core.is_ultrametric_triangle(ranked)
     _emit({
         "ultrametric": ok,
@@ -167,20 +176,13 @@ def _parse_fn(spec: str, space: core.FiniteUltrametricSpace):
 
 def _cmd_transform(args) -> int:
     space = _load_ultrametric(args.space)
-    try:
-        result = _parse_fn(args.fn, space)
-    except ValueError as exc:  # PreservingFunctionError among them
-        raise InputError(str(exc)) from exc
-    _emit(core.space_to_json(result))
+    _emit(core.space_to_json(_argument(_parse_fn, args.fn, space)))
     return 0
 
 
 def _cmd_padic(args) -> int:
     from . import padic
-    try:   # before the file: a bad prime concerns no path
-        prime = padic._require_prime(args.prime)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    prime = _argument(padic._require_prime, args.prime)   # checked before the file is read
 
     def build(obj):
         if not isinstance(obj, list):
@@ -192,14 +194,8 @@ def _cmd_padic(args) -> int:
 
 def _cmd_bethe(args) -> int:
     from . import padic, repr_tree
-    try:
-        if args.sphere:
-            tree = padic.sphere_tree(args.prime, args.depth, args.top)
-        else:
-            tree = padic.bethe_ball_tree(args.prime, args.depth, args.top)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _emit(repr_tree.tree_to_json(tree))
+    build = padic.sphere_tree if args.sphere else padic.bethe_ball_tree
+    _emit(repr_tree.tree_to_json(_argument(build, args.prime, args.depth, args.top)))
     return 0
 
 

@@ -21,6 +21,8 @@ O(n^3) triple scan stays as the tests' oracle.  `_ball_tree` reads the
 balls off the order and the gaps; the representing tree and the ballean
 are two numberings of its vertices.  `_gap_rows` inverts the pass: the
 spaces derived from a tree build their rank rows from its gaps.
+The input rules each module shares live here once: `_document` (a JSON
+document's keys and arrays), `_positive` and `_require_ultrametric`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction, _RATIONAL_FORMAT
 from itertools import accumulate, chain
-from operator import itemgetter, neg
+from operator import eq, itemgetter, neg
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 # 0 means no limit, as on interpreters older than the limit
@@ -173,7 +175,7 @@ def _basic_validate(names: tuple[str, ...], rank, values) -> None:
     # Rank 0 is the value 0 exactly when no entry is negative; then a valid
     # matrix has rank 0 on the diagonal only and equals its transpose.
     if (values[0] == 0 and all(rank[i][i] == 0 for i in range(n))
-            and sum(row.count(0) for row in rank) == n and rank == tuple(zip(*rank))):
+            and sum(row.count(0) for row in rank) == n and all(map(eq, rank, zip(*rank)))):
         return
     # Some check fails: find the first failure in the documented order.
     positive = bisect_right(values, 0)  # ranks from here on hold positive values
@@ -693,9 +695,7 @@ def threshold_partition(space: FiniteMetricSpace, r) -> Optional[MultipartitePar
     The graph is empty exactly when r exceeds the diameter.  Failure to
     split into parts signals non-ultrametric input.
     """
-    r = parse_rational(r)
-    if r <= 0:
-        raise ValueError("threshold must be positive")
+    r = _positive(r, "threshold")
     values = space.distance_values
     if r > values[-1]:
         return None
@@ -730,6 +730,29 @@ def space_to_json(space: FiniteMetricSpace) -> dict:
 
 
 def space_from_json(obj: dict) -> Space:
-    if not isinstance(obj, dict) or "points" not in obj or "matrix" not in obj:
-        raise ValueError('space JSON needs "points" and "matrix"')
-    return make_space(obj["points"], obj["matrix"])
+    return make_space(*_document(obj, "space", "points", "matrix"))
+
+
+def _document(obj, kind: str, *keys: str) -> tuple:
+    # the arrays at `keys` of a JSON object; a string or object would be read
+    # element by element, while null and numbers are left to the reader to refuse
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise ValueError(f"{kind} JSON needs " + " and ".join(f'"{k}"' for k in keys))
+    for k in keys:
+        if isinstance(obj[k], (str, dict)):
+            raise ValueError(f'{kind} JSON "{k}" must be an array')
+    return tuple(obj[k] for k in keys)
+
+
+def _positive(value, what: str) -> Fraction:
+    """`value` parsed exactly; refused unless positive."""
+    value = parse_rational(value)
+    if value <= 0:
+        raise ValueError(f"{what} must be positive")
+    return value
+
+
+def _require_ultrametric(space, what: str) -> FiniteUltrametricSpace:
+    if not isinstance(space, FiniteUltrametricSpace):
+        raise TypeError(f"{what} need a FiniteUltrametricSpace")
+    return space

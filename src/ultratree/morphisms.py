@@ -19,6 +19,7 @@ from .core import (
     format_rational,
     parse_rational,
     _gather,
+    _positive,
     _rank_of,
 )
 from .repr_tree import RootedLabeledTree, _is_index, build_representing_tree
@@ -241,25 +242,19 @@ def apply_preserving(
 
 def threshold_function(r) -> Callable[[Fraction], Fraction]:
     """The cutoff t -> min(r, t); flattens every distance above r to r."""
-    r = parse_rational(r)
-    if r <= 0:
-        raise ValueError("threshold must be positive")
+    r = _positive(r, "threshold")
     return lambda t: min(r, parse_rational(t))
 
 
 def bound_transform(space: FiniteUltrametricSpace, d_star) -> FiniteUltrametricSpace:
     """Rescale distances by t -> d*.t/(1+t); the result stays below d*."""
-    d_star = parse_rational(d_star)
-    if d_star <= 0:
-        raise ValueError("d_star must be positive")
+    d_star = _positive(d_star, "d_star")
     return apply_preserving(space, lambda t: d_star * t / (1 + t))
 
 
 def unbound_transform(space: FiniteUltrametricSpace, d_star) -> FiniteUltrametricSpace:
     """Inverse of `bound_transform`: s -> s/(d* - s); needs all distances below d*."""
-    d_star = parse_rational(d_star)
-    if d_star <= 0:
-        raise ValueError("d_star must be positive")
+    d_star = _positive(d_star, "d_star")
     top = space.distance_values[-1]
     if top >= d_star:
         raise ValueError(f"distance {top} is not below d_star = {d_star}")
@@ -284,8 +279,7 @@ class PiecewiseLinearFn:
         for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:]):
             if not (x0 < x1 and y0 < y1):
                 raise ValueError("breakpoints must be strictly increasing")
-        if self.tail_slope <= 0:
-            raise ValueError("tail slope must be positive")
+        _positive(self.tail_slope, "tail slope")
 
     def __call__(self, t) -> Fraction:
         t = parse_rational(t)
@@ -345,13 +339,4 @@ def quantize_ladder(space: FiniteUltrametricSpace, ladder) -> FiniteUltrametricS
     positive = [v for v in space.distance_values if v > 0]
     if positive and rungs[-1] > positive[0]:
         raise ValueError("ladder does not reach the smallest positive distance")
-
-    def snap(t: Fraction) -> Fraction:
-        if t == 0:
-            return t
-        for r in rungs:
-            if r <= t:
-                return r
-        raise AssertionError("unreachable: ladder checked against the distance set")
-
-    return apply_preserving(space, snap)
+    return apply_preserving(space, lambda t: t and next(r for r in rungs if r <= t))

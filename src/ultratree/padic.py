@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .core import FiniteUltrametricSpace, diametrical_partition, parse_rational
+from .core import FiniteUltrametricSpace, _positive, diametrical_partition, parse_rational
 from .repr_tree import RootedLabeledTree, build_representing_tree
 from .morphisms import canonical_code
 
@@ -177,9 +177,7 @@ def bethe_ball_tree(p: int, depth: int, top_label) -> RootedLabeledTree:
     p = _require_prime(p)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    top = parse_rational(top_label)
-    if top <= 0:
-        raise ValueError("top label must be positive")
+    top = _positive(top_label, "top label")
     return _bethe_tree(p, top, depth, p)
 
 
@@ -194,9 +192,7 @@ def sphere_tree(p: int, depth: int, top_label) -> RootedLabeledTree:
     p = _require_prime(p)
     if depth < 1:
         raise ValueError("sphere trees need depth >= 1")
-    top = parse_rational(top_label)
-    if top <= 0:
-        raise ValueError("top label must be positive")
+    top = _positive(top_label, "top label")
     if p == 2:
         return bethe_ball_tree(2, depth, top / 2)
     return _bethe_tree(p, top, depth, p - 1)

@@ -24,6 +24,8 @@ from typing import Iterable, Optional
 from .core import (
     FiniteUltrametricSpace,
     _ball_tree,
+    _document,
+    _require_ultrametric,
     diametrical_partition,
     format_rational,
     parse_rational,
@@ -140,9 +142,7 @@ def build_representing_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
     with children sorted by smallest point index.  Leaves are exactly the
     singletons, labeled zero.  O(n) plus the size of the ball payloads.
     """
-    if not isinstance(space, FiniteUltrametricSpace):
-        raise TypeError("representing trees need a FiniteUltrametricSpace")
-    ranks, children, points, root = _ball_tree(space)
+    ranks, children, points, root = _ball_tree(_require_ultrametric(space, "representing trees"))
     values = space.distance_values
     labels: list[Fraction] = []
     edges: list[tuple[int, int]] = []
@@ -403,11 +403,10 @@ def tree_to_json(tree: RootedLabeledTree) -> dict:
 
 
 def tree_from_json(obj: dict) -> RootedLabeledTree:
-    if not isinstance(obj, dict) or "labels" not in obj or "edges" not in obj:
-        raise ValueError('tree JSON needs "labels" and "edges"')
+    labels, edges = _document(obj, "tree", "labels", "edges")
     return RootedLabeledTree(
-        obj["labels"],
-        [tuple(e) for e in obj["edges"]],
+        labels,
+        [tuple(e) for e in edges],
         root=obj.get("root"),
         ball_points=obj.get("ball_points"),
         truncated=obj.get("truncated", False),

@@ -15,7 +15,7 @@ from functools import reduce
 from operator import and_
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import FiniteUltrametricSpace, _gap_rows, _gather, _rank_of
+from .core import FiniteUltrametricSpace, _document, _gap_rows, _gather, _rank_of
 from .balls import Ball, _tree_balls
 from .repr_tree import RootedLabeledTree, _covering_pairs, _is_index, _up_closure
 
@@ -294,9 +294,8 @@ def check_ballean_poset(n: int, covers: Iterable[tuple[int, int]]) -> PosetCheck
 
 
 def poset_from_json(obj: dict) -> tuple[int, list[tuple[int, int]]]:
-    if not isinstance(obj, dict) or "elements" not in obj or "covers" not in obj:
-        raise ValueError('poset JSON needs "elements" and "covers"')
-    return len(obj["elements"]), [tuple(c) for c in obj["covers"]]
+    elements, covers = _document(obj, "poset", "elements", "covers")
+    return len(elements), [tuple(c) for c in covers]
 
 
 def sphere_plus_center_condition(

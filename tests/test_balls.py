@@ -328,3 +328,20 @@ def test_hausdorff_ball_space_matches_pairwise_oracle():
         assert witnessed(fast.balls) == witnessed(slow.balls)
         assert fast.space.names == slow.space.names
         assert fast.space.matrix == slow.space.matrix
+
+
+@pytest.mark.parametrize("names, matrix, expected", [
+    (["a,b", "a", "b"], [[0, 2, 2], [2, 0, 1], [2, 1, 0]],
+     ("{a\\,b,a,b}", "{a,b}", "{a\\,b}", "{a}", "{b}")),
+    (["{a}", "a"], [[0, 1], [1, 0]], ("{\\{a\\},a}", "{\\{a\\}}", "{a}")),
+    # unescaped, the ball {a\, b} would take the name of the point "a,b"
+    (["a\\", "b", "a,b"], [[0, 1, 2], [1, 0, 2], [2, 2, 0]],
+     ("{a\\\\,b,a\\,b}", "{a\\\\,b}", "{a\\\\}", "{b}", "{a\\,b}")),
+])
+def test_hausdorff_names_escape_separators_and_braces(names, matrix, expected):
+    space = FiniteUltrametricSpace(names, matrix)
+    hs = hausdorff_ball_space(space)
+    assert hs.space.names == expected and len(set(expected)) == len(hs.balls)
+    for i, a in enumerate(hs.balls):
+        for j, b in enumerate(hs.balls):
+            assert hs.space.distance(i, j) == hausdorff_distance(space, a, b)

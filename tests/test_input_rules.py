@@ -1,0 +1,117 @@
+"""The input rules every module shares, and the CLI refusals they give.
+
+A JSON document must be an object holding each of its required keys, and
+each of those must hold an array: a string or an object there would be
+read element by element.  Every verb that reads a document refuses a
+malformed one the same way, `check` included.  Positive rational
+arguments keep one message per call site.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from ultratree import (
+    PiecewiseLinearFn,
+    bethe_ball_tree,
+    bound_transform,
+    space_to_json,
+    sphere_tree,
+    threshold_function,
+    threshold_partition,
+    unbound_transform,
+)
+from ultratree.cli import run
+from util import nested_four_point_space
+
+SPACE = {"points": ["a", "b"], "matrix": [["0", "1"], ["1", "0"]]}
+TREE = {"root": 0, "labels": ["1", "0", "0"], "edges": [[0, 1], [0, 2]]}
+POSET = {"elements": ["X", "a", "b"], "covers": [[1, 0], [2, 0]]}
+
+# kind, its keys, a well-formed document, and the verbs that read it
+KINDS = [
+    ("space", ("points", "matrix"), SPACE,
+     [["check"], ["dset"], ["balls"], ["tree"], ["iso", None, "GOOD"], ["iso", "GOOD", None],
+      ["weaksim", None, "GOOD"], ["transform", "--fn", "bound:2"], ["roundtrip"]]),
+    ("tree", ("labels", "edges"), TREE, [["reconstruct"], ["representable"]]),
+    ("poset", ("elements", "covers"), POSET, [["posetcheck"]]),
+]
+
+
+def malformed(kind, keys, good):
+    """(document, message) pairs: a non-object, a missing key, a string or object array."""
+    needs = f"{kind} JSON needs " + " and ".join(f'"{k}"' for k in keys)
+    cases = [([1, 2], needs), ("abc", needs), (None, needs)]
+    cases += [({k: v for k, v in good.items() if k != key}, needs) for key in keys]
+    for key in keys:
+        for value in ("ab" if key != "labels" else "100", {"a": 1, "b": 2}):
+            cases.append((dict(good, **{key: value}), f'{kind} JSON "{key}" must be an array'))
+    return cases
+
+
+@pytest.mark.parametrize("kind, keys, good, verbs", KINDS, ids=[k[0] for k in KINDS])
+def test_every_verb_refuses_a_malformed_document_alike(tmp_path, capsys, kind, keys, good,
+                                                       verbs):
+    good_path = tmp_path / "good.json"
+    good_path.write_text(json.dumps(space_to_json(nested_four_point_space())))
+    path = tmp_path / "doc.json"
+    for doc, message in malformed(kind, keys, good):
+        path.write_text(json.dumps(doc))
+        errors = {}
+        for verb in verbs:
+            argv = [str(path) if a is None else str(good_path) if a == "GOOD" else a
+                    for a in verb]
+            if None not in verb:
+                argv.append(str(path))
+            code = run(argv)
+            out, err = capsys.readouterr()
+            assert (code, out, err) == (2, "", f"error: {path}: {message}\n"), (argv, doc)
+            errors[verb[0]] = err
+        if kind == "space":
+            assert errors["check"] == errors["dset"]
+
+
+def test_a_number_array_stays_with_the_reader(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(SPACE, points=3)))
+    for verb in ("check", "dset"):
+        assert run([verb, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: 'int' object is not iterable\n"
+
+
+@pytest.mark.parametrize("value", [0, -1, "0/5"])
+@pytest.mark.parametrize("call, message", [
+    (lambda v: threshold_partition(nested_four_point_space(), v), "threshold must be positive"),
+    (threshold_function, "threshold must be positive"),
+    (lambda v: bound_transform(nested_four_point_space(), v), "d_star must be positive"),
+    (lambda v: unbound_transform(nested_four_point_space(), v), "d_star must be positive"),
+    (lambda v: bethe_ball_tree(2, 2, v), "top label must be positive"),
+    (lambda v: sphere_tree(3, 2, v), "top label must be positive"),
+    (lambda v: PiecewiseLinearFn([(0, 0), (1, 1)], v), "tail slope must be positive"),
+], ids=["threshold_partition", "threshold_function", "bound_transform",
+        "unbound_transform", "bethe_ball_tree", "sphere_tree", "PiecewiseLinearFn"])
+def test_positive_arguments_keep_their_messages(call, message, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_piecewise_linear_fn_reports_its_tail_slope_after_its_breakpoints():
+    # the tail slope is parsed first and checked last
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: 'x'$"):
+        PiecewiseLinearFn([(0, 0), (1, 0)], "x")
+    with pytest.raises(ValueError, match="^breakpoints must be strictly increasing$"):
+        PiecewiseLinearFn([(0, 0), (1, 0)], 0)
+    with pytest.raises(ValueError, match="^must start at the origin$"):
+        PiecewiseLinearFn([(1, 1)], -1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bethe", "--prime", "2", "--depth", "2", "--top", "0"],
+    ["bethe", "--prime", "3", "--depth", "2", "--top", "-1", "--sphere"],
+])
+def test_bethe_refuses_a_nonpositive_top_label(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: top label must be positive\n")

@@ -30,10 +30,12 @@ from ultratree import (
     weakly_similar,
 )
 from util import (
+    differential_spaces,
     equilateral_space,
     fraction_weak_similarity_check,
     nested_four_point_space,
     random_ultrametric_space,
+    snap_loop_quantize_ladder,
     two_pair_space,
 )
 
@@ -415,3 +417,20 @@ def test_rank_transform_ranks_distances():
     assert distance_set(ranked) == (Fraction(0), Fraction(1), Fraction(2))
     squashed = apply_preserving(space, {0: 0, 1: Fraction(1, 7), 2: Fraction(1, 5)})
     assert rank_transform(squashed).matrix == ranked.matrix
+
+
+def test_quantize_ladder_matches_the_snap_loop():
+    rng = random.Random(152)
+    for space in differential_spaces(rng, 60):
+        values = space.distance_values
+        top, low = values[-1] or Fraction(1), values[min(1, len(values) - 1)] or Fraction(1)
+        # rungs on, between and above the distances, down to or below the smallest
+        pool = set(values[1:]) | {(a + b) / 2 for a, b in zip(values[1:], values[2:])}
+        pool |= {top + 1, top * 3, low / 2, low / 7}
+        for _ in range(3):
+            rungs = set(rng.sample(sorted(pool), rng.randint(0, len(pool) - 1)))
+            rungs.add(low if rng.random() < 0.5 else low / rng.randint(2, 9))
+            ladder = sorted(rungs, reverse=True)
+            got, want = quantize_ladder(space, ladder), snap_loop_quantize_ladder(space, ladder)
+            assert (got.names, got.distance_values, got.rank) == \
+                (want.names, want.distance_values, want.rank)

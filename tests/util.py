@@ -8,9 +8,9 @@ Hausdorff matrix, the partition-based sphere-plus-center test, the
 chain-scan reconstruction, the triple-loop poset check, the frozenset
 root-path order, the `Fraction` path-max walk, the all-roots
 representability test, the per-call breadth-first walk, Prim's
-single-linkage loop, and the `Fraction` weak-similarity and closed-ball
-scans are the implementations the library's faster ones replaced, kept
-here as oracles.
+single-linkage loop, the `Fraction` weak-similarity and closed-ball
+scans, and the rung-by-rung ladder snap are the implementations the
+library's faster ones replaced, kept here as oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
 """
 
@@ -25,7 +25,7 @@ from typing import Optional
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
 from ultratree.balls import Ball, Ballean, HausdorffBallSpace
 from ultratree.core import _rank_of, _subset_diam_rank, diametrical_partition, parse_rational
-from ultratree.morphisms import ScalingFunction
+from ultratree.morphisms import ScalingFunction, apply_preserving
 from ultratree.repr_tree import TreeOrder
 from ultratree.tree_metric import (
     MaxChainSpace,
@@ -718,3 +718,22 @@ def fraction_closed_ball(space: FiniteUltrametricSpace, center: int, radius) -> 
     members = tuple(x for x in space.points() if row[x] <= radius)
     d = space.distance_values[_subset_diam_rank(space, members)]
     return Ball(members, d, center, radius)
+
+
+def snap_loop_quantize_ladder(space: FiniteUltrametricSpace, ladder) -> FiniteUltrametricSpace:
+    """Oracle for `quantize_ladder`: each distance walks down the rungs to its snap.
+
+    The ladder must be strictly decreasing, positive and reach the smallest
+    positive distance; this oracle does not check it.
+    """
+    rungs = [parse_rational(v) for v in ladder]
+
+    def snap(t: Fraction) -> Fraction:
+        if t == 0:
+            return t
+        for r in rungs:
+            if r <= t:
+                return r
+        raise AssertionError("unreachable: ladder checked against the distance set")
+
+    return apply_preserving(space, snap)
