@@ -3,9 +3,10 @@
 For finite ultrametric spaces the open and closed balls coincide as set
 families, and they are exactly the vertices of the representing tree
 (Gurvich & Vyalyi), so the ballean is read off `core._ball_tree`, the one
-construction of the balls.  Balls are identified by their point sets;
-centers and radii are only witnesses, since every point of a ball is one
-of its centers.
+construction of the balls.  Each ball is a run of the single-linkage
+order, led by its smallest point.  Balls are identified by their point
+sets; centers and radii are only witnesses, since every point of a ball
+is one of its centers.
 
 Everything reads ranks, never the `Fraction` matrix.  Inclusion, joins
 and distances between balls come from their smallest points and diameter
@@ -112,15 +113,17 @@ def ballean(space: FiniteUltrametricSpace) -> Ballean:
 
 def _tree_balls(space: FiniteUltrametricSpace):
     # `core._ball_tree`, its vertices in canonical order and their balls, each
-    # witnessed by its smallest point at its diameter (the points are sorted)
+    # a sorted run of `_order` witnessed by its first point at its diameter
     _require_ultrametric(space, "ball operations")
-    ranks, children, points, root = _ball_tree(space)
-    canonical = sorted(range(len(ranks)), key=lambda v: (-ranks[v], points[v][0]))
+    runs, parent = _ball_tree(space)
+    order, values = space._order, space.distance_values
+    canonical = sorted(range(len(runs)), key=[(-r, order[s]) for r, s, _ in runs].__getitem__)
     balls = tuple(Ball.__new__(Ball) for _ in canonical)
     for ball, v in zip(balls, canonical):
-        ball.points, ball.witness_center = points[v], points[v][0]
-        ball.diameter = ball.witness_radius = space.distance_values[ranks[v]]
-    return ranks, children, root, canonical, balls
+        r, s, e = runs[v]
+        ball.points, ball.witness_center = tuple(sorted(order[s:e])), order[s]
+        ball.diameter = ball.witness_radius = values[r]
+    return runs, parent, canonical, balls
 
 
 def smallest_enclosing_ball(space: FiniteUltrametricSpace, points: Iterable[int]) -> Ball:
@@ -235,22 +238,16 @@ def hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
     name; the map x -> {x} embeds the original space isometrically.
     Distinct balls are at the diameter of their union (`hausdorff_distance`),
     the label of their lowest common ancestor in `core._ball_tree`.  So in
-    preorder each ball joins at its parent's diameter rank: `core._gap_rows`
-    builds the rows from those gaps, then they are permuted into canonical
-    order.  O(b^2) for b balls.
+    that tree's numbering, a preorder, each ball joins at its parent's
+    diameter rank: `core._gap_rows` builds the rows from those gaps, then
+    they are permuted into canonical order.  O(b^2) for b balls.
     """
-    ranks, children, root, canonical, balls = _tree_balls(space)
+    runs, parent, canonical, balls = _tree_balls(space)
     escape = str.maketrans({c: "\\" + c for c in "\\,{}"})
     members = [x.translate(escape) for x in space.names]
     names = ["{" + ",".join(_gather(b.points)(members)) + "}" for b in balls]
-    at, gaps, stack = [0] * len(ranks), [], [(root, 0)]   # at[v]: v's place in preorder
-    while stack:
-        v, g = stack.pop()
-        at[v] = len(gaps)
-        gaps.append(g)
-        stack += [(c, ranks[v]) for c in children[v]]
-    get = _gather([at[v] for v in canonical])
-    rank = tuple(map(get, get(_gap_rows(gaps))))
+    get = _gather(canonical)
+    rank = tuple(map(get, get(_gap_rows([0] + [runs[p][0] for p in parent[1:]]))))
     return HausdorffBallSpace(
         FiniteUltrametricSpace._from_ranks(names, space.distance_values, rank), balls)
 

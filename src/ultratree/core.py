@@ -17,12 +17,12 @@ ranks every ranked matrix keeps.  The pass reads the order off the balls
 by descending from point 0, checks it with slice comparisons of the
 permuted rows, and runs Prim's algorithm only on a matrix that check
 refutes, for the witness in the first row the check breaks on.  The
-O(n^3) triple scan stays as the tests' oracle.  `_ball_tree` reads the
-balls off the order and the gaps; the representing tree and the ballean
-are two numberings of its vertices.  `_gap_rows` inverts the pass: the
-spaces derived from a tree build their rank rows from its gaps.
+O(n^3) triple scan stays as the tests' oracle.  Every ball is a run of
+the order, so `_ball_tree` reads the balls off the order and the gaps as
+runs, numbered once as the representing tree is.  `_gap_rows` inverts
+the pass: the spaces derived from a tree build their rank rows from its gaps.
 The input rules each module shares live here once: `_document` (a JSON
-document's keys and arrays), `_positive` and `_require_ultrametric`.
+document's keys) and `_array`, `_positive` and `_require_ultrametric`.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction, _RATIONAL_FORMAT
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import eq, itemgetter, neg
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -79,7 +79,7 @@ def parse_rational(value) -> Fraction:
         raise ValueError(f"refusing boolean {value!r}; pass a number or string")
     limit = _MAX_STR_DIGITS()
     try:
-        q = Fraction(value if isinstance(value, int) else _clamp_exponent(str(value), limit))
+        q = Fraction(value) if isinstance(value, int) else _exact(_clamp_exponent(str(value), limit), limit)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
     # 10**limit > 2**(3*limit): only a part longer than 3*limit bits can be too long
@@ -92,6 +92,19 @@ def parse_rational(value) -> Fraction:
     return q
 
 
+def _exact(text: str, limit: int) -> Fraction:
+    # Fraction(text); on text its pattern accepts, only a digit group over the
+    # limit fails, and `Decimal`, which has no limit, reads that value exactly
+    try:
+        return Fraction(text)
+    except ValueError:
+        if not (limit and _RATIONAL_FORMAT.match(text)):
+            raise
+    from decimal import Decimal
+    num, _, den = text.partition("/")
+    return Fraction(Decimal(num)) / Fraction(Decimal(den or 1))
+
+
 def _clamp_exponent(text: str, limit: int) -> str:
     """`text` with a decimal exponent cut to 4 * len(text.strip()) + `limit` in size.
 
@@ -102,13 +115,11 @@ def _clamp_exponent(text: str, limit: int) -> str:
     """
     m = limit and _RATIONAL_FORMAT.match(text)
     if m and m.group("exp"):
-        try:
-            e = int(m.group("exp"))
-        except ValueError:   # over the digit limit: Fraction refuses it as well
-            return text
+        exp = m.group("exp").replace("_", "")
+        digits = exp.lstrip("+-").lstrip("0")
         bound = 4 * len(text.strip()) + limit
-        if abs(e) > bound:
-            return text[:m.start("exp")] + str(bound if e > 0 else -bound) + text[m.end("exp"):]
+        if len(digits) > len(str(bound)) or int(digits or 0) > bound:
+            return text[:m.start("exp")] + str(-bound if exp[0] == "-" else bound) + text[m.end("exp"):]
     return text
 
 
@@ -229,9 +240,12 @@ def _ball_order(rank) -> tuple[list[int], list[int]]:
     balls at distance r from e: its first step puts its first point's
     ball (the points below r) before the rest, so every ball is finished
     before the descent leaves it, as in Prim's algorithm, and the order
-    and gap ranks are Prim's from point 0, ties to the smaller index.  On
-    any validated matrix the order is a permutation.  One sort per point,
-    of the group it enters; an explicit stack replaces recursion.
+    and gap ranks are Prim's from point 0, ties to the smaller index.  The
+    sorts are stable, so each step starts at its group's smallest point and
+    sibling balls come in order of their smallest points: every ball is a
+    run led by its smallest point, and the order is the representing tree's
+    leaves in preorder.  On any validated matrix the order is a permutation.
+    One sort per point, of the group it enters; a stack replaces recursion.
     """
     order: list[int] = []
     gaps: list[int] = []
@@ -340,43 +354,43 @@ def _prim_single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int
     return order, gaps, tuple(sorted((order[a], third, order[b])))
 
 
-def _ball_tree(ranked: _RankedMatrix) -> tuple[list[int], list[list[int]], list[tuple[int, ...]], int]:
+def _ball_tree(ranked: _RankedMatrix) -> tuple[list[list[int]], list[int]]:
     """The balls of an ultrametric: the Cartesian tree of its single-linkage gaps.
 
-    In the single-linkage order every ball is a run of consecutive points,
-    and the ball of diameter r around a run splits exactly at the gaps
-    equal to r, so the balls are the Cartesian tree of the gaps (Vuillemin
-    1980), built with a stack, one vertex per run of equal gaps.  Returns
-    each vertex's diameter rank, children sorted by smallest point and
-    sorted points, and the root.  O(n) plus the size of the point tuples.
+    Every ball is a run `_order[start:end]` led by its smallest point
+    (`_ball_order`), and the ball of diameter r around a run splits exactly
+    at the gaps equal to r, so the balls are the Cartesian tree of the gaps
+    (Vuillemin 1980), built with a stack, one vertex per run of equal gaps.
+    Returns each vertex as [diameter rank, start, end] and its parent, -1 at
+    the root, numbered as the representing tree is: in preorder with
+    children by smallest point, which is sorted by (start, -rank), so the
+    root is 0 and every parent comes before its children.  O(n log n).
     """
-    order, gaps = ranked._order, ranked._gaps
-    n = len(order)
-    ranks = [0] * n
-    children: list[list[int]] = [[] for _ in order]
-    points: list = [(p,) for p in order]
+    gaps = ranked._gaps
+    n = len(gaps)
+    runs, parent = [[0, b, b + 1] for b in range(n)], [-1] * n
     open_nodes: list[int] = []   # gap ranks strictly decrease toward the top
     cur = 0                      # finished subtree ending at the last point
     # a gap above every rank after the last point closes every open vertex
     for b, g in enumerate(gaps[1:] + [len(ranked.distance_values)], 1):
-        while open_nodes and ranks[open_nodes[-1]] < g:
-            top = open_nodes.pop()   # its children are all closed
-            kids = children[top]
-            kids.append(cur)
-            kids.sort(key=lambda c: points[c][0])
-            points[top] = tuple(sorted(chain.from_iterable(points[c] for c in kids)))
+        while open_nodes and runs[open_nodes[-1]][0] < g:
+            top = open_nodes.pop()   # cur is its last child
+            parent[cur] = top
+            runs[top][2] = b
             cur = top
         if b == n:
             break
-        if open_nodes and ranks[open_nodes[-1]] == g:
-            children[open_nodes[-1]].append(cur)
+        if open_nodes and runs[open_nodes[-1]][0] == g:
+            parent[cur] = open_nodes[-1]
         else:
-            open_nodes.append(len(ranks))
-            ranks.append(g)
-            children.append([cur])
-            points.append(None)
+            parent[cur] = len(runs)
+            open_nodes.append(len(runs))
+            runs.append([g, runs[cur][1], b])
+            parent.append(-1)
         cur = b
-    return ranks, children, points, cur
+    num = sorted(range(len(runs)), key=[(s, -r) for r, s, _ in runs].__getitem__)
+    at = sorted(range(len(num)), key=num.__getitem__)   # the inverse permutation
+    return [runs[v] for v in num], [-1] + [at[parent[v]] for v in num[1:]]
 
 
 def _weak_triangle_witness(matrix) -> Optional[tuple[int, int, int]]:
@@ -435,14 +449,9 @@ class FiniteMetricSpace(_RankedMatrix):
     def _from_ranks(cls, names: Iterable[str], values: Sequence[Fraction], rank):
         """A space from sorted distinct exact values and an integer rank matrix.
 
-        For the library's own constructions: it skips parsing and ranking,
-        runs every other check, and drops the values no entry uses.
+        For the library's own constructions: it skips parsing and ranking
+        and runs every other check.  Every value must be some entry's.
         """
-        used = sorted(set().union(*rank))
-        if len(used) < len(values):
-            remap = dict(zip(used, range(len(used))))
-            rank = [_gather(row)(remap) for row in rank]
-            values = [values[r] for r in used]
         space = cls.__new__(cls)
         space._assign(names, tuple(values), tuple(map(tuple, rank)))
         return space
@@ -566,9 +575,10 @@ def _subset_points(space: FiniteMetricSpace, subset: Optional[Iterable[int]],
     pts = tuple(subset)
     if not pts:
         raise ValueError(f"{what} of an empty subset")
-    n, low, high = len(space), min(pts), max(pts)
-    if low < 0 or high >= n:
-        raise ValueError(f"point {low if low < 0 else high!r} is not an index in range({n})")
+    n = len(space)
+    for x in pts:
+        if type(x) is not int or not 0 <= x < n:   # bools, floats and strings are not ids
+            raise ValueError(f"point {x!r} is not an index in range({n})")
     if len(set(pts)) < len(pts):
         raise ValueError(f"{what} of a subset with a repeated point")
     return pts
@@ -581,18 +591,9 @@ def diam(space: FiniteMetricSpace, subset: Optional[Iterable[int]] = None) -> Fr
 
 
 def _subset_diam_rank(space: FiniteMetricSpace, pts: Sequence[int]) -> int:
-    rank = space.rank
-    if isinstance(space, FiniteUltrametricSpace):
-        # every member sees the rest of an ultrametric subset within its diameter
-        return max(map(rank[pts[0]].__getitem__, pts))
-    best = 0
-    for a in range(len(pts)):
-        ra = rank[pts[a]]
-        for b in range(a + 1, len(pts)):
-            r = ra[pts[b]]
-            if r > best:
-                best = r
-    return best
+    # every member sees the rest of an ultrametric subset within its diameter
+    seen_from = pts[:1] if isinstance(space, FiniteUltrametricSpace) else pts
+    return max(max(map(space.rank[a].__getitem__, pts)) for a in seen_from)
 
 
 class MultipartitePartition:
@@ -734,14 +735,18 @@ def space_from_json(obj: dict) -> Space:
 
 
 def _document(obj, kind: str, *keys: str) -> tuple:
-    # the arrays at `keys` of a JSON object; a string or object would be read
-    # element by element, while null and numbers are left to the reader to refuse
+    # the arrays at `keys` of a JSON object
     if not isinstance(obj, dict) or any(k not in obj for k in keys):
         raise ValueError(f"{kind} JSON needs " + " and ".join(f'"{k}"' for k in keys))
-    for k in keys:
-        if isinstance(obj[k], (str, dict)):
-            raise ValueError(f'{kind} JSON "{k}" must be an array')
-    return tuple(obj[k] for k in keys)
+    return tuple(_array(obj[k], f'{kind} JSON "{k}"') for k in keys)
+
+
+def _array(value, what: str):
+    # a string or object would be read element by element, while null and
+    # numbers are left to the reader to refuse
+    if isinstance(value, (str, dict)):
+        raise ValueError(f"{what} must be an array")
+    return value
 
 
 def _positive(value, what: str) -> Fraction:

@@ -113,11 +113,11 @@ def padic_space(points: Iterable, p: int) -> FiniteUltrametricSpace:
     for i in range(n):
         for j in range(i + 1, n):
             gamma[i][j] = gamma[j][i] = _valuation(pts[i] - pts[j], p)
-    # the norm p^-g falls as g grows: rank top + 1 - g, and 0 on the diagonal
-    found = {g for row in gamma for g in row} - {None}
-    top, low = max(found, default=0), min(found, default=0)
-    rank = [[0 if g is None else top + 1 - g for g in row] for row in gamma]
-    values = [Fraction(0)] + [Fraction(p) ** -g for g in range(top, low - 1, -1)]
+    # the norm p^-g falls as g grows: rank the valuations found from the largest
+    found = sorted({g for row in gamma for g in row} - {None}, reverse=True)
+    rank_of = {None: 0, **{g: t for t, g in enumerate(found, 1)}}
+    rank = [[rank_of[g] for g in row] for row in gamma]
+    values = [Fraction(0)] + [Fraction(p) ** -g for g in found]
     return FiniteUltrametricSpace._from_ranks(names, values, rank)
 
 

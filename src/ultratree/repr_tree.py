@@ -1,11 +1,11 @@
 """Representing trees of finite ultrametric spaces and rooted-tree orders.
 
 The representing tree is `core._ball_tree`, the Cartesian tree of the
-single-linkage gaps that every space computes when it is constructed,
-numbered depth first: O(n) after that O(n^2) pass, plus the size of the
-ball payloads.  `verify_tree_invariants` audits a tree against balls
-found another way, by splitting the whole space top down into
-diametrical parts, so the audit does not share the code it checks.
+single-linkage gaps that every space computes when it is constructed:
+each ball is a run of that order, and its payload is the run, sorted.
+`verify_tree_invariants` audits a tree against balls found another way,
+by splitting the whole space top down into diametrical parts, so the
+audit does not share the code it checks.
 
 Orders are kept as up-set bitmasks: `_up_closure` closes (lower, upper)
 arcs and `_covering_pairs` reads the covers (the transitive reduction)
@@ -16,17 +16,18 @@ vertex ids are ints, and bools, floats and strings are refused.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
 from operator import and_
 from typing import Iterable, Optional
 
 from .core import (
     FiniteUltrametricSpace,
+    _array,
     _ball_tree,
+    _classes_below,
     _document,
     _require_ultrametric,
-    diametrical_partition,
+    _subset_diam_rank,
     format_rational,
     parse_rational,
 )
@@ -91,7 +92,8 @@ class RootedLabeledTree:
         self._depth = tuple(depth)
         self.root = root
         if ball_points is not None:
-            ball_points = tuple(tuple(p) for p in ball_points)
+            ball_points = tuple(tuple(_array(p, "a ball_points payload"))
+                                for p in _array(ball_points, "ball_points"))
             if len(ball_points) != n:
                 raise ValueError("ball_points must match the vertex count")
         self.ball_points = ball_points
@@ -138,25 +140,15 @@ class RootedLabeledTree:
 def build_representing_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
     """Representing tree of a space, labeled by ball diameters.
 
-    The vertices are the balls of `core._ball_tree`, numbered depth first
-    with children sorted by smallest point index.  Leaves are exactly the
-    singletons, labeled zero.  O(n) plus the size of the ball payloads.
+    The vertices are those of `core._ball_tree`, in its numbering: depth
+    first, children by smallest point.  A ball's payload is its run of the
+    single-linkage order, sorted.  Leaves are exactly the singletons,
+    labeled zero.  O(n log n) plus the size of the payloads.
     """
-    ranks, children, points, root = _ball_tree(_require_ultrametric(space, "representing trees"))
-    values = space.distance_values
-    labels: list[Fraction] = []
-    edges: list[tuple[int, int]] = []
-    payload: list[tuple[int, ...]] = []
-    stack = [(root, -1)]
-    while stack:
-        v, parent = stack.pop()
-        vid = len(labels)
-        labels.append(values[ranks[v]])
-        payload.append(points[v])
-        if parent >= 0:
-            edges.append((parent, vid))
-        stack.extend((c, vid) for c in reversed(children[v]))
-    return RootedLabeledTree(labels, edges, root=0, ball_points=payload)
+    runs, parent = _ball_tree(_require_ultrametric(space, "representing trees"))
+    values, order = space.distance_values, space._order
+    return RootedLabeledTree([values[r] for r, _, _ in runs], zip(parent[1:], range(1, len(runs))),
+                             root=0, ball_points=[tuple(sorted(order[s:e])) for _, s, e in runs])
 
 
 class CheckEntry:
@@ -209,11 +201,13 @@ def verify_tree_invariants(tree: RootedLabeledTree,
         raise ValueError("tree carries no ball payloads to verify against")
 
     # each ball's point set -> (diameter, diametrical part count)
+    _require_ultrametric(space, "tree audits")   # `_classes_below` trusts the strong triangle
     balls: dict = {}
     todo = [tuple(space.points())]
     for ball in todo:   # grows while it is read
-        split = diametrical_partition(space, ball) or ()   # no parts for a singleton
-        balls[frozenset(ball)] = (split.threshold if split else space.distance_values[0], len(split))
+        t = _subset_diam_rank(space, ball)   # its parts: `diametrical_partition`'s, unvalidated
+        split = _classes_below(space.rank, ball, t) if t else ()   # none for a singleton
+        balls[frozenset(ball)] = (space.distance_values[t], len(split))
         todo.extend(split)
     keys = [frozenset(p) for p in pts]
     tree_sets = set(keys)

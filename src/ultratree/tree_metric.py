@@ -66,8 +66,11 @@ def path_max_metric(tree: RootedLabeledTree) -> Union[FiniteUltrametricSpace,
             for y in other:
                 group[y] = mine
         joined.add(v)
+    used = sorted(set(gap))   # the distances, 0 among them: a label below its neighbors' is none
+    remap = {r: t for t, r in enumerate(used)}
+    values = [values[r] for r in used]
     get = _gather(sorted(range(n), key=group[0].__getitem__))   # each vertex's place in the run
-    rank = tuple(map(get, get(_gap_rows(_gather(group[0])(gap)))))
+    rank = tuple(map(get, get(_gap_rows([remap[gap[v]] for v in group[0]]))))
     names = [f"v{i}" for i in range(n)]
     for u, v in tree.edges:
         if ranks[u] == 0 and ranks[v] == 0:   # both labels 0
@@ -308,7 +311,7 @@ def sphere_plus_center_condition(
     passes iff one of its children is a point.  The witness is the first
     offending ball in canonical order.  O(n log n) after the ball tree.
     """
-    ranks, children, _, canonical, balls = _tree_balls(space)
-    ball = next((b for v, b in zip(canonical, balls)
-                 if ranks[v] and all(ranks[c] for c in children[v])), None)
+    runs, parent, canonical, balls = _tree_balls(space)
+    centered = {parent[v] for v, (r, _, _) in enumerate(runs) if not r}   # a point among its children
+    ball = next((b for v, b in zip(canonical, balls) if runs[v][0] and v not in centered), None)
     return ball is None, ball

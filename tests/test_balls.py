@@ -12,6 +12,7 @@ from ultratree import (
     ball_poset,
     ballean,
     ballean_to_json,
+    build_representing_tree,
     closed_ball,
     hausdorff_ball_space,
     hausdorff_distance,
@@ -345,3 +346,22 @@ def test_hausdorff_names_escape_separators_and_braces(names, matrix, expected):
     for i, a in enumerate(hs.balls):
         for j, b in enumerate(hs.balls):
             assert hs.space.distance(i, j) == hausdorff_distance(space, a, b)
+
+
+def test_balls_are_runs_of_the_single_linkage_order():
+    # every ball of the oracle is a run of `_order` that starts at its
+    # smallest point, and the tree's leaves in vertex order are `_order`
+    rng = random.Random(16)
+    spaces = differential_spaces(rng, 60)
+    for matrix in (random_ultrametric_matrix(rng, 300), caterpillar_matrix(300),
+                   flat_matrix(256), padic_matrix(3, 5)):
+        for m in (matrix, permuted(rng, matrix)):
+            spaces.append(FiniteUltrametricSpace([f"p{i}" for i in range(len(m))], m))
+    for space in spaces:
+        order = space._order
+        at = {x: s for s, x in enumerate(order)}
+        for ball in row_sort_ballean(space):
+            s = at[ball.points[0]]
+            assert tuple(sorted(order[s:s + len(ball)])) == ball.points
+        tree = build_representing_tree(space)
+        assert [p for v in range(tree.n) if tree.labels[v] == 0 for p in tree.ball_points[v]] == order

@@ -218,9 +218,30 @@ def test_from_ranks_keeps_the_checks_with_witnesses():
     assert info.value.axiom == "positivity" and info.value.witness == (0, 1)
 
 
-def test_from_ranks_drops_unused_values():
-    values = tuple(Fraction(v) for v in range(6))
-    space = FiniteUltrametricSpace._from_ranks("abc", values, [[0, 4, 4], [4, 0, 2], [4, 2, 0]])
-    assert space.distance_values == (0, 2, 4)
-    assert space.rank == ((0, 2, 2), (2, 0, 1), (2, 1, 0))
-    assert space.matrix == ((0, 4, 4), (4, 0, 2), (4, 2, 0))
+def realized(space) -> tuple:
+    return tuple(sorted({space.distance(i, j) for i in space.points() for j in space.points()}))
+
+
+def test_derived_distance_values_are_exactly_the_realized_distances():
+    # `_from_ranks` keeps every value it is given, so each constructor must
+    # pass only realized ones, on the edge cases where a value could go unused
+    one = RootedLabeledTree(["5"], [], root=0)
+    dip = RootedLabeledTree(["3", "1", "2"], [(0, 1), (1, 2)], root=0)   # 1 is below both
+    chain = RootedLabeledTree(["3", "2", "0", "0"], [(0, 1), (1, 2), (1, 3)], root=0)
+    derived = [padic_space([0, 1, 4], 2), padic_space([0, Fraction(1, 2), 8, 24], 2),
+               padic_space([0, 9], 3), padic_space([7], 5), path_max_metric(one),
+               path_max_metric(dip), reconstruct_space(chain).space, space_from_sequence([])]
+    assert [s.distance_values for s in derived[:2]] == [(0, Fraction(1, 4), 1),
+                                                        (0, Fraction(1, 16), Fraction(1, 8), 2)]
+    assert path_max_metric(dip).distance_values == (0, 2, 3)
+    rng = random.Random(62)
+    derived += [path_max_metric(random_labeled_tree(rng, rng.randint(1, 12))) for _ in range(40)]
+    derived += [reconstruct_space(random_monotone_tree(rng, rng.randint(1, 12))).space
+                for _ in range(40)]
+    for space in SPACES[:45]:
+        derived += [hausdorff_ball_space(space).space, rank_transform(space),
+                    bound_transform(space, 1), quantize_binary(space),
+                    apply_preserving(space, threshold_function((space.distance_values[1:] or (1,))[0]))]
+    for space in derived:
+        if isinstance(space, FiniteUltrametricSpace):
+            assert space.distance_values == realized(space)

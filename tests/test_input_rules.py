@@ -4,24 +4,35 @@ A JSON document must be an object holding each of its required keys, and
 each of those must hold an array: a string or an object there would be
 read element by element.  Every verb that reads a document refuses a
 malformed one the same way, `check` included.  Positive rational
-arguments keep one message per call site.
+arguments keep one message per call site.  Point ids are ints, a tree's
+`ball_points` is an array of arrays, and an entry past the int digit limit
+is refused by the part that is too long.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from ultratree import (
     PiecewiseLinearFn,
+    RootedLabeledTree,
     bethe_ball_tree,
     bound_transform,
+    build_representing_tree,
+    closed_ball,
+    diam,
+    diametrical_partition,
+    make_space,
+    smallest_enclosing_ball,
     space_to_json,
     sphere_tree,
     threshold_function,
     threshold_partition,
     unbound_transform,
+    verify_tree_invariants,
 )
 from ultratree.cli import run
 from util import nested_four_point_space
@@ -115,3 +126,47 @@ def test_piecewise_linear_fn_reports_its_tail_slope_after_its_breakpoints():
 def test_bethe_refuses_a_nonpositive_top_label(capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr() == ("", "error: top label must be positive\n")
+
+
+@pytest.mark.parametrize("bad", [True, 0.0, "a"], ids=["bool", "float", "str"])
+def test_point_ids_are_ints(bad):
+    space = nested_four_point_space()
+    message = rf"^point {re.escape(repr(bad))} is not an index in range\(4\)$"
+    for call in (lambda: diam(space, [bad, 0]), lambda: diametrical_partition(space, [0, bad]),
+                 lambda: closed_ball(space, bad, 1), lambda: smallest_enclosing_ball(space, [bad])):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+@pytest.mark.parametrize("ball_points, message", [
+    ("abc", "ball_points must be an array"),
+    ({"a": 1, "b": 2, "c": 3}, "ball_points must be an array"),
+    (["ab", [1], [2]], "a ball_points payload must be an array"),
+    ([[1, 2], [1], {"2": 2}], "a ball_points payload must be an array"),
+], ids=["string", "object", "string-payload", "object-payload"])
+def test_ball_points_are_arrays_of_arrays(tmp_path, capsys, ball_points, message):
+    with pytest.raises(ValueError) as info:
+        RootedLabeledTree(TREE["labels"], TREE["edges"], root=0, ball_points=ball_points)
+    assert str(info.value) == message
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(dict(TREE, ball_points=ball_points)))
+    for verb in ("reconstruct", "representable"):
+        assert run([verb, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+
+
+def test_an_entry_past_the_digit_limit_names_its_part(tmp_path, capsys):
+    big = "1" * 5000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(SPACE, matrix=[["0", big], [big, "0"]])))
+    assert run(["dset", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: numerator of '{big[:60]}' exceeds the limit "
+                                   "(4300 digits) for integer string conversion\n")
+
+
+def test_a_tree_audit_needs_an_ultrametric_space():
+    # the audit splits balls without checking the strong triangle inequality
+    metric = make_space("abc", [[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+    tree = build_representing_tree(make_space("abc", [[0, 1, 3], [1, 0, 3], [3, 3, 0]]))
+    with pytest.raises(TypeError, match="^tree audits need a FiniteUltrametricSpace$"):
+        verify_tree_invariants(tree, metric)

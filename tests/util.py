@@ -9,8 +9,9 @@ chain-scan reconstruction, the triple-loop poset check, the frozenset
 root-path order, the `Fraction` path-max walk, the all-roots
 representability test, the per-call breadth-first walk, Prim's
 single-linkage loop, the `Fraction` weak-similarity and closed-ball
-scans, and the rung-by-rung ladder snap are the implementations the
-library's faster ones replaced, kept here as oracles.
+scans, the rung-by-rung ladder snap and `_from_ranks`'s scan for unused
+values are the implementations the library's faster ones replaced, kept
+here as oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
 """
 
@@ -445,7 +446,7 @@ def running_min_reconstruct(tree: RootedLabeledTree) -> MaxChainSpace:
 
     Chains come in depth-first leaf order, so the deepest common vertex of
     chains i < j is the shallowest of those of the consecutive pairs
-    between them.  O(m^2) in Python for m chains, through `_from_ranks`.
+    between them.  O(m^2) in Python for m chains, through `realized_from_ranks`.
     """
     ok, reason = is_monotone_labeling(tree)
     if not ok:
@@ -461,7 +462,7 @@ def running_min_reconstruct(tree: RootedLabeledTree) -> MaxChainSpace:
         # left of the diagonal: column i of the rows already built
         common.append([row[i] for row in common] + [chain.leaf] + upper)
     names = [str(c.leaf) for c in chains]
-    space = FiniteUltrametricSpace._from_ranks(names, *_rank_of(tree.labels, common))
+    space = realized_from_ranks(names, *_rank_of(tree.labels, common))
     return MaxChainSpace(chains, space)
 
 
@@ -512,7 +513,19 @@ def kruskal_fill_path_max_metric(tree: RootedLabeledTree):
         if ranks[u] == 0 and ranks[v] == 0:   # both labels 0
             matrix = [[values[r] for r in row] for row in rank]
             return PseudoUltrametricSpace(names, matrix, (u, v))
-    return FiniteUltrametricSpace._from_ranks(names, values, rank)
+    return realized_from_ranks(names, values, rank)
+
+
+def realized_from_ranks(names, values, rank) -> FiniteUltrametricSpace:
+    """`_from_ranks` after dropping the values no entry uses, by a scan of every entry.
+
+    The library's constructors pass only realized values; this n^2 scan is
+    the one `_from_ranks` ran on every derived space before they did.
+    """
+    used = sorted(set().union(*rank))
+    remap = {r: t for t, r in enumerate(used)}
+    return FiniteUltrametricSpace._from_ranks(
+        names, [values[r] for r in used], [[remap[r] for r in row] for row in rank])
 
 
 def triple_loop_ballean_poset(n: int, covers) -> PosetCheckReport:
