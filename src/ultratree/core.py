@@ -69,7 +69,8 @@ def parse_rational(value) -> Fraction:
     numerator or denominator has more digits than the interpreter's
     int-to-str limit is refused, since `format_rational` could not print
     it, and a huge decimal exponent is cut first (`_clamp_exponent`); a
-    Fraction is taken as it is.
+    string with a digit group over the limit is refused at once, by the
+    part that group writes.  A Fraction is taken as it is.
     """
     if isinstance(value, Fraction):
         return value
@@ -79,30 +80,27 @@ def parse_rational(value) -> Fraction:
         raise ValueError(f"refusing boolean {value!r}; pass a number or string")
     limit = _MAX_STR_DIGITS()
     try:
-        q = Fraction(value) if isinstance(value, int) else _exact(_clamp_exponent(str(value), limit), limit)
+        q = Fraction(value if isinstance(value, int) else _clamp_exponent(str(value), limit))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
+    except ValueError:
+        m = limit and _RATIONAL_FORMAT.match(str(value))
+        long = m and {g for g, d in m.groupdict("").items() if len(d.lstrip("+-").replace("_", "")) > limit}
+        if not long:   # Fraction's own refusal, not a digit group past the limit
+            raise
+        negative = "exp" in long and m["exp"][0] == "-"
+        raise _too_long("denominator" if "denom" in long or negative else "numerator", value, limit) from None
     # 10**limit > 2**(3*limit): only a part longer than 3*limit bits can be too long
     if limit and (abs(q.numerator) | q.denominator).bit_length() > 3 * limit:
         for part, name in ((q.numerator, "numerator"), (q.denominator, "denominator")):
             if abs(part) >= 10 ** limit:
-                what = name if isinstance(value, int) else f"{name} of {str(value)[:60]!r}"
-                raise ValueError(f"{what} exceeds the limit ({limit} digits) "
-                                 "for integer string conversion")
+                raise _too_long(name, value, limit)
     return q
 
 
-def _exact(text: str, limit: int) -> Fraction:
-    # Fraction(text); on text its pattern accepts, only a digit group over the
-    # limit fails, and `Decimal`, which has no limit, reads that value exactly
-    try:
-        return Fraction(text)
-    except ValueError:
-        if not (limit and _RATIONAL_FORMAT.match(text)):
-            raise
-    from decimal import Decimal
-    num, _, den = text.partition("/")
-    return Fraction(Decimal(num)) / Fraction(Decimal(den or 1))
+def _too_long(name: str, value, limit: int) -> ValueError:
+    what = name if isinstance(value, int) else f"{name} of {str(value)[:60]!r}"
+    return ValueError(f"{what} exceeds the limit ({limit} digits) for integer string conversion")
 
 
 def _clamp_exponent(text: str, limit: int) -> str:
@@ -115,11 +113,13 @@ def _clamp_exponent(text: str, limit: int) -> str:
     """
     m = limit and _RATIONAL_FORMAT.match(text)
     if m and m.group("exp"):
-        exp = m.group("exp").replace("_", "")
-        digits = exp.lstrip("+-").lstrip("0")
+        try:
+            e = int(m.group("exp"))
+        except ValueError:   # over the digit limit: Fraction refuses it as well
+            return text
         bound = 4 * len(text.strip()) + limit
-        if len(digits) > len(str(bound)) or int(digits or 0) > bound:
-            return text[:m.start("exp")] + str(-bound if exp[0] == "-" else bound) + text[m.end("exp"):]
+        if abs(e) > bound:
+            return text[:m.start("exp")] + str(bound if e > 0 else -bound) + text[m.end("exp"):]
     return text
 
 
@@ -389,7 +389,7 @@ def _ball_tree(ranked: _RankedMatrix) -> tuple[list[list[int]], list[int]]:
             parent.append(-1)
         cur = b
     num = sorted(range(len(runs)), key=[(s, -r) for r, s, _ in runs].__getitem__)
-    at = sorted(range(len(num)), key=num.__getitem__)   # the inverse permutation
+    at = dict(zip(num, range(len(num))))   # the inverse permutation
     return [runs[v] for v in num], [-1] + [at[parent[v]] for v in num[1:]]
 
 

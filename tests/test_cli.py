@@ -175,6 +175,20 @@ def test_huge_exponent_entry_exits_2_without_forming_the_power(tmp_path):
     assert proc.stderr.startswith(f"error: {path}: numerator of '1e99999999' exceeds the limit")
 
 
+def test_multi_megabyte_digit_entry_exits_2_at_once(tmp_path):
+    # int() refuses a digit group past its limit before converting it
+    entry = "1" * 2_000_000 + "e-4000000"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "matrix": [["0", entry], [entry, "0"]]}))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultratree.__file__)))
+    for verb in ("dset", "check"):
+        proc = subprocess.run([sys.executable, "-m", "ultratree.cli", verb, str(path)],
+                              capture_output=True, text=True, env=env, timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == (f"error: {path}: numerator of '{entry[:60]}' exceeds the limit "
+                               "(4300 digits) for integer string conversion\n")
+
+
 @pytest.mark.parametrize("argv", [["check"], ["dset"], ["reconstruct"], ["posetcheck"],
                                   ["padic", "--prime", "2", "--points"]])
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv):

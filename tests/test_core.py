@@ -3,7 +3,6 @@ from __future__ import annotations
 import json
 import random
 import re
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -469,9 +468,14 @@ def test_huge_exponents_are_refused_without_forming_the_power(monkeypatch):
 
 
 def _unclamped(text: str, limit: int):
-    # the exact parse without the exponent cut, or a digit limit on the
-    # text's digit groups: the value, or the part refused
-    q = Fraction(Decimal(text))
+    # the parse without the exponent cut: the value, or the part refused;
+    # here only a mantissa digit group can pass the limit, and it writes
+    # the numerator
+    try:
+        q = Fraction(text)
+    except ValueError:
+        assert max(map(len, text.lstrip("-").partition("e")[0].split("."))) > limit, text[:80]
+        return "numerator"
     for part, name in ((q.numerator, "numerator"), (q.denominator, "denominator")):
         if abs(part) >= 10 ** limit:
             return name

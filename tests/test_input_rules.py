@@ -155,12 +155,15 @@ def test_ball_points_are_arrays_of_arrays(tmp_path, capsys, ball_points, message
         assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
 
 
-def test_an_entry_past_the_digit_limit_names_its_part(tmp_path, capsys):
-    big = "1" * 5000
+@pytest.mark.parametrize("entry, part", [
+    ("1" * 5000, "numerator"), ("0." + "1" * 5000, "numerator"), ("1/" + "1" * 5000, "denominator"),
+    ("1e" + "1" * 5000, "numerator"), ("1e-" + "1" * 5000, "denominator"),
+], ids=["integer", "decimal", "denominator", "exponent", "negative-exponent"])
+def test_an_entry_past_the_digit_limit_names_its_part(tmp_path, capsys, entry, part):
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(dict(SPACE, matrix=[["0", big], [big, "0"]])))
+    path.write_text(json.dumps(dict(SPACE, matrix=[["0", entry], [entry, "0"]])))
     assert run(["dset", str(path)]) == 2
-    assert capsys.readouterr() == ("", f"error: {path}: numerator of '{big[:60]}' exceeds the limit "
+    assert capsys.readouterr() == ("", f"error: {path}: {part} of '{entry[:60]}' exceeds the limit "
                                    "(4300 digits) for integer string conversion\n")
 
 
