@@ -13,7 +13,6 @@ from typing import Iterable, Optional
 
 from .core import FiniteUltrametricSpace, _positive, diametrical_partition, parse_rational
 from .repr_tree import RootedLabeledTree, build_representing_tree
-from .morphisms import canonical_code
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -208,6 +207,7 @@ def padic_ball_tree_vs_sample(p: int, depth: int) -> bool:
     p = _require_prime(p)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    from .morphisms import canonical_code
     sample = range(p ** depth)
     space = padic_space(sample, p)
     actual = build_representing_tree(space)

@@ -4,8 +4,8 @@ The representing tree is `core._ball_tree`, the Cartesian tree of the
 single-linkage gaps that every space computes when it is constructed:
 each ball is a run of that order, and its payload is the run, sorted.
 `verify_tree_invariants` audits a tree against balls found another way,
-by splitting the whole space top down into diametrical parts, so the
-audit does not share the code it checks.
+by sorting and splitting the whole space top down into diametrical
+parts, so the audit does not share the code it checks.
 
 Orders are kept as up-set bitmasks: `_up_closure` closes (lower, upper)
 arcs and `_covering_pairs` reads the covers (the transitive reduction)
@@ -16,6 +16,7 @@ vertex ids are ints, and bools, floats and strings are refused.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import reduce
 from operator import and_
 from typing import Iterable, Optional
@@ -27,7 +28,6 @@ from .core import (
     _classes_below,
     _document,
     _require_ultrametric,
-    _subset_diam_rank,
     format_rational,
     parse_rational,
 )
@@ -181,6 +181,33 @@ class InvariantReport:
         return f"<InvariantReport {'ok' if self.ok else self.failures()}>"
 
 
+def _diametrical_splits(space: FiniteUltrametricSpace) -> dict:
+    """Each ball's point set -> (diameter, diametrical part count), split top down.
+
+    A ball listed by rank from its first point ends at its diameter t, and
+    its first part is the prefix below t.  The rest, re-sorted from its own
+    first point, has the second part as its prefix; only a third or later
+    part takes `_classes_below`'s greedy loop, and is sorted once.
+    """
+    rank, values = _require_ultrametric(space, "tree audits").rank, space.distance_values
+    balls: dict = {}
+    todo = [sorted(range(len(rank)), key=rank[0].__getitem__)]
+    for ball in todo:   # grows while it is read
+        get = rank[ball[0]].__getitem__
+        t = get(ball[-1])
+        parts = []
+        if t:   # none for a singleton
+            k = bisect_left(ball, t, key=get)   # ball[:k]: the first point's part
+            get = rank[ball[k]].__getitem__
+            rest = sorted(ball[k:], key=get)    # by rank from its own first point
+            j = bisect_left(rest, t, key=get)   # rest[:j]: the second part
+            parts = [ball[:k], rest[:j], *(sorted(p, key=rank[p[0]].__getitem__)
+                                          for p in _classes_below(rank, rest[j:], t))]
+        balls[frozenset(ball)] = (values[t], len(parts))
+        todo += parts
+    return balls
+
+
 def verify_tree_invariants(tree: RootedLabeledTree,
                            space: FiniteUltrametricSpace) -> InvariantReport:
     """Structural audit of a representing tree against its space.
@@ -190,71 +217,44 @@ def verify_tree_invariants(tree: RootedLabeledTree,
     occurs at most once; no vertex has out-degree 1; the degree of every
     vertex matches the part count of its diametrical graph; and leaves are
     exactly the zero-labeled vertices.  The diameter and degree checks
-    skip vertices whose payload is not a ball.  The reference ballean is
-    split top down from the whole space: every other ball is a
-    diametrical part of the smallest ball strictly around it.
+    skip vertices whose payload is not a ball.  The reference balls come
+    from `_diametrical_splits`, not from the ball tree the tree is built on.
     """
-    entries: list[CheckEntry] = []
     root = tree.require_root()
     pts = tree.ball_points
     if pts is None:
         raise ValueError("tree carries no ball payloads to verify against")
 
-    # each ball's point set -> (diameter, diametrical part count)
-    _require_ultrametric(space, "tree audits")   # `_classes_below` trusts the strong triangle
-    balls: dict = {}
-    todo = [tuple(space.points())]
-    for ball in todo:   # grows while it is read
-        t = _subset_diam_rank(space, ball)   # its parts: `diametrical_partition`'s, unvalidated
-        split = _classes_below(space.rank, ball, t) if t else ()   # none for a singleton
-        balls[frozenset(ball)] = (space.distance_values[t], len(split))
-        todo.extend(split)
+    def vertex(flags):   # the first vertex flagged, as a witness
+        return next((f"vertex {v}" for v, flag in enumerate(flags) if flag), None)
+
+    balls = _diametrical_splits(space)
     keys = [frozenset(p) for p in pts]
     tree_sets = set(keys)
     # a payload is a ball when its points are distinct and make one
     found = [balls.get(k) if len(k) == len(p) else None for k, p in zip(keys, pts)]
-    ok = None not in found and tree_sets == balls.keys() and len(tree_sets) == tree.n
-    entries.append(CheckEntry(
-        "vertices-equal-ballean", ok,
-        None if ok else f"tree {len(tree_sets)} sets vs ballean {len(balls)}"
-        + ("" if None not in found else f", vertex {found.index(None)} is not a ball")))
-
-    bad = next((v for v, f in enumerate(found) if f and tree.labels[v] != f[0]), None)
-    entries.append(CheckEntry(
-        "labels-are-diameters", bad is None,
-        None if bad is None else f"vertex {bad}"))
-
-    deg2 = [v for v in range(tree.n) if tree.degree(v) == 2]
-    entries.append(CheckEntry(
-        "degree-two-at-most-once", len(deg2) <= 1,
-        None if len(deg2) <= 1 else f"vertices {deg2}"))
-
-    bad = next((v for v in range(tree.n) if tree.out_degree(v) == 1), None)
-    entries.append(CheckEntry(
-        "out-degree-never-one", bad is None,
-        None if bad is None else f"vertex {bad}"))
-
-    bad = None
-    for v, f in enumerate(found):
-        if f is None:
-            continue
-        # a parent edge, plus one child per part when the label is positive
-        expected = (v != root) + (f[1] if tree.labels[v] else 0)
-        d = tree.degree(v)
-        if d != expected:
-            bad = f"vertex {v}: degree {d}, expected {expected}"
-            break
-    entries.append(CheckEntry("degree-formula", bad is None, bad))
-
-    bad = next(
-        (v for v in range(tree.n)
-         if (tree.out_degree(v) == 0) != (tree.labels[v] == 0)),
-        None)
-    entries.append(CheckEntry(
-        "leaf-iff-zero-label", bad is None,
-        None if bad is None else f"vertex {bad}"))
-
-    return InvariantReport(entries)
+    # every payload a ball, all distinct, and as many as the balls: the ballean
+    ballean = None if None not in found and len(tree_sets) == tree.n == len(balls) else (
+        f"tree {len(tree_sets)} sets vs ballean {len(balls)}"
+        + ("" if None not in found else f", vertex {found.index(None)} is not a ball"))
+    degree = list(map(len, tree._adj))
+    out = [d - (v != root) for v, d in enumerate(degree)]   # all but the root have a parent
+    positive = list(map(bool, tree.labels))
+    deg2 = [v for v, d in enumerate(degree) if d == 2]
+    # a ball's degree: a parent edge, plus one child per part when its label is positive
+    expected = [f and (v != root) + (f[1] if p else 0) for v, (f, p) in enumerate(zip(found, positive))]
+    formula = next((f"vertex {v}: degree {d}, expected {e}" for v, (d, e) in enumerate(zip(degree, expected))
+                    if e is not None and d != e), None)
+    return InvariantReport(CheckEntry(name, witness is None, witness) for name, witness in (
+        ("vertices-equal-ballean", ballean),
+        # a label built from the space is its diameter's own object: `is` settles most
+        ("labels-are-diameters",
+         vertex(f and l is not f[0] and l != f[0] for l, f in zip(tree.labels, found))),
+        ("degree-two-at-most-once", f"vertices {deg2}" if len(deg2) > 1 else None),
+        ("out-degree-never-one", vertex(d == 1 for d in out)),
+        ("degree-formula", formula),
+        ("leaf-iff-zero-label", vertex((d > 0) != p for d, p in zip(out, positive))),
+    ))
 
 
 def edge_characterization_check(space: FiniteUltrametricSpace,

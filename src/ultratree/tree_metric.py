@@ -13,11 +13,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from operator import and_
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from .core import FiniteUltrametricSpace, _document, _gap_rows, _gather, _rank_of
-from .balls import Ball, _tree_balls
+from .core import (FiniteUltrametricSpace, _ball_tree, _document, _gap_rows, _gather, _rank_of,
+                   _require_ultrametric)
 from .repr_tree import RootedLabeledTree, _covering_pairs, _is_index, _up_closure
+
+if TYPE_CHECKING:
+    from .balls import Ball
 
 
 class PseudoUltrametricSpace:
@@ -161,18 +164,27 @@ class MaxChain:
 
 def maximal_chains(tree: RootedLabeledTree) -> tuple[MaxChain, ...]:
     """One chain per leaf, each the unique root-to-leaf path, in leaf order."""
+    return _chains_and_partings(tree)[0]
+
+
+def _chains_and_partings(tree: RootedLabeledTree) -> tuple[tuple[MaxChain, ...], list[int]]:
+    # The chains, each with the vertex where it parts from the one before: a first
+    # child parts where its parent does, any other at its parent, the first chain at its leaf.
     root = tree.require_root()
     kids = tree.children_map()
-    chains: list[MaxChain] = []
-    stack: list[tuple[int, tuple[int, ...]]] = [(root, (root,))]
+    chains, parting = [], []
+    stack: list[tuple[int, tuple[int, ...], Optional[int]]] = [(root, (root,), None)]
     while stack:
-        v, path = stack.pop()
-        if not kids[v]:
+        v, path, part = stack.pop()
+        below = kids[v]
+        if not below:
             chains.append(MaxChain(path))
-        else:
-            for c in reversed(kids[v]):
-                stack.append((c, path + (c,)))
-    return tuple(chains)
+            parting.append(v if part is None else part)
+            continue
+        for c in below[:0:-1]:
+            stack.append((c, path + (c,), v))
+        stack.append((below[0], path + (below[0],), part))
+    return tuple(chains), parting
 
 
 class MaxChainSpace:
@@ -199,13 +211,7 @@ def reconstruct_space(tree: RootedLabeledTree) -> MaxChainSpace:
     ok, reason = is_monotone_labeling(tree)
     if not ok:
         raise ValueError(f"labeling is not monotone: {reason}")
-    chains = maximal_chains(tree)
-    # a chain parts from the one before at its last vertex an earlier chain holds
-    seen, parting = set(), []
-    for chain in chains:
-        shared = sum(map(seen.__contains__, chain.vertices))   # a prefix
-        parting.append(chain.vertices[shared - 1])   # the first chain's leaf: gap 0
-        seen.update(chain.vertices)
+    chains, parting = _chains_and_partings(tree)
     values, (gaps,) = _rank_of([tree.labels[v] for v in parting], [range(len(parting))])
     names = [str(c.leaf) for c in chains]
     space = FiniteUltrametricSpace._from_ranks(names, values, _gap_rows(gaps))
@@ -308,10 +314,16 @@ def sphere_plus_center_condition(
 
     Equivalently each such ball is a sphere with its center added.  The
     parts of a ball are its children in `core._ball_tree`, so a ball
-    passes iff one of its children is a point.  The witness is the first
-    offending ball in canonical order.  O(n log n) after the ball tree.
+    passes iff one of its children is a point.  The witness, the only `Ball`
+    built, is the first offending ball in canonical order.  O(n log n).
     """
-    runs, parent, canonical, balls = _tree_balls(space)
+    runs, parent = _ball_tree(_require_ultrametric(space, "ball operations"))
+    order, values = space._order, space.distance_values
     centered = {parent[v] for v, (r, _, _) in enumerate(runs) if not r}   # a point among its children
-    ball = next((b for v, b in zip(canonical, balls) if runs[v][0] and v not in centered), None)
-    return ball is None, ball
+    bad = min((v for v, (r, _, _) in enumerate(runs) if r and v not in centered),
+              key=lambda v: (-runs[v][0], order[runs[v][1]]), default=None)
+    if bad is None:
+        return True, None
+    from .balls import Ball
+    r, s, e = runs[bad]
+    return False, Ball(order[s:e], values[r], order[s], values[r])

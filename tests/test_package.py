@@ -116,16 +116,26 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
         loaded[verb] = _modules_loaded_by(verb, str(space), str(space))
     loaded["transform"] = _modules_loaded_by("transform", "--fn", "quantize", str(space))
     loaded["padic"] = _modules_loaded_by("padic", "--prime", "2", "--points", str(points))
+    tree = os.path.join(os.path.dirname(__file__), "data", "four_point_tree.json")
+    loaded["reconstruct"] = _modules_loaded_by("reconstruct", tree)
+    loaded["representable"] = _modules_loaded_by("representable", tree)
+    poset = tmp_path / "poset.json"
+    poset.write_text(json.dumps({"elements": ["X", "a", "b"], "covers": [[1, 0], [2, 0]]}))
+    loaded["posetcheck"] = _modules_loaded_by("posetcheck", str(poset))
     base = {"ultratree", "ultratree.cli", "ultratree.core"}
     # `balls` reads the ballean off core's ball tree, without `repr_tree`;
-    # no other verb below reads the ballean, so none other loads `balls`
+    # no other verb below reads the ballean, so none other loads `balls`;
+    # `padic` builds no tree, but its module holds the Bethe-tree builders
     expected = {
         "check": base, "dset": base, "balls": base | {"ultratree.balls"},
         "tree": base | {"ultratree.repr_tree"},
         "iso": base | {"ultratree.repr_tree", "ultratree.morphisms"},
         "weaksim": base | {"ultratree.repr_tree", "ultratree.morphisms"},
         "transform": base | {"ultratree.repr_tree", "ultratree.morphisms"},
-        "padic": base | {"ultratree.repr_tree", "ultratree.morphisms", "ultratree.padic"},
+        "padic": base | {"ultratree.repr_tree", "ultratree.padic"},
+        "reconstruct": base | {"ultratree.repr_tree", "ultratree.tree_metric"},
+        "representable": base | {"ultratree.repr_tree", "ultratree.tree_metric"},
+        "posetcheck": base | {"ultratree.repr_tree", "ultratree.tree_metric"},
     }
     assert {verb: {m for m in modules if m.startswith("ultratree")}
             for verb, modules in loaded.items()} == expected

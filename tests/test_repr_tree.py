@@ -23,12 +23,14 @@ from ultratree import (
     verify_tree_invariants,
 )
 from ultratree import FiniteUltrametricSpace
-from ultratree.repr_tree import TreeOrder
+from ultratree.repr_tree import TreeOrder, _diametrical_splits
 from util import (
     bfs_tree_maps,
     caterpillar_matrix,
     differential_spaces,
+    equilateral_space,
     flat_matrix,
+    greedy_diametrical_splits,
     nested_four_point_space,
     padic_matrix,
     path_set_order,
@@ -201,6 +203,25 @@ def test_invariants_catch_a_missing_ball():
             assert failed["vertices-equal-ballean"] == f"tree {tree.n - 1} sets vs ballean {tree.n}"
             contracted += 1
     assert contracted > 20
+
+
+def test_diametrical_splits_match_the_greedy_oracle():
+    rng = random.Random(25)
+    spaces = differential_spaces(rng, 100)
+    for matrix in (random_ultrametric_matrix(rng, 300), flat_matrix(256), caterpillar_matrix(300),
+                   padic_matrix(3, 5), padic_matrix(2, 8)):
+        for m in (matrix, permuted(rng, matrix)):
+            spaces.append(FiniteUltrametricSpace([f"p{i}" for i in range(len(m))], m))
+    spaces.append(equilateral_space(200))   # one ball of 200 singletons: 200 parts
+    for space in spaces:
+        assert _diametrical_splits(space) == greedy_diametrical_splits(space)
+    assert _diametrical_splits(spaces[-1])[frozenset(range(200))] == (1, 200)
+
+
+def test_audit_of_a_2000_point_caterpillar_reports_ok():
+    space = space_from_sequence(range(1999, 0, -1))
+    report = verify_tree_invariants(build_representing_tree(space), space)
+    assert report.ok, report.failures()
 
 
 def test_vertex_count_equals_ballean_size():

@@ -5,13 +5,13 @@ strictly decreasing level values, so validity holds by construction and
 the library's validators act as an independent check.  The top-down tree
 builder, the center-by-radius and row-sort balleans, the pairwise
 Hausdorff matrix, the partition-based sphere-plus-center test, the
-chain-scan reconstruction, the triple-loop poset check, the frozenset
-root-path order, the `Fraction` path-max walk, the all-roots
-representability test, the per-call breadth-first walk, Prim's
-single-linkage loop, the `Fraction` weak-similarity and closed-ball
-scans, the rung-by-rung ladder snap and `_from_ranks`'s scan for unused
-values are the implementations the library's faster ones replaced, kept
-here as oracles.
+greedy top-down split of the tree audit, the chain-scan reconstruction,
+the triple-loop poset check, the frozenset root-path order, the
+`Fraction` path-max walk, the all-roots representability test, the
+per-call breadth-first walk, Prim's single-linkage loop, the `Fraction`
+weak-similarity and closed-ball scans, the rung-by-rung ladder snap and
+`_from_ranks`'s scan for unused values are the implementations the
+library's faster ones replaced, kept here as oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
 """
 
@@ -25,7 +25,13 @@ from typing import Optional
 
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
 from ultratree.balls import Ball, Ballean, HausdorffBallSpace
-from ultratree.core import _rank_of, _subset_diam_rank, diametrical_partition, parse_rational
+from ultratree.core import (
+    _classes_below,
+    _rank_of,
+    _subset_diam_rank,
+    diametrical_partition,
+    parse_rational,
+)
 from ultratree.morphisms import ScalingFunction, apply_preserving
 from ultratree.repr_tree import TreeOrder
 from ultratree.tree_metric import (
@@ -218,6 +224,23 @@ def top_down_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
 
     build(tuple(space.points()))
     return RootedLabeledTree(labels, edges, root=0, ball_points=payload)
+
+
+def greedy_diametrical_splits(space: FiniteUltrametricSpace) -> dict:
+    """Oracle for `repr_tree._diametrical_splits`: every part by the greedy loop.
+
+    Each ball's point set -> (diameter, diametrical part count), splitting
+    top down from the whole space with `core._classes_below` alone, which
+    visits every member of every ball: O(n^2) Python steps on a caterpillar.
+    """
+    balls: dict = {}
+    todo = [tuple(space.points())]
+    for ball in todo:   # grows while it is read
+        t = _subset_diam_rank(space, ball)
+        split = _classes_below(space.rank, ball, t) if t else ()   # none for a singleton
+        balls[frozenset(ball)] = (space.distance_values[t], len(split))
+        todo.extend(split)
+    return balls
 
 
 def flat_matrix(n: int) -> list[list[Fraction]]:
