@@ -292,16 +292,19 @@ def _gap_rows(gaps: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The rank matrix of points 0..n-1 in single-linkage order with these gaps.
 
     The inverse of the single-linkage pass: rank(x_a, x_b) = max(gaps[a+1..b]).
-    Left of the diagonal, row b is row b-1 with its entries below gaps[b]
-    raised, by one bisection and one slice; right of it are the columns of
-    those rows.  O(n^2), in C.
+    Row b is row b-1 left of the diagonal and row b+1 right of it, with the
+    entries below gaps[b] or gaps[b+1] raised: one bisection and one slice
+    for each half.  O(n^2), in C.
     """
     left = [()]
     for g in gaps[1:]:
         t = bisect_left(left[-1], -g, key=neg)
         left.append(left[-1][:t] + (g,) * (len(left) - t))
-    cols = zip(*[row + (0,) * (len(left) - b) for b, row in enumerate(left)])
-    return tuple(row + col[b:] for b, (row, col) in enumerate(zip(left, cols)))
+    right = [()]
+    for g in reversed(gaps[1:]):
+        t = bisect_left(right[-1], g)
+        right.append((g,) * (t + 1) + right[-1][t:])
+    return tuple(row + (0,) + up for row, up in zip(left, reversed(right)))
 
 
 def _single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int, int]]]:

@@ -10,8 +10,8 @@ parts, so the audit does not share the code it checks.
 Orders are kept as up-set bitmasks: `_up_closure` closes (lower, upper)
 arcs and `_covering_pairs` reads the covers (the transitive reduction)
 back off, for `tree_order`, `edge_characterization_check` and
-`tree_metric.check_ballean_poset`.  A tree is walked once, when built;
-vertex ids are ints, and bools, floats and strings are refused.
+`tree_metric.check_ballean_poset`.  A tree is walked and its labels are
+ranked once, when built; vertex ids are ints, not bools, floats or strings.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from .core import (
     _ball_tree,
     _classes_below,
     _document,
+    _gather,
+    _parse_entries,
+    _rank_of,
     _require_ultrametric,
     format_rational,
-    parse_rational,
 )
 
 
@@ -41,18 +43,21 @@ def _is_index(value, n: int) -> bool:
 class RootedLabeledTree:
     """A tree with rational vertex labels and an optional root.
 
-    Rooted operations refuse a free tree; they read the parents and depths
-    of the constructor's one walk.  `ball_points[v]`, from a space, is the
-    point set of the ball a vertex stands for.  `truncated` marks prefixes
-    of infinite trees whose leaves still carry positive labels.
+    `label_rank[v]` indexes v's label in `label_values`, the sorted distinct
+    labels.  Rooted operations refuse a free tree; they read the parents and
+    depths of the constructor's one walk.  `ball_points[v]`, from a space,
+    is the point set of the ball a vertex stands for.  `truncated` marks
+    prefixes of infinite trees whose leaves still carry positive labels.
     """
 
-    __slots__ = ("labels", "edges", "root", "ball_points", "truncated", "_adj", "_parent", "_depth")
+    __slots__ = ("labels", "label_values", "label_rank", "edges", "root", "ball_points", "truncated",
+                 "_adj", "_parent", "_depth")
 
     def __init__(self, labels, edges, root: Optional[int] = None,
                  ball_points=None, truncated: bool = False):
-        self.labels = tuple(parse_rational(v) for v in labels)
-        n = len(self.labels)
+        parsed, (row,) = _parse_entries([labels])   # each distinct label parsed once
+        self.labels = _gather(row)(parsed)
+        n = len(row)
         if n == 0:
             raise ValueError("a tree needs at least one vertex")
         norm = []
@@ -84,7 +89,8 @@ class RootedLabeledTree:
                     reached.append(v)
         if len(reached) < n:
             raise ValueError("edges do not connect the vertex set")
-        if any(l < 0 for l in self.labels):
+        self.label_values, (self.label_rank,) = _rank_of(parsed, [row])
+        if self.label_values[0] < 0:
             raise ValueError("labels must be nonnegative")
         if root is not None and not _is_index(root, n):
             raise ValueError(f"root {root!r} is not a vertex index")
@@ -383,10 +389,15 @@ def tree_order(tree: RootedLabeledTree) -> TreeOrder:
     return TreeOrder(root, parent, tuple(up), covers)
 
 
+def _label_texts(tree: RootedLabeledTree) -> tuple[str, ...]:
+    """Each vertex's label as text, each distinct label printed once."""
+    return _gather(tree.label_rank)([format_rational(v) for v in tree.label_values])
+
+
 def tree_to_json(tree: RootedLabeledTree) -> dict:
     obj = {
         "root": tree.root,
-        "labels": [format_rational(l) for l in tree.labels],
+        "labels": list(_label_texts(tree)),
         "edges": [[u, v] for u, v in tree.edges],
         "ball_points": (None if tree.ball_points is None
                         else [list(p) for p in tree.ball_points]),
@@ -411,9 +422,9 @@ def tree_to_dot(tree: RootedLabeledTree) -> str:
     """Graphviz rendering: labels on nodes, leaves drawn as double circles."""
     lines = ["graph tree {", "  node [shape=circle];"]
     leaf = set(tree.leaves())
-    for v in range(tree.n):
+    for v, text in enumerate(_label_texts(tree)):
         shape = ", shape=doublecircle" if v in leaf else ""
-        lines.append(f'  v{v} [label="{format_rational(tree.labels[v])}"{shape}];')
+        lines.append(f'  v{v} [label="{text}"{shape}];')
     for u, v in tree.edges:
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")

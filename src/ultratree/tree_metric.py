@@ -53,8 +53,9 @@ def path_max_metric(tree: RootedLabeledTree) -> Union[FiniteUltrametricSpace,
     pair at distance zero.  The rows come from one run's gaps (`core._gap_rows`).
     """
     n = tree.n
-    # the labels ranked together with 0, the distance on the diagonal
-    values, (ranks,) = _rank_of((Fraction(0),) + tree.labels, [range(1, n + 1)])
+    values, ranks = tree.label_values, tree.label_rank
+    if values[0]:   # no label is 0, the distance on the diagonal: rank it below them
+        values, ranks = (Fraction(0),) + values, [r + 1 for r in ranks]
     # Vertices join in order of label (Kruskal): a vertex's label is the
     # path maximum between any two of the groups it joins.  So a group is a
     # run of single-linkage order, and a join puts the runs end to end.
@@ -88,11 +89,12 @@ def is_monotone_labeling(tree: RootedLabeledTree) -> tuple[bool, Optional[str]]:
     This is the finite reading of a monotone labeling: maximal chains end
     in a leaf, and their labels must reach zero there.
     """
+    rank = tree.label_rank
     for v, p in enumerate(tree.parent_map()):
-        if p is not None and not tree.labels[v] < tree.labels[p]:
+        if p is not None and not rank[v] < rank[p]:
             return False, f"label of {v} does not drop below its parent {p}"
-    for v in range(tree.n):
-        if tree.out_degree(v) == 0 and tree.labels[v] != 0:
+    for v in range(tree.n):   # label 0 is rank 0, unless the smallest label is positive
+        if tree.out_degree(v) == 0 and (rank[v] or tree.label_values[0]):
             return False, f"leaf {v} has positive label {tree.labels[v]}"
     return True, None
 
@@ -119,10 +121,9 @@ def check_representable(tree: RootedLabeledTree) -> Representability:
     root; vertex 0 is tried first, as its blocking condition is the reason
     reported on rejection.  O(n).
     """
-    labels = tree.labels
     first_reason = None
-    for root in sorted({0, labels.index(max(labels))}):
-        rooted = tree if tree.root == root else RootedLabeledTree(labels, tree.edges, root=root)
+    for root in sorted({0, tree.label_rank.index(len(tree.label_values) - 1)}):
+        rooted = tree if tree.root == root else RootedLabeledTree(tree.labels, tree.edges, root=root)
         v = next((v for v in range(tree.n) if rooted.out_degree(v) == 1), None)
         if v is not None:
             reason = f"out-degree 1 at vertex {v}"
@@ -212,9 +213,9 @@ def reconstruct_space(tree: RootedLabeledTree) -> MaxChainSpace:
     if not ok:
         raise ValueError(f"labeling is not monotone: {reason}")
     chains, parting = _chains_and_partings(tree)
-    values, (gaps,) = _rank_of([tree.labels[v] for v in parting], [range(len(parting))])
+    used, (gaps,) = _rank_of(_gather(parting)(tree.label_rank), [range(len(parting))])
     names = [str(c.leaf) for c in chains]
-    space = FiniteUltrametricSpace._from_ranks(names, values, _gap_rows(gaps))
+    space = FiniteUltrametricSpace._from_ranks(names, _gather(used)(tree.label_values), _gap_rows(gaps))
     return MaxChainSpace(chains, space)
 
 

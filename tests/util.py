@@ -9,18 +9,22 @@ greedy top-down split of the tree audit, the chain-scan reconstruction,
 the triple-loop poset check, the frozenset root-path order, the
 `Fraction` path-max walk, the all-roots representability test, the
 per-call breadth-first walk, Prim's single-linkage loop, the `Fraction`
-weak-similarity and closed-ball scans, the rung-by-rung ladder snap and
-`_from_ranks`'s scan for unused values are the implementations the
-library's faster ones replaced, kept here as oracles.
+weak-similarity and closed-ball scans, the rung-by-rung ladder snap,
+`_from_ranks`'s scan for unused values, the generator-recursion canonical
+code, the `Fraction` monotone-labeling test and the transposed gap rows
+are the implementations the library's faster ones replaced, kept here as
+oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate
+from operator import neg
 from typing import Optional
 
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
@@ -30,9 +34,10 @@ from ultratree.core import (
     _rank_of,
     _subset_diam_rank,
     diametrical_partition,
+    format_rational,
     parse_rational,
 )
-from ultratree.morphisms import ScalingFunction, apply_preserving
+from ultratree.morphisms import CanonicalCode, ScalingFunction, apply_preserving
 from ultratree.repr_tree import TreeOrder
 from ultratree.tree_metric import (
     MaxChainSpace,
@@ -773,3 +778,37 @@ def snap_loop_quantize_ladder(space: FiniteUltrametricSpace, ladder) -> FiniteUl
         raise AssertionError("unreachable: ladder checked against the distance set")
 
     return apply_preserving(space, snap)
+
+
+def generator_canonical_code(tree: RootedLabeledTree) -> CanonicalCode:
+    """Oracle for `canonical_code`: each level sorts a generator of its
+    children's codes and prints its own `Fraction` label."""
+    root = tree.require_root()
+
+    def encode(v: int, parent: int) -> str:
+        subs = sorted(encode(w, v) for w in tree.neighbors(v) if w != parent)
+        return "(" + format_rational(tree.labels[v]) + ";" + ",".join(subs) + ")"
+
+    return CanonicalCode(encode(root, -1))
+
+
+def fraction_is_monotone_labeling(tree: RootedLabeledTree) -> tuple[bool, Optional[str]]:
+    """Oracle for `is_monotone_labeling`: the labels compared as `Fraction`s."""
+    for v, p in enumerate(tree.parent_map()):
+        if p is not None and not tree.labels[v] < tree.labels[p]:
+            return False, f"label of {v} does not drop below its parent {p}"
+    for v in range(tree.n):
+        if tree.out_degree(v) == 0 and tree.labels[v] != 0:
+            return False, f"leaf {v} has positive label {tree.labels[v]}"
+    return True, None
+
+
+def transpose_gap_rows(gaps) -> tuple[tuple[int, ...], ...]:
+    """Oracle for `core._gap_rows`: the left halves by bisection, the right
+    halves as the columns of the zero-padded left halves."""
+    left = [()]
+    for g in gaps[1:]:
+        t = bisect_left(left[-1], -g, key=neg)
+        left.append(left[-1][:t] + (g,) * (len(left) - t))
+    cols = zip(*[row + (0,) * (len(left) - b) for b, row in enumerate(left)])
+    return tuple(row + col[b:] for b, (row, col) in enumerate(zip(left, cols)))
