@@ -8,10 +8,11 @@ order, led by its smallest point.  Balls are identified by their point
 sets; centers and radii are only witnesses, since every point of a ball
 is one of its centers.
 
-Everything reads ranks, never the `Fraction` matrix.  Inclusion, joins
-and distances between balls come from their smallest points and diameter
-ranks, with no member scan.  The tests keep the center-by-radius
-enumerations the ballean replaced as its oracles.
+Everything reads ranks, never the `Fraction` matrix.  Inclusion and
+distances between balls come from their smallest points and diameter
+ranks, and a join walks up the ball tree, with no row scan.  The tests
+keep the center-by-radius enumerations the ballean replaced, and the
+`closed_ball` join, as oracles.
 """
 
 from __future__ import annotations
@@ -141,19 +142,22 @@ class BallPoset:
     non-disjoint pairs, where the meet is the inner ball.  A missing meet
     is reported as None, not an error.
 
-    The order is read off ranks: a lies in b iff diam(a) <= diam(b) and
-    d(a_0, b_0) <= diam(b) for their smallest points, and the join is the
-    ball around a_0 at the largest of those three distances.
+    Inclusion is ancestry in `core._ball_tree`, read in canonical order:
+    each ball's diameter rank and parent.  A lies in b iff diam(a) <= diam(b)
+    and d(a_0, b_0) <= diam(b) for their smallest points.  The join is the
+    first ball up from a whose diameter reaches the largest of those three
+    ranks, since diameters rise toward the root: O(depth), with no scan.
     """
 
-    __slots__ = ("space", "balls", "_index", "_diam")
+    __slots__ = ("space", "balls", "_index", "_diam", "_parent")
 
-    def __init__(self, space: FiniteUltrametricSpace, balls: tuple[Ball, ...]):
+    def __init__(self, space: FiniteUltrametricSpace):
+        runs, parent, canonical, self.balls = _tree_balls(space)
+        at = dict(zip(canonical, range(len(canonical))))   # tree vertex -> canonical place
         self.space = space
-        self.balls = balls
-        self._index = {b.points: i for i, b in enumerate(balls)}
-        rank = {v: t for t, v in enumerate(space.distance_values)}
-        self._diam = [rank[b.diameter] for b in balls]
+        self._index = {b.points: i for i, b in enumerate(self.balls)}
+        self._diam = [runs[v][0] for v in canonical]
+        self._parent = [at.get(parent[v]) for v in canonical]
 
     def __len__(self):
         return len(self.balls)
@@ -173,10 +177,11 @@ class BallPoset:
         return self.leq(a, b) or self.leq(b, a)
 
     def join(self, a: Ball, b: Ball) -> Ball:
-        space, a0 = self.space, a.points[0]
-        t = max(self._diam[self._resolve(a)], self._diam[self._resolve(b)],
-                space.rank[a0][b.points[0]])
-        return self.balls[self._index[closed_ball(space, a0, space.distance_values[t]).points]]
+        diam, i = self._diam, self._resolve(a)
+        t = max(diam[i], diam[self._resolve(b)], self.space.rank[a.points[0]][b.points[0]])
+        while diam[i] < t:
+            i = self._parent[i]
+        return self.balls[i]
 
     def meet(self, a: Ball, b: Ball) -> Optional[Ball]:
         # non-disjoint balls are nested, so the intersection is the inner ball
@@ -188,7 +193,7 @@ class BallPoset:
 
 
 def ball_poset(space: FiniteUltrametricSpace) -> BallPoset:
-    return BallPoset(space, ballean(space).balls)
+    return BallPoset(space)
 
 
 def hausdorff_distance(space: FiniteUltrametricSpace, a: Ball, b: Ball) -> Fraction:
@@ -198,10 +203,10 @@ def hausdorff_distance(space: FiniteUltrametricSpace, a: Ball, b: Ball) -> Fract
     the distance between any member of one ball and any member of the other.
     """
     _require_ultrametric(space, "ball operations")
-    if a.points == b.points:
+    pa, pb = (_subset_points(space, x.points, "Hausdorff distance") for x in (a, b))
+    if pa == pb:
         return Fraction(0)
-    t = max(space.rank[a.points[0]][b.points[0]],
-            _subset_diam_rank(space, a.points), _subset_diam_rank(space, b.points))
+    t = max(space.rank[pa[0]][pb[0]], _subset_diam_rank(space, pa), _subset_diam_rank(space, pb))
     return space.distance_values[t]
 
 

@@ -106,21 +106,15 @@ def _cmd_tree(args) -> int:
     return 0
 
 
-def _cmd_iso(args) -> int:
+def _cmd_pair(args) -> int:
+    # iso and weaksim: one decision on two spaces, printed under its own key
     from . import morphisms
+    key, decide = {"iso": ("isometric", morphisms.spaces_isometric),
+                   "weaksim": ("weakly_similar", morphisms.weakly_similar)}[args.command]
     a = _load_ultrametric(args.space_a)
     b = _load_ultrametric(args.space_b)
-    verdict = morphisms.spaces_isometric(a, b)
-    _emit({"isometric": verdict})
-    return 0 if verdict else 1
-
-
-def _cmd_weaksim(args) -> int:
-    from . import morphisms
-    a = _load_ultrametric(args.space_a)
-    b = _load_ultrametric(args.space_b)
-    verdict = morphisms.weakly_similar(a, b)
-    _emit({"weakly_similar": verdict})
+    verdict = decide(a, b)
+    _emit({key: verdict})
     return 0 if verdict else 1
 
 
@@ -234,15 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
     p.set_defaults(handler=_cmd_tree)
 
-    p = sub.add_parser("iso", help="decide isometry of two spaces")
-    p.add_argument("space_a")
-    p.add_argument("space_b")
-    p.set_defaults(handler=_cmd_iso)
-
-    p = sub.add_parser("weaksim", help="decide weak similarity of two spaces")
-    p.add_argument("space_a")
-    p.add_argument("space_b")
-    p.set_defaults(handler=_cmd_weaksim)
+    for verb, what in (("iso", "isometry"), ("weaksim", "weak similarity")):
+        p = sub.add_parser(verb, help=f"decide {what} of two spaces")
+        p.add_argument("space_a")
+        p.add_argument("space_b")
+        p.set_defaults(handler=_cmd_pair)
 
     p = sub.add_parser("reconstruct", help="rebuild the space a monotone tree represents")
     p.add_argument("tree")

@@ -22,7 +22,7 @@ the order, so `_ball_tree` reads the balls off the order and the gaps as
 runs, numbered once as the representing tree is.  `_gap_rows` inverts
 the pass: the spaces derived from a tree build their rank rows from its gaps.
 The input rules each module shares live here once: `_document` (a JSON
-document's keys) and `_array`, `_positive` and `_require_ultrametric`.
+document's keys), `_is_index`, `_array`, `_positive` and `_require_ultrametric`.
 """
 
 from __future__ import annotations
@@ -570,6 +570,11 @@ def distance_set(space: FiniteMetricSpace) -> tuple[Fraction, ...]:
     return space.distance_values
 
 
+def _is_index(value, n: int) -> bool:
+    """True for an int in range(n): bools, floats and strings are not ids."""
+    return type(value) is int and 0 <= value < n
+
+
 def _subset_points(space: FiniteMetricSpace, subset: Optional[Iterable[int]],
                    what: str) -> tuple[int, ...]:
     """`subset` as distinct point indices in range(n), the whole space when None."""
@@ -580,7 +585,7 @@ def _subset_points(space: FiniteMetricSpace, subset: Optional[Iterable[int]],
         raise ValueError(f"{what} of an empty subset")
     n = len(space)
     for x in pts:
-        if type(x) is not int or not 0 <= x < n:   # bools, floats and strings are not ids
+        if not _is_index(x, n):
             raise ValueError(f"point {x!r} is not an index in range({n})")
     if len(set(pts)) < len(pts):
         raise ValueError(f"{what} of a subset with a repeated point")

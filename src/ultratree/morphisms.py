@@ -18,10 +18,11 @@ from .core import (
     FiniteUltrametricSpace,
     parse_rational,
     _gather,
+    _is_index,
     _positive,
     _rank_of,
 )
-from .repr_tree import RootedLabeledTree, _is_index, _label_texts, build_representing_tree
+from .repr_tree import RootedLabeledTree, _label_texts, build_representing_tree
 
 _BRUTE_FORCE_CAP = 8  # points; the search is exponential
 

@@ -10,8 +10,9 @@ parts, so the audit does not share the code it checks.
 Orders are kept as up-set bitmasks: `_up_closure` closes (lower, upper)
 arcs and `_covering_pairs` reads the covers (the transitive reduction)
 back off, for `tree_order`, `edge_characterization_check` and
-`tree_metric.check_ballean_poset`.  A tree is walked and its labels are
-ranked once, when built; vertex ids are ints, not bools, floats or strings.
+`tree_metric.check_ballean_poset`.  A tree is walked, in preorder, and its
+labels are ranked once, when built; vertex ids are ints, not bools, floats
+or strings.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     _classes_below,
     _document,
     _gather,
+    _is_index,
     _parse_entries,
     _rank_of,
     _require_ultrametric,
@@ -35,23 +37,19 @@ from .core import (
 )
 
 
-def _is_index(value, n: int) -> bool:
-    """True for an int in range(n): bools, floats and strings are not ids."""
-    return type(value) is int and 0 <= value < n
-
-
 class RootedLabeledTree:
     """A tree with rational vertex labels and an optional root.
 
     `label_rank[v]` indexes v's label in `label_values`, the sorted distinct
-    labels.  Rooted operations refuse a free tree; they read the parents and
-    depths of the constructor's one walk.  `ball_points[v]`, from a space,
+    labels.  Rooted operations refuse a free tree; they read the constructor's
+    one walk, a preorder with children ascending (`_pre`), and the parents and
+    depths it finds.  `ball_points[v]`, from a space,
     is the point set of the ball a vertex stands for.  `truncated` marks
     prefixes of infinite trees whose leaves still carry positive labels.
     """
 
     __slots__ = ("labels", "label_values", "label_rank", "edges", "root", "ball_points", "truncated",
-                 "_adj", "_parent", "_depth")
+                 "_adj", "_parent", "_depth", "_pre")
 
     def __init__(self, labels, edges, root: Optional[int] = None,
                  ball_points=None, truncated: bool = False):
@@ -80,14 +78,16 @@ class RootedLabeledTree:
         parent: list[Optional[int]] = [None] * n
         depth = [-1] * n
         depth[start] = 0
-        reached = [start]
-        for u in reached:   # grows while it is read
-            for v in self._adj[u]:
+        pre, stack = [], [start]
+        while stack:
+            u = stack.pop()
+            pre.append(u)
+            for v in reversed(self._adj[u]):   # the smallest child is visited next
                 if depth[v] < 0:
                     depth[v] = depth[u] + 1
                     parent[v] = u
-                    reached.append(v)
-        if len(reached) < n:
+                    stack.append(v)
+        if len(pre) < n:
             raise ValueError("edges do not connect the vertex set")
         self.label_values, (self.label_rank,) = _rank_of(parsed, [row])
         if self.label_values[0] < 0:
@@ -96,6 +96,7 @@ class RootedLabeledTree:
             raise ValueError(f"root {root!r} is not a vertex index")
         self._parent = tuple(parent)
         self._depth = tuple(depth)
+        self._pre = tuple(pre)
         self.root = root
         if ball_points is not None:
             ball_points = tuple(tuple(_array(p, "a ball_points payload"))

@@ -15,9 +15,9 @@ from functools import reduce
 from operator import and_
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from .core import (FiniteUltrametricSpace, _ball_tree, _document, _gap_rows, _gather, _rank_of,
-                   _require_ultrametric)
-from .repr_tree import RootedLabeledTree, _covering_pairs, _is_index, _up_closure
+from .core import (FiniteUltrametricSpace, _ball_tree, _document, _gap_rows, _gather, _is_index,
+                   _rank_of, _require_ultrametric)
+from .repr_tree import RootedLabeledTree, _covering_pairs, _up_closure
 
 if TYPE_CHECKING:
     from .balls import Ball
@@ -169,22 +169,20 @@ def maximal_chains(tree: RootedLabeledTree) -> tuple[MaxChain, ...]:
 
 
 def _chains_and_partings(tree: RootedLabeledTree) -> tuple[tuple[MaxChain, ...], list[int]]:
-    # The chains, each with the vertex where it parts from the one before: a first
-    # child parts where its parent does, any other at its parent, the first chain at its leaf.
+    # The chains in the order the tree's one walk (`_pre`) reaches their leaves, each a leaf
+    # on its parent's path, with the vertex where it parts from the one before: the parent of
+    # the vertex the walk visits after that one's leaf, and for the first chain its own leaf.
     root = tree.require_root()
-    kids = tree.children_map()
-    chains, parting = [], []
-    stack: list[tuple[int, tuple[int, ...], Optional[int]]] = [(root, (root,), None)]
-    while stack:
-        v, path, part = stack.pop()
-        below = kids[v]
-        if not below:
+    pre, adj, depth = tree._pre, tree._adj, tree._depth
+    chains, parting, path = [], [], []
+    after = 0   # where the walk goes on after the last leaf, 0 before the first
+    for i, v in enumerate(pre):
+        del path[depth[v]:]   # the path of v's parent
+        path.append(v)
+        if len(adj[v]) == (v != root):   # out-degree 0: a leaf
             chains.append(MaxChain(path))
-            parting.append(v if part is None else part)
-            continue
-        for c in below[:0:-1]:
-            stack.append((c, path + (c,), v))
-        stack.append((below[0], path + (below[0],), part))
+            parting.append(tree._parent[pre[after]] if after else v)
+            after = i + 1
     return tuple(chains), parting
 
 

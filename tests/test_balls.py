@@ -20,8 +20,11 @@ from ultratree import (
     is_ultrametric_triangle,
     smallest_enclosing_ball,
 )
+from ultratree import balls as balls_module
 from util import (
     caterpillar_matrix,
+    closed_ball_join,
+    count_calls,
     differential_spaces,
     enumerated_ballean,
     flat_matrix,
@@ -235,6 +238,35 @@ def test_ball_poset_join_is_least_upper_bound():
             for c in poset.balls:
                 if poset.leq(a, c) and poset.leq(b, c):
                     assert poset.leq(j, c)
+
+
+def test_joins_match_the_closed_ball_join():
+    # every pair on the small spaces; sampled pairs on the bench shapes, up to n = 256
+    rng = random.Random(19)
+    spaces = differential_spaces(rng, 40)
+    for matrix in (caterpillar_matrix(256), random_ultrametric_matrix(rng, 256),
+                   flat_matrix(256), padic_matrix(2, 8), padic_matrix(3, 5)):
+        for m in (matrix, permuted(rng, matrix)):
+            spaces.append(FiniteUltrametricSpace([f"p{i}" for i in range(len(m))], m))
+    for space in spaces:
+        poset = ball_poset(space)
+        pairs = list(product(poset.balls, repeat=2))
+        if len(space) > 24:
+            pairs = rng.sample(pairs, 300)
+        for a, b in pairs:
+            got, want = poset.join(a, b), closed_ball_join(poset, a, b)
+            assert (got.points, got.diameter) == (want.points, want.diameter)
+
+
+def test_joins_never_call_closed_ball(monkeypatch):
+    space = FiniteUltrametricSpace([f"p{i}" for i in range(64)], caterpillar_matrix(64))
+    poset = ball_poset(space)
+    counts = count_calls(monkeypatch, balls_module, ("closed_ball",))
+    for a, b in product(poset.balls, repeat=2):
+        poset.join(a, b)
+    assert counts == {"closed_ball": 0}
+    smallest_enclosing_ball(space, [0, 1])   # the counter sees a call that scans a row
+    assert counts == {"closed_ball": 1}
 
 
 def test_hausdorff_examples():

@@ -17,6 +17,7 @@ import re
 import pytest
 
 from ultratree import (
+    Ball,
     PiecewiseLinearFn,
     RootedLabeledTree,
     bethe_ball_tree,
@@ -25,6 +26,7 @@ from ultratree import (
     closed_ball,
     diam,
     diametrical_partition,
+    hausdorff_distance,
     make_space,
     smallest_enclosing_ball,
     space_to_json,
@@ -128,14 +130,24 @@ def test_bethe_refuses_a_nonpositive_top_label(capsys, argv):
     assert capsys.readouterr() == ("", "error: top label must be positive\n")
 
 
-@pytest.mark.parametrize("bad", [True, 0.0, "a"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("bad", [True, 0.0, "a", -1, 4],
+                         ids=["bool", "float", "str", "negative", "out-of-range"])
 def test_point_ids_are_ints(bad):
     space = nested_four_point_space()
     message = rf"^point {re.escape(repr(bad))} is not an index in range\(4\)$"
+    good, wrong = Ball([0], 0, 0, 0), Ball([bad], 0, bad, 0)
     for call in (lambda: diam(space, [bad, 0]), lambda: diametrical_partition(space, [0, bad]),
-                 lambda: closed_ball(space, bad, 1), lambda: smallest_enclosing_ball(space, [bad])):
+                 lambda: closed_ball(space, bad, 1), lambda: smallest_enclosing_ball(space, [bad]),
+                 lambda: hausdorff_distance(space, good, wrong),
+                 lambda: hausdorff_distance(space, wrong, good)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_hausdorff_distance_refuses_a_point_outside_a_multi_point_ball():
+    space = nested_four_point_space()
+    with pytest.raises(ValueError, match=r"^point 7 is not an index in range\(4\)$"):
+        hausdorff_distance(space, Ball([0, 7], 2, 0, 2), Ball([1], 0, 1, 0))
 
 
 @pytest.mark.parametrize("ball_points, message", [

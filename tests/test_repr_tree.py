@@ -39,6 +39,7 @@ from util import (
     random_monotone_tree,
     random_ultrametric_matrix,
     random_ultrametric_space,
+    relabeled,
     top_down_tree,
     tree_order_failures,
 )
@@ -122,6 +123,29 @@ def test_rooted_maps_match_a_fresh_walk():
             rooted_only()
     with pytest.raises(ValueError, match="needs a rooted tree"):
         free.out_degree(0)
+
+
+def test_the_one_walk_is_a_preorder_with_children_ascending():
+    rng = random.Random(25)
+    trees = [build_representing_tree(s) for s in differential_spaces(rng, 30)]
+    trees += [random_monotone_tree(rng, rng.randint(1, 40)) for _ in range(200)]
+    trees += [relabeled(rng, t) for t in trees]
+    for _ in range(100):
+        free = random_labeled_tree(rng, rng.randint(1, 30))
+        trees += [free, RootedLabeledTree(free.labels, free.edges, root=rng.randrange(free.n))]
+    for tree in trees:
+        pre, start = tree._pre, tree.root if tree.root is not None else 0
+        parent, depth, kids = bfs_tree_maps(tree, start)
+        assert sorted(pre) == list(range(tree.n)) and pre[0] == start
+        assert (tree._parent, tree._depth) == (parent, depth)
+        place = {v: i for i, v in enumerate(pre)}
+        assert all(place[p] < place[v] for v, p in enumerate(parent) if p is not None)
+        assert all([place[c] for c in k] == sorted(place[c] for c in k) for k in kids)
+        for u, v in zip(pre, pre[1:]):   # depth first: v hangs off the path to u
+            w = u
+            while depth[w] >= depth[v]:
+                w = parent[w]
+            assert w == parent[v]
 
 
 def test_invariants_pass_on_worked_example_and_random_spaces():
@@ -290,22 +314,6 @@ def test_tree_order_verifies_on_random_trees():
     for _ in range(30):
         tree = build_representing_tree(random_ultrametric_space(rng, rng.randint(1, 16)))
         assert tree_order_failures(tree, tree_order(tree)) == []
-
-
-def relabeled(rng: random.Random, tree: RootedLabeledTree) -> RootedLabeledTree:
-    """The same tree with its vertex ids shuffled."""
-    ids = list(range(tree.n))
-    rng.shuffle(ids)
-    labels = [None] * tree.n
-    for v in range(tree.n):
-        labels[ids[v]] = tree.labels[v]
-    points = None
-    if tree.ball_points is not None:
-        points = [None] * tree.n
-        for v in range(tree.n):
-            points[ids[v]] = tree.ball_points[v]
-    return RootedLabeledTree(labels, [(ids[u], ids[v]) for u, v in tree.edges],
-                             root=ids[tree.root], ball_points=points)
 
 
 def test_tree_order_matches_path_set_oracle():

@@ -28,6 +28,7 @@ from ultratree import (
 from util import (
     all_roots_representable,
     caterpillar_matrix,
+    count_calls,
     chain_scan_reconstruct,
     differential_spaces,
     equilateral_space,
@@ -40,7 +41,9 @@ from util import (
     random_monotone_tree,
     random_ultrametric_matrix,
     random_ultrametric_space,
+    relabeled,
     row_sort_ballean,
+    stack_chains_and_partings,
     triple_loop_ballean_poset,
     two_pair_space,
 )
@@ -452,6 +455,23 @@ def test_reconstruct_space_matches_chain_scan_oracle():
         assert fast.chains == slow.chains
         assert fast.space.names == slow.space.names
         assert fast.space.matrix == slow.space.matrix
+
+
+def test_chains_and_partings_match_the_stack_walk(monkeypatch):
+    rng = random.Random(46)
+    trees = [build_representing_tree(s) for s in differential_spaces(rng, 40)]
+    trees += [random_monotone_tree(rng, rng.randint(1, 40)) for _ in range(300)]
+    n = 2001   # a caterpillar 2,000 levels deep: spine vertex i is the ball {0..n-1-i}
+    labels = [n - 1 - i for i in range(n - 1)] + [0] * n
+    edges = [(i - 1, i) for i in range(1, n - 1)] + [(i, n - 1 + i) for i in range(n - 1)]
+    trees += [RootedLabeledTree([0], [], root=0),
+              RootedLabeledTree(labels, edges + [(n - 2, 2 * n - 2)], root=0)]
+    trees += [relabeled(rng, t) for t in trees]
+    want = [stack_chains_and_partings(tree) for tree in trees]
+    counts = count_calls(monkeypatch, RootedLabeledTree, ("children_map",))
+    assert [tree_metric._chains_and_partings(tree) for tree in trees] == want
+    assert counts == {"children_map": 0}
+    assert max(len(c) for c in want[-1][0]) == n
 
 
 class CountedArcs(list):

@@ -11,7 +11,8 @@ the triple-loop poset check, the frozenset root-path order, the
 per-call breadth-first walk, Prim's single-linkage loop, the `Fraction`
 weak-similarity and closed-ball scans, the rung-by-rung ladder snap,
 `_from_ranks`'s scan for unused values, the generator-recursion canonical
-code, the `Fraction` monotone-labeling test and the transposed gap rows
+code, the `Fraction` monotone-labeling test, the transposed gap rows, the
+`closed_ball` join and the stack walk of the chains and their partings
 are the implementations the library's faster ones replaced, kept here as
 oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
@@ -28,7 +29,7 @@ from operator import neg
 from typing import Optional
 
 from ultratree import FiniteUltrametricSpace, RootedLabeledTree
-from ultratree.balls import Ball, Ballean, HausdorffBallSpace
+from ultratree.balls import Ball, Ballean, BallPoset, HausdorffBallSpace, closed_ball
 from ultratree.core import (
     _classes_below,
     _rank_of,
@@ -40,6 +41,7 @@ from ultratree.core import (
 from ultratree.morphisms import CanonicalCode, ScalingFunction, apply_preserving
 from ultratree.repr_tree import TreeOrder
 from ultratree.tree_metric import (
+    MaxChain,
     MaxChainSpace,
     PosetCheckReport,
     PseudoUltrametricSpace,
@@ -318,6 +320,22 @@ def random_monotone_tree(rng: random.Random, n: int) -> RootedLabeledTree:
         [(ids[v], ids[parent[v]]) for v in range(1, n)],
         root=ids[0],
     )
+
+
+def relabeled(rng: random.Random, tree: RootedLabeledTree) -> RootedLabeledTree:
+    """The same tree with its vertex ids shuffled."""
+    ids = list(range(tree.n))
+    rng.shuffle(ids)
+    labels = [None] * tree.n
+    for v in range(tree.n):
+        labels[ids[v]] = tree.labels[v]
+    points = None
+    if tree.ball_points is not None:
+        points = [None] * tree.n
+        for v in range(tree.n):
+            points[ids[v]] = tree.ball_points[v]
+    return RootedLabeledTree(labels, [(ids[u], ids[v]) for u, v in tree.edges],
+                             root=ids[tree.root], ball_points=points)
 
 
 def random_labeled_tree(rng: random.Random, n: int) -> RootedLabeledTree:
@@ -812,3 +830,39 @@ def transpose_gap_rows(gaps) -> tuple[tuple[int, ...], ...]:
         left.append(left[-1][:t] + (g,) * (len(left) - t))
     cols = zip(*[row + (0,) * (len(left) - b) for b, row in enumerate(left)])
     return tuple(row + col[b:] for b, (row, col) in enumerate(zip(left, cols)))
+
+
+def closed_ball_join(poset: BallPoset, a: Ball, b: Ball) -> Ball:
+    """Oracle for `BallPoset.join`: a `closed_ball` row scan around a's smallest point.
+
+    The join is the ball around a_0 at the largest of diam(a), diam(b) and
+    d(a_0, b_0), with the diameters ranked through a `Fraction`-keyed dict.
+    """
+    space, a0 = poset.space, a.points[0]
+    rank = {v: t for t, v in enumerate(space.distance_values)}
+    t = max(rank[a.diameter], rank[b.diameter], space.rank[a0][b.points[0]])
+    return closed_ball(space, a0, space.distance_values[t])
+
+
+def stack_chains_and_partings(tree: RootedLabeledTree) -> tuple[tuple[MaxChain, ...], list[int]]:
+    """Oracle for `tree_metric._chains_and_partings`: a stack walk of its own.
+
+    It reads `children_map` and carries each vertex's path and parting:
+    a first child parts where its parent does, any other at its parent,
+    the first chain at its leaf.
+    """
+    root = tree.require_root()
+    kids = tree.children_map()
+    chains, parting = [], []
+    stack: list[tuple[int, tuple[int, ...], Optional[int]]] = [(root, (root,), None)]
+    while stack:
+        v, path, part = stack.pop()
+        below = kids[v]
+        if not below:
+            chains.append(MaxChain(path))
+            parting.append(v if part is None else part)
+            continue
+        for c in below[:0:-1]:
+            stack.append((c, path + (c,), v))
+        stack.append((below[0], path + (below[0],), part))
+    return tuple(chains), parting
