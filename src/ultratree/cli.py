@@ -203,79 +203,61 @@ def _cmd_roundtrip(args) -> int:
     return 0 if verdict else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_PRIME = ("--prime", {"type": int, "required": True})
+# verb -> (help, handler's name, arguments: a positional's name or (name, add_argument options))
+_VERBS = {
+    "check": ("test ultrametricity, with a witness on failure", "_cmd_check", ["space"]),
+    "dset": ("print the distance set", "_cmd_dset", ["space"]),
+    "balls": ("enumerate the ballean", "_cmd_balls", ["space"]),
+    "tree": ("build the representing tree", "_cmd_tree",
+             ["space", ("--dot", {"action": "store_true", "help": "emit DOT instead of JSON"})]),
+    "iso": ("decide isometry of two spaces", "_cmd_pair", ["space_a", "space_b"]),
+    "weaksim": ("decide weak similarity of two spaces", "_cmd_pair", ["space_a", "space_b"]),
+    "reconstruct": ("rebuild the space a monotone tree represents", "_cmd_reconstruct", ["tree"]),
+    "representable": ("can this labeled tree represent a space?", "_cmd_representable", ["tree"]),
+    "posetcheck": ("is this poset a ball lattice?", "_cmd_posetcheck", ["poset"]),
+    "transform": ("apply a distance transform", "_cmd_transform", [
+        ("--fn", {"required": True, "help": "bound:D | unbound:D | threshold:R | quantize"}),
+        "space"]),
+    "padic": ("build a p-adic sample space", "_cmd_padic",
+              [_PRIME, ("--points", {"required": True, "help": "JSON array of rationals"})]),
+    "bethe": ("generate a depth-limited p-adic ball/sphere tree", "_cmd_bethe", [
+        _PRIME, ("--depth", {"type": int, "required": True}),
+        ("--top", {"default": "1", "help": "label of the root (default 1)"}),
+        ("--sphere", {"action": "store_true"})]),
+    "roundtrip": ("space -> tree -> space, isometry verdict", "_cmd_roundtrip", ["space"]),
+}
+
+
+def build_parser(verbs=None) -> argparse.ArgumentParser:
+    """The parser of `verbs` (default all); its errors print what all verbs' would."""
     parser = argparse.ArgumentParser(
         prog="ultratree",
         description="Finite ultrametric spaces: balls, representing trees, "
                     "isometry, transforms, p-adic generators.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="test ultrametricity, with a witness on failure")
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("dset", help="print the distance set")
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_dset)
-
-    p = sub.add_parser("balls", help="enumerate the ballean")
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_balls)
-
-    p = sub.add_parser("tree", help="build the representing tree")
-    p.add_argument("space")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-    p.set_defaults(handler=_cmd_tree)
-
-    for verb, what in (("iso", "isometry"), ("weaksim", "weak similarity")):
-        p = sub.add_parser(verb, help=f"decide {what} of two spaces")
-        p.add_argument("space_a")
-        p.add_argument("space_b")
-        p.set_defaults(handler=_cmd_pair)
-
-    p = sub.add_parser("reconstruct", help="rebuild the space a monotone tree represents")
-    p.add_argument("tree")
-    p.set_defaults(handler=_cmd_reconstruct)
-
-    p = sub.add_parser("representable", help="can this labeled tree represent a space?")
-    p.add_argument("tree")
-    p.set_defaults(handler=_cmd_representable)
-
-    p = sub.add_parser("posetcheck", help="is this poset a ball lattice?")
-    p.add_argument("poset")
-    p.set_defaults(handler=_cmd_posetcheck)
-
-    p = sub.add_parser("transform", help="apply a distance transform")
-    p.add_argument("--fn", required=True,
-                   help="bound:D | unbound:D | threshold:R | quantize")
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_transform)
-
-    p = sub.add_parser("padic", help="build a p-adic sample space")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--points", required=True, help="JSON array of rationals")
-    p.set_defaults(handler=_cmd_padic)
-
-    p = sub.add_parser("bethe", help="generate a depth-limited p-adic ball/sphere tree")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--top", default="1", help="label of the root (default 1)")
-    p.add_argument("--sphere", action="store_true")
-    p.set_defaults(handler=_cmd_bethe)
-
-    p = sub.add_parser("roundtrip", help="space -> tree -> space, isometry verdict")
-    p.add_argument("space")
-    p.set_defaults(handler=_cmd_roundtrip)
-
+    # the usage line names every verb; argparse writes it when it has them all,
+    # where a metavar would replace "command" in its missing or unknown verb errors
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if verbs is None
+                                else "{" + ",".join(_VERBS) + "}")
+    for verb in _VERBS if verbs is None else verbs:
+        what, handler, arguments = _VERBS[verb]
+        p = sub.add_parser(verb, help=what)
+        for arg in arguments:
+            name, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(name, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a request that names its verb needs only that verb's parser
+    parser = build_parser(argv[:1] if argv[:1] and argv[0] in _VERBS else None)
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        # looked up by name, so a handler replaced on this module is the one run
+        return globals()[args.handler](args)
     except (InputError, core.SpaceValidationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -16,11 +16,11 @@ single-linkage pass whose strong-triangle verdict, point order and gap
 ranks every ranked matrix keeps.  The pass reads the order off the balls
 by descending from point 0, checks it with slice comparisons of the
 permuted rows, and runs Prim's algorithm only on a matrix that check
-refutes, for the witness in the first row the check breaks on.  The
-O(n^3) triple scan stays as the tests' oracle.  Every ball is a run of
-the order, so `_ball_tree` reads the balls off the order and the gaps as
-runs, numbered once as the representing tree is.  `_gap_rows` inverts
-the pass: the spaces derived from a tree build their rank rows from its gaps.
+refutes, for the witness in the first row the check breaks on.  Every
+ball is a run of the order, so `_ball_tree` reads the balls off the order
+and the gaps as runs, numbered once as the representing tree is.
+`_gap_rows` inverts the pass: the spaces derived from a tree build their
+rank rows from its gaps.
 The input rules each module shares live here once: `_document` (a JSON
 document's keys), `_is_index`, `_array`, `_positive` and `_require_ultrametric`.
 """
@@ -208,26 +208,6 @@ def _basic_validate(names: tuple[str, ...], rank, values) -> None:
                     "positivity", (i, j),
                     f"d({names[i]},{names[j]}) = {values[ri[j]]} must be positive",
                 )
-
-
-def _strong_triangle_witness(rank) -> Optional[tuple[int, int, int]]:
-    # The O(n^3) scan, kept as the test suite's oracle for `_single_linkage`.
-    # Strong triangle holds on a triple iff its largest distance is attained
-    # at least twice (isosceles with legs at least the base).
-    n = len(rank)
-    for i in range(n):
-        ri = rank[i]
-        for j in range(i + 1, n):
-            rij = ri[j]
-            rj = rank[j]
-            for k in range(j + 1, n):
-                a, b, c = rij, ri[k], rj[k]
-                m = a if a >= b else b
-                if c > m:
-                    m = c
-                if (a == m) + (b == m) + (c == m) < 2:
-                    return (i, j, k)
-    return None
 
 
 def _ball_order(rank) -> tuple[list[int], list[int]]:

@@ -1,10 +1,11 @@
 """Canonical tree codes, isometry and weak-similarity decisions, distance transforms.
 
 Two finite ultrametric spaces are isometric exactly when their labeled
-representing trees are isomorphic, so isometry reduces to comparing
-canonical codes.  Weak similarity (order-preserving bijection of
-distances) reduces to isometry after replacing every distance by its rank
-in the distance set, and checking a given bijection compares rank matrices.
+representing trees are isomorphic, so both decisions compare integer codes
+of the tree every space holds, labeled by rank, as `core._ball_tree`.  Weak
+similarity (order-preserving bijection of distances) is isometry once every
+distance is replaced by its rank; checking a given bijection compares rank
+matrices.
 """
 
 from __future__ import annotations
@@ -12,17 +13,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Union
 
-from .core import (
-    FiniteUltrametricSpace,
-    parse_rational,
-    _gather,
-    _is_index,
-    _positive,
-    _rank_of,
-)
-from .repr_tree import RootedLabeledTree, _label_texts, build_representing_tree
+from .core import (FiniteUltrametricSpace, parse_rational, _ball_tree, _gather, _is_index,
+                   _positive, _rank_of, _require_ultrametric)
+
+if TYPE_CHECKING:
+    from .repr_tree import RootedLabeledTree
 
 _BRUTE_FORCE_CAP = 8  # points; the search is exponential
 
@@ -63,8 +60,9 @@ def canonical_code(tree: RootedLabeledTree) -> CanonicalCode:
 
     Each distinct label is printed once.  The recursion stays, two Python
     frames a level: on Python 3.11, 497 levels pass the default limit and
-    the bench's depth-600 probe still raises RecursionError (ROADMAP item 1).
+    the bench's depth-600 probe still raises RecursionError (ROADMAP item 2).
     """
+    from .repr_tree import _label_texts   # so the decisions load without `repr_tree`
     root = tree.require_root()
     adj, text = tree._adj, _label_texts(tree)
 
@@ -76,11 +74,25 @@ def canonical_code(tree: RootedLabeledTree) -> CanonicalCode:
     return CanonicalCode(encode(root, -1))
 
 
+def _same_ranked_tree(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
+    """Are the ball trees, labeled by diameter rank, isomorphic?  O(n log n), no recursion:
+    reverse numbering puts children first, and one table shared by both trees numbers
+    each (rank, sorted child codes) (Aho, Hopcroft & Ullman 1974, §3.2)."""
+    table: dict = {}
+    roots = []
+    for space in (x, y):
+        runs, parent = _ball_tree(_require_ultrametric(space, "representing trees"))
+        codes = [[] for _ in range(len(runs) + 1)]   # the last list takes the root's code
+        for v in range(len(runs) - 1, -1, -1):
+            codes[v].sort()
+            codes[parent[v]].append(table.setdefault((runs[v][0], *codes[v]), len(table)))
+        roots.append(codes[-1])
+    return roots[0] == roots[1]
+
+
 def spaces_isometric(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
-    """Isometry decision through labeled representing trees."""
-    return canonical_code(build_representing_tree(x)) == canonical_code(
-        build_representing_tree(y)
-    )
+    """Isometry decision: isomorphic ball trees over the same distance set."""
+    return _same_ranked_tree(x, y) and x.distance_values == y.distance_values
 
 
 def brute_force_isometry(
@@ -196,7 +208,7 @@ def weakly_similar(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool
     with an isometry, so the spaces are weakly similar iff their
     rank-transformed copies are isometric.
     """
-    return spaces_isometric(rank_transform(x), rank_transform(y))
+    return _same_ranked_tree(x, y)
 
 
 class PreservingFunctionError(ValueError):

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from .core import FiniteUltrametricSpace, _positive, diametrical_partition, parse_rational
-from .repr_tree import RootedLabeledTree, build_representing_tree
+
+if TYPE_CHECKING:
+    from .repr_tree import RootedLabeledTree
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -150,6 +152,7 @@ def _bethe_tree(p: int, top: Fraction, depth: int, root_children: int) -> Rooted
     # p >= 2, so 64 levels already pass the cap: no huge power is formed
     if 1 + sum(root_children * p ** k for k in range(min(depth, 64))) > BETHE_MAX_VERTICES:
         raise ValueError(f"p = {p}, depth {depth} passes {BETHE_MAX_VERTICES} vertices")
+    from .repr_tree import RootedLabeledTree   # `padic_space` builds no tree
     labels = [top]
     edges: list[tuple[int, int]] = []
     # (parent, label, levels below) of vertices still to number; siblings
@@ -208,6 +211,7 @@ def padic_ball_tree_vs_sample(p: int, depth: int) -> bool:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     from .morphisms import canonical_code
+    from .repr_tree import RootedLabeledTree, build_representing_tree
     sample = range(p ** depth)
     space = padic_space(sample, p)
     actual = build_representing_tree(space)

@@ -19,10 +19,13 @@ from ultratree import (
 )
 import ultratree.cli as cli
 from ultratree.cli import run
+import util
 from util import (
     count_calls,
     mixed_validity_matrix,
     nested_four_point_space,
+    every_verb_parser,
+    strong_triangle_witness,
     two_pair_space,
     violates_strong_triangle,
 )
@@ -97,7 +100,7 @@ def test_check_agrees_with_both_ultrametricity_tests(tmp_path, capsys):
             "points": names, "matrix": [[str(v) for v in row] for row in matrix],
         }))
         code, out, _ = invoke(capsys, "check", str(path))
-        ok = core._strong_triangle_witness(core._RankedMatrix(names, matrix).rank) is None
+        ok = strong_triangle_witness(core._RankedMatrix(names, matrix).rank) is None
         assert ok == is_ultrametric_multipartite(matrix)
         assert code == (0 if ok else 1)
         result = json.loads(out)
@@ -116,10 +119,9 @@ def test_check_and_loads_scan_each_space_once(tmp_path, capsys, monkeypatch):
         "points": ["a", "b", "c"],
         "matrix": [["0", "2", "3"], ["2", "0", "2"], ["3", "2", "0"]],
     }))
-    counts = count_calls(monkeypatch, core, (
-        "_single_linkage", "_strong_triangle_witness", "is_ultrametric_multipartite"))
-    expected = {"_single_linkage": 1, "_strong_triangle_witness": 0,
-                "is_ultrametric_multipartite": 0}
+    counts = count_calls(monkeypatch, core, ("_single_linkage", "is_ultrametric_multipartite"))
+    scans = count_calls(monkeypatch, util, ("strong_triangle_witness",))
+    expected = {"_single_linkage": 1, "is_ultrametric_multipartite": 0}
     code, _, err = invoke(capsys, "tree", str(metric))
     assert code == 2 and "witness triple (a,b,c)" in err
     assert counts == expected
@@ -128,6 +130,7 @@ def test_check_and_loads_scan_each_space_once(tmp_path, capsys, monkeypatch):
     code, out, _ = invoke(capsys, "check", str(metric))
     assert code == 1 and json.loads(out)["witness"] == ["a", "b", "c"]
     assert counts == expected
+    assert scans == {"strong_triangle_witness": 0}
 
 
 def test_deep_caterpillar_runs_without_recursion(tmp_path, capsys):
@@ -149,6 +152,19 @@ def test_deep_caterpillar_runs_without_recursion(tmp_path, capsys):
     code, out, err = invoke(capsys, "balls", str(path))
     assert code == 0 and err == ""
     assert len(json.loads(out)["balls"]) == 2 * n - 1
+    # doubled distances: the same tree with other labels, weakly similar only
+    doubled = tmp_path / "doubled.json"
+    doubled.write_text(json.dumps({
+        "points": [str(i) for i in range(n)],
+        "matrix": [[str(0 if i == j else 2 * max(i, j)) for j in range(n)] for i in range(n)],
+    }))
+    code, out, err = invoke(capsys, "iso", str(path), str(doubled))
+    assert (code, json.loads(out), err) == (1, {"isometric": False}, "")
+    code, out, err = invoke(capsys, "weaksim", str(path), str(doubled))
+    assert (code, json.loads(out), err) == (0, {"weakly_similar": True}, "")
+    code, out, err = invoke(capsys, "roundtrip", str(path))
+    assert (code, json.loads(out), err) == (0, {"points": n, "balls": 2 * n - 1,
+                                                "isometric": True}, "")
 
 
 def test_module_runs_as_a_script(tmp_path):
@@ -432,3 +448,60 @@ def test_internal_errors_exit_3_without_a_traceback(capsys, monkeypatch, space_f
     code, out, err = invoke(capsys, "dset", space_file)
     assert (code, out) == (3, "")
     assert err == "internal error: RecursionError: maximum recursion depth exceeded\n"
+
+
+VERBS = ("check", "dset", "balls", "tree", "iso", "weaksim", "reconstruct", "representable",
+         "posetcheck", "transform", "padic", "bethe", "roundtrip")
+PARSER_BATTERY = [
+    # every verb with valid arguments
+    ["check", "space.json"], ["dset", "space.json"], ["balls", "space.json"],
+    ["tree", "space.json"], ["tree", "--dot", "space.json"],
+    ["iso", "space.json", "space.json"], ["weaksim", "space.json", "other.json"],
+    ["reconstruct", "tree.json"], ["representable", "tree.json"],
+    ["posetcheck", "poset.json"], ["transform", "--fn", "bound:3", "space.json"],
+    ["transform", "space.json", "--fn", "quantize"],
+    ["padic", "--prime", "2", "--points", "points.json"],
+    ["bethe", "--prime", "3", "--depth", "2"],
+    ["bethe", "--sphere", "--prime", "2", "--depth", "2", "--top", "4"],
+    ["roundtrip", "space.json"], ["check", "missing.json"],
+    # a missing or an extra positional
+    ["check"], ["iso", "space.json"], ["reconstruct"], ["transform", "--fn", "quantize"],
+    ["check", "space.json", "space.json"], ["iso", "space.json", "space.json", "extra"],
+    ["roundtrip", "space.json", "--", "extra"],
+    # an unknown option, or a required one left out
+    ["check", "--bogus", "space.json"], ["tree", "--dot", "--svg", "space.json"],
+    ["--bogus"], ["--bogus", "check", "space.json"], ["transform", "space.json"],
+    ["padic", "--points", "points.json"], ["bethe", "--prime", "3"],
+    # a non-integer --prime or --depth
+    ["padic", "--prime", "two", "--points", "points.json"],
+    ["bethe", "--prime", "1.5", "--depth", "2"], ["bethe", "--prime", "3", "--depth", "x"],
+    # help, no arguments, an unknown verb
+    ["-h"], ["--help"], ["-h", "iso"], *([verb, "-h"] for verb in VERBS),
+    [], ["frobnicate"], ["frobnicate", "space.json"], ["Check", "space.json"],
+]
+
+
+def test_one_verb_parser_answers_as_the_whole_parser(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "space.json").write_text(json.dumps(space_to_json(nested_four_point_space())))
+    (tmp_path / "other.json").write_text(json.dumps(space_to_json(two_pair_space())))
+    (tmp_path / "points.json").write_text(json.dumps([0, 1, 2, 3, "1/2"]))
+    (tmp_path / "poset.json").write_text(
+        json.dumps({"elements": ["X", "a", "b"], "covers": [[1, 0], [2, 0]]}))
+    data = os.path.join(os.path.dirname(__file__), "data", "four_point_tree.json")
+    (tmp_path / "tree.json").write_text(open(data).read())
+
+    def outcome(argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:   # argparse's errors and help
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    assert list(cli._VERBS) == list(VERBS)
+    narrowed = [outcome(argv) for argv in PARSER_BATTERY]
+    monkeypatch.setattr(cli, "build_parser", lambda verbs=None: every_verb_parser())
+    for argv, got in zip(PARSER_BATTERY, narrowed):
+        assert got == outcome(argv), argv
+    assert {code for code, _, _ in narrowed} == {0, 1, 2}

@@ -30,6 +30,7 @@ from ultratree.balls import ballean
 from ultratree.cli import run
 from ultratree.core import format_rational
 from ultratree.morphisms import bound_transform, quantize_binary
+import util
 from util import (
     caterpillar_matrix,
     count_calls,
@@ -43,6 +44,7 @@ from util import (
     perturbed,
     prim_single_linkage,
     random_ultrametric_matrix,
+    strong_triangle_witness,
     violates_strong_triangle,
 )
 
@@ -75,13 +77,14 @@ def test_make_space_parses_validates_ranks_and_scans_once(monkeypatch):
     distinct = len({v for row in rows for v in row})
     counts = count_calls(monkeypatch, core, (
         "parse_rational", "_basic_validate", "_rank_of", "_single_linkage",
-        "_strong_triangle_witness", "_weak_triangle_witness"))
+        "_weak_triangle_witness"))
+    scans = count_calls(monkeypatch, util, ("strong_triangle_witness",))
     space = make_space([f"p{i}" for i in range(n)], rows)
     assert isinstance(space, FiniteUltrametricSpace)
     assert distinct < n * n
     assert counts == {"parse_rational": distinct, "_basic_validate": 1, "_rank_of": 1,
-                      "_single_linkage": 1, "_strong_triangle_witness": 0,
-                      "_weak_triangle_witness": 0}
+                      "_single_linkage": 1, "_weak_triangle_witness": 0}
+    assert scans == {"strong_triangle_witness": 0}
 
 
 def test_no_construction_path_runs_the_triple_scan(tmp_path, capsys, monkeypatch):
@@ -90,7 +93,7 @@ def test_no_construction_path_runs_the_triple_scan(tmp_path, capsys, monkeypatch
     names = [f"p{i}" for i in range(12)]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"points": ["a", "b", "c"], "matrix": rows}))
-    counts = count_calls(monkeypatch, core, ("_strong_triangle_witness",))
+    counts = count_calls(monkeypatch, util, ("strong_triangle_witness",))
     space = make_space(names, good)
     FiniteMetricSpace(names, good)
     FiniteUltrametricSpace(names, good)
@@ -100,14 +103,14 @@ def test_no_construction_path_runs_the_triple_scan(tmp_path, capsys, monkeypatch
     assert is_ultrametric_triangle(rows) == (False, (0, 1, 2))
     assert run(["check", str(path)]) == 1
     assert json.loads(capsys.readouterr().out)["witness"] == ["a", "b", "c"]
-    assert counts == {"_strong_triangle_witness": 0}
+    assert counts == {"strong_triangle_witness": 0}
 
 
 def _oracle_agrees(matrix) -> None:
     """`is_ultrametric_triangle` against the O(n^3) triple scan."""
     ok, witness = is_ultrametric_triangle(matrix)
     n = len(matrix)
-    oracle = core._strong_triangle_witness(core._RankedMatrix(range(n), matrix).rank)
+    oracle = strong_triangle_witness(core._RankedMatrix(range(n), matrix).rank)
     assert ok == (oracle is None)
     if ok:
         assert witness is None

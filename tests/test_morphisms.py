@@ -20,6 +20,7 @@ from ultratree import (
     distance_set,
     extend_scaling_function,
     is_ultrametric_triangle,
+    make_space,
     quantize_binary,
     quantize_ladder,
     rank_transform,
@@ -34,8 +35,11 @@ from util import (
     equilateral_space,
     fraction_weak_similarity_check,
     nested_four_point_space,
+    one_ball_relabeled,
     random_ultrametric_space,
+    rank_transform_weakly_similar,
     snap_loop_quantize_ladder,
+    tree_code_isometric,
     two_pair_space,
 )
 
@@ -112,6 +116,37 @@ def test_spaces_isometric_matches_brute_force():
         else:
             b = random_ultrametric_space(rng, n)
         assert spaces_isometric(a, b) == brute_force_isometry(a, b)[0]
+
+
+def test_ball_tree_decisions_match_the_tree_code_oracles():
+    rng = random.Random(211)
+    spaces = differential_spaces(rng, 60)
+    pairs = list(zip(spaces, spaces[1:]))   # the shapes come plain, then permuted
+    for _ in range(1050):
+        n = rng.randint(1, 10)
+        a = random_ultrametric_space(rng, n)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pairs += [(a, permute_space(a, perm)), (a, one_ball_relabeled(rng, a)),
+                  (rank_transform(a), a), (a, random_ultrametric_space(rng, n))]
+        if n > 1:   # its one label moved up and back down: often weakly similar
+            pairs.append((one_ball_relabeled(rng, a), one_ball_relabeled(rng, a)))
+    isometric = similar = 0
+    for a, b in pairs:
+        iso, weak = tree_code_isometric(a, b), rank_transform_weakly_similar(a, b)
+        assert (spaces_isometric(a, b), weakly_similar(a, b)) == (iso, weak)
+        assert (spaces_isometric(b, a), weakly_similar(b, a)) == (iso, weak)
+        isometric += iso
+        similar += weak
+    assert len(pairs) >= 5000 and 1000 <= isometric < similar <= len(pairs) - 1000
+
+
+def test_ball_tree_decisions_refuse_a_metric_that_is_not_ultrametric():
+    metric = make_space(["a", "b", "c"], [[0, 2, 3], [2, 0, 2], [3, 2, 0]])
+    for decide in (spaces_isometric, weakly_similar):
+        for pair in ((metric, nested_four_point_space()), (nested_four_point_space(), metric)):
+            with pytest.raises(TypeError, match="need a FiniteUltrametricSpace"):
+                decide(*pair)
 
 
 def test_weak_similarity_check_on_a_squared_transform():

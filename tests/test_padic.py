@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 
 import ultratree.padic as padic
+import ultratree.repr_tree as repr_tree
 from ultratree import (
     bethe_ball_tree,
     build_representing_tree,
@@ -95,7 +96,7 @@ def test_bethe_sizes_past_the_cap_are_refused_before_building(monkeypatch):
     assert bethe_ball_tree(2, 2, 1).n == 7
     assert sphere_tree(2, 2, 1).n == 7 and sphere_tree(3, 1, 1).n == 3
     built = []
-    monkeypatch.setattr(padic, "RootedLabeledTree", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(repr_tree, "RootedLabeledTree", lambda *a, **k: built.append(a))
     for make, p, depth in ((bethe_ball_tree, 2, 3), (sphere_tree, 2, 3),
                            (sphere_tree, 3, 2), (bethe_ball_tree, 2, 10 ** 9),
                            (sphere_tree, 5, 10 ** 9), (bethe_ball_tree, 999983, 2)):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import ultratree.padic as padic
 import ultratree.tree_metric as tree_metric
 from ultratree import (
     FiniteUltrametricSpace,
@@ -169,13 +168,15 @@ def test_every_tree_keeps_its_labels_ranked(monkeypatch):
         seen.append(RootedLabeledTree(*args, **kwargs))
         return seen[-1]
     monkeypatch.setattr(tree_metric, "RootedLabeledTree", recorded)
-    monkeypatch.setattr(padic, "RootedLabeledTree", recorded)
     for tree in trees:
         check_representable(tree)
     rerooted_count = len(seen)
+    # `padic` builds its trees through `repr_tree`, which it loads on first use
+    monkeypatch.setattr(repr_tree, "RootedLabeledTree", recorded)
     for p, depth in ((2, 4), (3, 3), (5, 2)):
         assert padic_ball_tree_vs_sample(p, depth)
-    assert rerooted_count > 100 and len(seen) == rerooted_count + 6
+    # three trees a comparison: the sample's, the Bethe tree, and its collapse
+    assert rerooted_count > 100 and len(seen) == rerooted_count + 9
     for tree in trees + seen:
         assert_ranked(tree)
 

@@ -12,7 +12,9 @@ per-call breadth-first walk, Prim's single-linkage loop, the `Fraction`
 weak-similarity and closed-ball scans, the rung-by-rung ladder snap,
 `_from_ranks`'s scan for unused values, the generator-recursion canonical
 code, the `Fraction` monotone-labeling test, the transposed gap rows, the
-`closed_ball` join and the stack walk of the chains and their partings
+`closed_ball` join, the stack walk of the chains and their partings, the
+O(n^3) strong-triangle scan, the isometry and weak-similarity decisions
+through text codes of two built trees, and the CLI parser of every verb
 are the implementations the library's faster ones replaced, kept here as
 oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call.
@@ -20,6 +22,7 @@ oracles.
 
 from __future__ import annotations
 
+import argparse
 import random
 from bisect import bisect_left
 from collections import deque
@@ -28,9 +31,10 @@ from itertools import accumulate
 from operator import neg
 from typing import Optional
 
-from ultratree import FiniteUltrametricSpace, RootedLabeledTree
+from ultratree import FiniteUltrametricSpace, RootedLabeledTree, build_representing_tree
 from ultratree.balls import Ball, Ballean, BallPoset, HausdorffBallSpace, closed_ball
 from ultratree.core import (
+    _ball_tree,
     _classes_below,
     _rank_of,
     _subset_diam_rank,
@@ -38,7 +42,13 @@ from ultratree.core import (
     format_rational,
     parse_rational,
 )
-from ultratree.morphisms import CanonicalCode, ScalingFunction, apply_preserving
+from ultratree.morphisms import (
+    CanonicalCode,
+    ScalingFunction,
+    apply_preserving,
+    canonical_code,
+    rank_transform,
+)
 from ultratree.repr_tree import TreeOrder
 from ultratree.tree_metric import (
     MaxChain,
@@ -182,6 +192,29 @@ def prim_single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int,
     else:
         third = order[a + 1]
     return order, gaps, tuple(sorted((order[a], third, order[b])))
+
+
+def strong_triangle_witness(rank) -> Optional[tuple[int, int, int]]:
+    """Oracle for `core._single_linkage`'s verdict: the O(n^3) triple scan.
+
+    Strong triangle holds on a triple iff its largest distance is attained
+    at least twice (isosceles with legs at least the base).  Returns the
+    first violating triple in index order, or None.
+    """
+    n = len(rank)
+    for i in range(n):
+        ri = rank[i]
+        for j in range(i + 1, n):
+            rij = ri[j]
+            rj = rank[j]
+            for k in range(j + 1, n):
+                a, b, c = rij, ri[k], rj[k]
+                m = a if a >= b else b
+                if c > m:
+                    m = c
+                if (a == m) + (b == m) + (c == m) < 2:
+                    return (i, j, k)
+    return None
 
 
 def first_mismatch(rank, order, gaps) -> Optional[tuple[int, int]]:
@@ -866,3 +899,112 @@ def stack_chains_and_partings(tree: RootedLabeledTree) -> tuple[tuple[MaxChain, 
             stack.append((c, path + (c,), v))
         stack.append((below[0], path + (below[0],), part))
     return tuple(chains), parting
+
+
+def tree_code_isometric(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
+    """Oracle for `spaces_isometric`: the text codes of the two representing trees."""
+    return canonical_code(build_representing_tree(x)) == \
+        canonical_code(build_representing_tree(y))
+
+
+def rank_transform_weakly_similar(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
+    """Oracle for `weakly_similar`: isometry of the two rank-transformed copies."""
+    return tree_code_isometric(rank_transform(x), rank_transform(y))
+
+
+def one_ball_relabeled(rng: random.Random, space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
+    """A copy with one ball's diameter moved, the tree's shape kept.
+
+    A random ball of positive diameter gets a new one strictly between its
+    largest child's diameter and its parent's (twice its own at the root),
+    so the result is ultrametric with the same representing tree but for
+    that one label.  A one-point space comes back as it is.
+    """
+    runs, parent = _ball_tree(space)
+    inner = [v for v, (r, _, _) in enumerate(runs) if r]
+    if not inner:
+        return space
+    v = rng.choice(inner)
+    values, (r, s, e) = space.distance_values, runs[v]
+    below = max(values[runs[w][0]] for w in range(len(runs)) if parent[w] == v)
+    above = values[runs[parent[v]][0]] if parent[v] >= 0 else values[r] * 2
+    new = rng.choice((below + values[r], values[r] + above)) / 2
+    matrix = [list(row) for row in space.matrix]
+    pts = space._order[s:e]
+    for a in pts:
+        for b in pts:
+            if matrix[a][b] == values[r]:
+                matrix[a][b] = new
+    return FiniteUltrametricSpace(space.names, matrix)
+
+
+def every_verb_parser() -> argparse.ArgumentParser:
+    """Oracle for `cli.build_parser`: every verb's subparser written out in turn.
+
+    Handlers are named, as `cli.run` looks them up.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ultratree",
+        description="Finite ultrametric spaces: balls, representing trees, "
+                    "isometry, transforms, p-adic generators.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("check", help="test ultrametricity, with a witness on failure")
+    p.add_argument("space")
+    p.set_defaults(handler="_cmd_check")
+
+    p = sub.add_parser("dset", help="print the distance set")
+    p.add_argument("space")
+    p.set_defaults(handler="_cmd_dset")
+
+    p = sub.add_parser("balls", help="enumerate the ballean")
+    p.add_argument("space")
+    p.set_defaults(handler="_cmd_balls")
+
+    p = sub.add_parser("tree", help="build the representing tree")
+    p.add_argument("space")
+    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
+    p.set_defaults(handler="_cmd_tree")
+
+    for verb, what in (("iso", "isometry"), ("weaksim", "weak similarity")):
+        p = sub.add_parser(verb, help=f"decide {what} of two spaces")
+        p.add_argument("space_a")
+        p.add_argument("space_b")
+        p.set_defaults(handler="_cmd_pair")
+
+    p = sub.add_parser("reconstruct", help="rebuild the space a monotone tree represents")
+    p.add_argument("tree")
+    p.set_defaults(handler="_cmd_reconstruct")
+
+    p = sub.add_parser("representable", help="can this labeled tree represent a space?")
+    p.add_argument("tree")
+    p.set_defaults(handler="_cmd_representable")
+
+    p = sub.add_parser("posetcheck", help="is this poset a ball lattice?")
+    p.add_argument("poset")
+    p.set_defaults(handler="_cmd_posetcheck")
+
+    p = sub.add_parser("transform", help="apply a distance transform")
+    p.add_argument("--fn", required=True,
+                   help="bound:D | unbound:D | threshold:R | quantize")
+    p.add_argument("space")
+    p.set_defaults(handler="_cmd_transform")
+
+    p = sub.add_parser("padic", help="build a p-adic sample space")
+    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--points", required=True, help="JSON array of rationals")
+    p.set_defaults(handler="_cmd_padic")
+
+    p = sub.add_parser("bethe", help="generate a depth-limited p-adic ball/sphere tree")
+    p.add_argument("--prime", type=int, required=True)
+    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--top", default="1", help="label of the root (default 1)")
+    p.add_argument("--sphere", action="store_true")
+    p.set_defaults(handler="_cmd_bethe")
+
+    p = sub.add_parser("roundtrip", help="space -> tree -> space, isometry verdict")
+    p.add_argument("space")
+    p.set_defaults(handler="_cmd_roundtrip")
+
+    return parser
