@@ -26,7 +26,6 @@ from .core import (
     format_rational,
     parse_rational,
     _ball_tree,
-    _gap_rows,
     _gather,
     _require_ultrametric,
     _subset_diam_rank,
@@ -116,7 +115,7 @@ def _tree_balls(space: FiniteUltrametricSpace):
     # `core._ball_tree`, its vertices in canonical order and their balls, each
     # a sorted run of `_order` witnessed by its first point at its diameter
     _require_ultrametric(space, "ball operations")
-    runs, parent = _ball_tree(space)
+    runs, parent = _ball_tree(space._gaps)
     order, values = space._order, space.distance_values
     canonical = sorted(range(len(runs)), key=[(-r, order[s]) for r, s, _ in runs].__getitem__)
     balls = tuple(Ball.__new__(Ball) for _ in canonical)
@@ -155,7 +154,8 @@ class BallPoset:
         runs, parent, canonical, self.balls = _tree_balls(space)
         at = dict(zip(canonical, range(len(canonical))))   # tree vertex -> canonical place
         self.space = space
-        self._index = {b.points: i for i, b in enumerate(self.balls)}
+        # balls are nested or disjoint, so the smallest point and size name one
+        self._index = {(b.points[0], len(b)): i for i, b in enumerate(self.balls)}
         self._diam = [runs[v][0] for v in canonical]
         self._parent = [at.get(parent[v]) for v in canonical]
 
@@ -163,10 +163,12 @@ class BallPoset:
         return len(self.balls)
 
     def _resolve(self, ball: Ball) -> int:
-        try:
-            return self._index[ball.points]
-        except KeyError:
-            raise ValueError(f"{ball!r} is not a ball of this space") from None
+        # O(1) for this poset's own balls; any other must have their points
+        pts = ball.points
+        i = self._index.get((pts[0], len(pts)) if pts else None)
+        if i is None or (self.balls[i] is not ball and self.balls[i].points != pts):
+            raise ValueError(f"{ball!r} is not a ball of this space")
+        return i
 
     def leq(self, lower: Ball, upper: Ball) -> bool:
         t = self._diam[self._resolve(upper)]
@@ -244,17 +246,17 @@ def hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
     Distinct balls are at the diameter of their union (`hausdorff_distance`),
     the label of their lowest common ancestor in `core._ball_tree`.  So in
     that tree's numbering, a preorder, each ball joins at its parent's
-    diameter rank: `core._gap_rows` builds the rows from those gaps, then
-    they are permuted into canonical order.  O(b^2) for b balls.
+    diameter rank, and `FiniteUltrametricSpace._from_gaps` builds the space
+    from that order and those gaps.  O(b^2) for b balls.
     """
     runs, parent, canonical, balls = _tree_balls(space)
     escape = str.maketrans({c: "\\" + c for c in "\\,{}"})
     members = [x.translate(escape) for x in space.names]
     names = ["{" + ",".join(_gather(b.points)(members)) + "}" for b in balls]
-    get = _gather(canonical)
-    rank = tuple(map(get, get(_gap_rows([0] + [runs[p][0] for p in parent[1:]]))))
+    order = sorted(range(len(balls)), key=canonical.__getitem__)   # each vertex's ball
+    gaps = [0] + [runs[p][0] for p in parent[1:]]
     return HausdorffBallSpace(
-        FiniteUltrametricSpace._from_ranks(names, space.distance_values, rank), balls)
+        FiniteUltrametricSpace._from_gaps(names, space.distance_values, order, gaps), balls)
 
 
 def ballean_to_json(bn: Ballean) -> dict:

@@ -9,18 +9,18 @@ Only spaces keep the `Fraction` matrix, and only this module (the weak
 triangle test, the triangle error messages) and the isometry oracle read it.
 
 A space has two entry points.  `FiniteUltrametricSpace(names, matrix)`
-parses each distinct raw entry of outside input once, then ranks; the
-library's derived spaces come ranked and enter through `_from_ranks`.
-Both end in `_RankedMatrix._assign`: validation on ranks, then one O(n^2)
-single-linkage pass whose strong-triangle verdict, point order and gap
-ranks every ranked matrix keeps.  The pass reads the order off the balls
-by descending from point 0, checks it with slice comparisons of the
-permuted rows, and runs Prim's algorithm only on a matrix that check
-refutes, for the witness in the first row the check breaks on.  Every
-ball is a run of the order, so `_ball_tree` reads the balls off the order
-and the gaps as runs, numbered once as the representing tree is.
-`_gap_rows` inverts the pass: the spaces derived from a tree build their
-rank rows from its gaps.
+parses each distinct raw entry of outside input once, ranks, validates on
+ranks and runs one O(n^2) single-linkage pass, whose strong-triangle
+verdict, point order and gap ranks every ranked matrix keeps.  The pass
+reads the order off the balls by descending from point 0, checks it with
+slice comparisons of the permuted rows, and runs Prim's algorithm only on
+a matrix that check refutes, for the witness in the first row the check
+breaks on.  Every ball is a run of the order, so `_ball_tree` reads the
+balls off the gaps as runs, numbered once as the representing tree is.
+The library's derived spaces enter through `_from_gaps` with a point
+order and its gaps instead: any gaps give an ultrametric (Gower & Ross
+1969), so the O(n^2) checks could never fail there and only the O(n)
+ones that can are run; `_gap_rows` builds the rank rows from the gaps.
 The input rules each module shares live here once: `_document` (a JSON
 document's keys), `_is_index`, `_array`, `_positive` and `_require_ultrametric`.
 """
@@ -31,7 +31,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction, _RATIONAL_FORMAT
 from itertools import accumulate
-from operator import eq, itemgetter, neg
+from operator import eq, ge, itemgetter, neg
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 # 0 means no limit, as on interpreters older than the limit
@@ -175,12 +175,16 @@ def _gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
     return lambda table: tuple(table[i] for i in idx)
 
 
+def _check_names(names: tuple[str, ...]) -> None:
+    if not names:
+        raise SpaceValidationError("nonempty", (), "a space needs at least one point")
+    if len(set(names)) != len(names):
+        raise SpaceValidationError("names", (), "point names must be unique")
+
+
 def _basic_validate(names: tuple[str, ...], rank, values) -> None:
     n = len(names)
-    if n == 0:
-        raise SpaceValidationError("nonempty", (), "a space needs at least one point")
-    if len(set(names)) != n:
-        raise SpaceValidationError("names", (), "point names must be unique")
+    _check_names(names)
     if len(rank) != n or any(len(row) != n for row in rank):
         raise SpaceValidationError("square", (), f"matrix must be {n}x{n}")
     # Rank 0 is the value 0 exactly when no entry is negative; then a valid
@@ -274,17 +278,19 @@ def _gap_rows(gaps: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     The inverse of the single-linkage pass: rank(x_a, x_b) = max(gaps[a+1..b]).
     Row b is row b-1 left of the diagonal and row b+1 right of it, with the
     entries below gaps[b] or gaps[b+1] raised: one bisection and one slice
-    for each half.  O(n^2), in C.
+    for each half.  O(n^2), in C; each right half is let go once used.
     """
-    left = [()]
-    for g in gaps[1:]:
-        t = bisect_left(left[-1], -g, key=neg)
-        left.append(left[-1][:t] + (g,) * (len(left) - t))
     right = [()]
     for g in reversed(gaps[1:]):
         t = bisect_left(right[-1], g)
         right.append((g,) * (t + 1) + right[-1][t:])
-    return tuple(row + (0,) + up for row, up in zip(left, reversed(right)))
+    rows, left = [], (0,)   # row b's left half and diagonal
+    for b, g in enumerate(gaps):
+        if b:
+            t = bisect_left(left, -g, key=neg)
+            left = left[:t] + (g,) * (b - t) + (0,)
+        rows.append(left + right.pop())
+    return tuple(rows)
 
 
 def _single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int, int]]]:
@@ -337,25 +343,24 @@ def _prim_single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int
     return order, gaps, tuple(sorted((order[a], third, order[b])))
 
 
-def _ball_tree(ranked: _RankedMatrix) -> tuple[list[list[int]], list[int]]:
+def _ball_tree(gaps: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     """The balls of an ultrametric: the Cartesian tree of its single-linkage gaps.
 
-    Every ball is a run `_order[start:end]` led by its smallest point
-    (`_ball_order`), and the ball of diameter r around a run splits exactly
-    at the gaps equal to r, so the balls are the Cartesian tree of the gaps
-    (Vuillemin 1980), built with a stack, one vertex per run of equal gaps.
-    Returns each vertex as [diameter rank, start, end] and its parent, -1 at
-    the root, numbered as the representing tree is: in preorder with
-    children by smallest point, which is sorted by (start, -rank), so the
-    root is 0 and every parent comes before its children.  O(n log n).
+    The gaps are those of a point order in which every ball is a run
+    `order[start:end]`, and the ball of diameter r around a run splits
+    exactly at the gaps equal to r, so the balls are the Cartesian tree of
+    the gaps (Vuillemin 1980), built with a stack, one vertex per run of
+    equal gaps.  Returns each vertex as [diameter rank, start, end] and its
+    parent, -1 at the root, numbered in preorder, which is sorted by (start,
+    -rank), so every parent comes before its children.  On a space's `_gaps`
+    that is the representing tree's numbering.  O(n log n).
     """
-    gaps = ranked._gaps
-    n = len(gaps)
+    n, high = len(gaps), max(gaps) + 1   # a rank above every gap
     runs, parent = [[0, b, b + 1] for b in range(n)], [-1] * n
     open_nodes: list[int] = []   # gap ranks strictly decrease toward the top
     cur = 0                      # finished subtree ending at the last point
     # a gap above every rank after the last point closes every open vertex
-    for b, g in enumerate(gaps[1:] + [len(ranked.distance_values)], 1):
+    for b, g in enumerate([*gaps[1:], high], 1):
         while open_nodes and runs[open_nodes[-1]][0] < g:
             top = open_nodes.pop()   # cur is its last child
             parent[cur] = top
@@ -371,8 +376,8 @@ def _ball_tree(ranked: _RankedMatrix) -> tuple[list[list[int]], list[int]]:
             runs.append([g, runs[cur][1], b])
             parent.append(-1)
         cur = b
-    num = sorted(range(len(runs)), key=[(s, -r) for r, s, _ in runs].__getitem__)
-    at = dict(zip(num, range(len(num))))   # the inverse permutation
+    num = sorted(range(len(runs)), key=[s * high - r for r, s, _ in runs].__getitem__)
+    at = sorted(range(len(runs)), key=num.__getitem__)   # the inverse permutation
     return [runs[v] for v in num], [-1] + [at[parent[v]] for v in num[1:]]
 
 
@@ -392,10 +397,10 @@ def _weak_triangle_witness(matrix) -> Optional[tuple[int, int, int]]:
 class _RankedMatrix:
     """Named points, a validated rank matrix and its single-linkage verdict.
 
-    The one path from raw input to a rank matrix: every space is built
-    through it, and `check` decides a matrix with it.  `_order` and `_gaps`
-    are the Prim order and gap ranks; `_strong_witness` is a sorted
-    strong-triangle violation or None.
+    The one path from raw input to a rank matrix: every space built from
+    outside input goes through it, and `check` decides a matrix with it.
+    `_order` and `_gaps` are the Prim order and gap ranks;
+    `_strong_witness` is a sorted strong-triangle violation or None.
     """
 
     __slots__ = ("names", "distance_values", "rank", "_order", "_gaps", "_strong_witness")
@@ -404,7 +409,6 @@ class _RankedMatrix:
         self._assign(names, *_rank_of(*_parse_entries(matrix)))
 
     def _assign(self, names: Iterable[str], values, rank) -> None:
-        # the construction body shared by raw input and `_from_ranks`
         names = tuple(str(x) for x in names)
         _basic_validate(names, rank, values)
         self.names = names
@@ -427,17 +431,6 @@ class FiniteMetricSpace(_RankedMatrix):
         super()._assign(names, values, rank)
         self.matrix = tuple(_gather(row)(values) for row in rank)
         self._check_triangle()
-
-    @classmethod
-    def _from_ranks(cls, names: Iterable[str], values: Sequence[Fraction], rank):
-        """A space from sorted distinct exact values and an integer rank matrix.
-
-        For the library's own constructions: it skips parsing and ranking
-        and runs every other check.  Every value must be some entry's.
-        """
-        space = cls.__new__(cls)
-        space._assign(names, tuple(values), tuple(map(tuple, rank)))
-        return space
 
     def _check_triangle(self) -> None:
         # Strong triangle implies the weak one, so only a failed strong test
@@ -472,6 +465,59 @@ class FiniteUltrametricSpace(FiniteMetricSpace):
     """A finite metric space satisfying the strong triangle inequality."""
 
     __slots__ = ()
+
+    @classmethod
+    def _from_gaps(cls, names: Iterable[str], values: Sequence[Fraction],
+                   order: Sequence[int], gaps: Sequence[int]):
+        """The space in which `order[b]` joins the points before it at rank `gaps[b]`.
+
+        Any gaps give an ultrametric, rank(x_a, x_b) = max(gaps[a+1..b]), so
+        only what can fail is checked, in O(n).  The order is then made
+        `_ball_order`'s, in O(n log n): the leaves of the Cartesian tree of
+        the gaps in preorder, children by smallest point.
+        """
+        names, values, n = tuple(map(str, names)), tuple(values), len(order)
+        _check_names(names)
+        if n != len(names) or len(gaps) != n or set(order) != set(range(n)):
+            raise SpaceValidationError("square", (), "order must be a permutation, a gap per point")
+        if 0 in gaps[1:]:
+            i, j = sorted(order[gaps.index(0, 1) - 1:][:2])
+            raise SpaceValidationError("positivity", (i, j),
+                                       f"d({names[i]},{names[j]}) = 0 must be positive")
+        if (values[:1] != (0,) or any(map(ge, values, values[1:]))
+                or set(gaps[1:]) != set(range(1, len(values)))):
+            raise SpaceValidationError("values", (), "values must rise from 0, each a gap's")
+        ids = list(range(n))
+        if list(order) == ids:   # already so: each run is led by its smallest point
+            order, gaps = ids, [0, *gaps[1:]]
+        else:
+            runs, parent = _ball_tree(gaps)
+            low = [order[s] for _, s, _ in runs]   # each ball's smallest point
+            for v in range(len(runs) - 1, 0, -1):   # children come after their parent
+                if low[v] < low[parent[v]]:
+                    low[parent[v]] = low[v]
+            first, after = [-1] * len(runs), [-1] * len(runs)   # children by smallest point
+            for v in sorted(range(1, len(runs)), key=low.__getitem__, reverse=True):
+                after[v], first[parent[v]] = first[parent[v]], v
+            order, gaps, v, g = [], [], 0, 0   # the leaves in that preorder, and their gaps
+            while v >= 0:
+                while first[v] >= 0:
+                    v = first[v]
+                order.append(low[v])
+                gaps.append(g)
+                while v >= 0 and after[v] < 0:
+                    v = parent[v]
+                if v >= 0:   # the next point leads v's next sibling
+                    g, v = runs[parent[v]][0], after[v]
+        rank = _gap_rows(gaps)
+        if order != ids:
+            get = _gather(sorted(ids, key=order.__getitem__))   # each point's place
+            rank = tuple(map(get, get(rank)))
+        space = cls.__new__(cls)
+        space.names, space.distance_values, space.rank = names, values, rank
+        space._order, space._gaps, space._strong_witness = order, gaps, None
+        space.matrix = tuple(_gather(row)(values) for row in rank)
+        return space
 
     def _check_triangle(self) -> None:
         w = self._strong_witness
@@ -708,9 +754,9 @@ def space_from_sequence(sequence: Iterable) -> FiniteUltrametricSpace:
         raise ValueError("sequence values must be positive")
     pts = [Fraction(0)] + list(reversed(seq))
     names = [format_rational(v) for v in pts]
-    # points ascend, so d(x_i, x_j) = pts[max(i, j)] has rank max(i, j)
-    rank = [[i] * i + [0] + list(range(i + 1, len(pts))) for i in range(len(pts))]
-    return FiniteUltrametricSpace._from_ranks(names, pts, rank)
+    # points ascend, so d(x_i, x_j) = pts[max(i, j)]: x_i joins at rank i
+    ids = list(range(len(pts)))
+    return FiniteUltrametricSpace._from_gaps(names, pts, ids, ids)
 
 
 def space_to_json(space: FiniteMetricSpace) -> dict:

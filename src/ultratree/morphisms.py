@@ -81,7 +81,7 @@ def _same_ranked_tree(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> b
     table: dict = {}
     roots = []
     for space in (x, y):
-        runs, parent = _ball_tree(_require_ultrametric(space, "representing trees"))
+        runs, parent = _ball_tree(_require_ultrametric(space, "representing trees")._gaps)
         codes = [[] for _ in range(len(runs) + 1)]   # the last list takes the root's code
         for v in range(len(runs) - 1, -1, -1):
             codes[v].sort()
@@ -198,7 +198,7 @@ def weak_similarity_check(
 def rank_transform(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     """Replace every distance by its rank in the distance set."""
     values = [Fraction(r) for r in range(len(space.distance_values))]
-    return FiniteUltrametricSpace._from_ranks(space.names, values, space.rank)
+    return FiniteUltrametricSpace._from_gaps(space.names, values, space._order, space._gaps)
 
 
 def weakly_similar(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
@@ -256,7 +256,8 @@ def apply_preserving(
                 f"f({values[i]}) = {image[i]}",
             )
     # f may merge neighbouring distances: rank the image values afresh
-    return FiniteUltrametricSpace._from_ranks(space.names, *_rank_of(image, space.rank))
+    values, (gaps,) = _rank_of(image, [space._gaps])
+    return FiniteUltrametricSpace._from_gaps(space.names, values, space._order, gaps)
 
 
 def threshold_function(r) -> Callable[[Fraction], Fraction]:

@@ -100,26 +100,36 @@ def padic_metric(t, w, p: int) -> Fraction:
 def padic_space(points: Iterable, p: int) -> FiniteUltrametricSpace:
     """Finite sample of rationals with the p-adic metric.
 
-    Every distance is an integer power of p (or zero), so the sample is
-    ultrametric by construction and ranked by valuation; the constructor
-    re-checks anyway.
+    Less the first point and times p^m, the sample lies in the p-adic
+    integers, where each ball is the set of points that agree on their
+    base-p digits below some place.  Sorted by those digits from the lowest
+    place, each ball is a run: the valuations of the n - 1 consecutive
+    differences, ranked from the largest, are the gaps of that order.
     """
     p = _require_prime(p)
     pts = [parse_rational(v) for v in points]
     if len(set(pts)) != len(pts):
         raise ValueError("sample points must be distinct")
-    names = [str(v) for v in pts]
-    n = len(pts)
-    gamma = [[None] * n for _ in range(n)]   # valuations, as in p_valuation
-    for i in range(n):
-        for j in range(i + 1, n):
-            gamma[i][j] = gamma[j][i] = _valuation(pts[i] - pts[j], p)
-    # the norm p^-g falls as g grows: rank the valuations found from the largest
-    found = sorted({g for row in gamma for g in row} - {None}, reverse=True)
-    rank_of = {None: 0, **{g: t for t, g in enumerate(found, 1)}}
-    rank = [[rank_of[g] for g in row] for row in gamma]
-    values = [Fraction(0)] + [Fraction(p) ** -g for g in found]
-    return FiniteUltrametricSpace._from_ranks(names, values, rank)
+    scale = p ** max((_valuation(Fraction(v.denominator), p) for v in pts), default=0)
+    ys = [(v - pts[0]) * scale for v in pts]   # denominators prime to p
+    rest, order, stack = [y.numerator for y in ys], [], [list(range(len(ys)))]
+    while stack:   # split each group that agrees on the digits taken by the next digit
+        group = stack.pop()
+        if len(group) == 1:
+            order += group
+            continue
+        parts: dict = {}
+        for i in group:   # y = its digits taken + p^j * rest/b; the next is rest/b mod p
+            b = ys[i].denominator
+            d = rest[i] * pow(b, -1, p) % p
+            rest[i] = (rest[i] - d * b) // p
+            parts.setdefault(d, []).append(i)
+        stack += [parts[d] for d in sorted(parts, reverse=True)]
+    gamma = [_valuation(pts[b] - pts[a], p) for a, b in zip(order, order[1:])]
+    found = sorted(set(gamma), reverse=True)   # the norm p^-g falls as g grows
+    rank_of = {g: t for t, g in enumerate(found, 1)}
+    return FiniteUltrametricSpace._from_gaps([str(v) for v in pts], [Fraction(0)] + [
+        Fraction(p) ** -g for g in found], order, [0] + [rank_of[g] for g in gamma])
 
 
 def residue_partition_check(points: Iterable[int], p: int) -> bool:

@@ -152,7 +152,7 @@ def build_representing_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
     single-linkage order, sorted.  Leaves are exactly the singletons,
     labeled zero.  O(n log n) plus the size of the payloads.
     """
-    runs, parent = _ball_tree(_require_ultrametric(space, "representing trees"))
+    runs, parent = _ball_tree(_require_ultrametric(space, "representing trees")._gaps)
     values, order = space.distance_values, space._order
     return RootedLabeledTree([values[r] for r, _, _ in runs], zip(parent[1:], range(1, len(runs))),
                              root=0, ball_points=[tuple(sorted(order[s:e])) for _, s, e in runs])

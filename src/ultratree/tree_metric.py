@@ -50,7 +50,8 @@ def path_max_metric(tree: RootedLabeledTree) -> Union[FiniteUltrametricSpace,
 
     Yields a genuine ultrametric iff every edge has a positively labeled
     endpoint; otherwise the pseudoultrametric is returned with a witness
-    pair at distance zero.  The rows come from one run's gaps (`core._gap_rows`).
+    pair at distance zero.  The space comes from one run's order and gaps
+    (`FiniteUltrametricSpace._from_gaps`).
     """
     n = tree.n
     values, ranks = tree.label_values, tree.label_rank
@@ -73,14 +74,14 @@ def path_max_metric(tree: RootedLabeledTree) -> Union[FiniteUltrametricSpace,
     used = sorted(set(gap))   # the distances, 0 among them: a label below its neighbors' is none
     remap = {r: t for t, r in enumerate(used)}
     values = [values[r] for r in used]
-    get = _gather(sorted(range(n), key=group[0].__getitem__))   # each vertex's place in the run
-    rank = tuple(map(get, get(_gap_rows([remap[gap[v]] for v in group[0]]))))
+    gaps = [remap[gap[v]] for v in group[0]]
     names = [f"v{i}" for i in range(n)]
     for u, v in tree.edges:
         if ranks[u] == 0 and ranks[v] == 0:   # both labels 0
-            matrix = [[values[r] for r in row] for row in rank]
+            get = _gather(sorted(range(n), key=group[0].__getitem__))   # each vertex's place
+            matrix = [[values[r] for r in row] for row in map(get, get(_gap_rows(gaps)))]
             return PseudoUltrametricSpace(names, matrix, (u, v))
-    return FiniteUltrametricSpace._from_ranks(names, values, rank)
+    return FiniteUltrametricSpace._from_gaps(names, values, group[0], gaps)
 
 
 def is_monotone_labeling(tree: RootedLabeledTree) -> tuple[bool, Optional[str]]:
@@ -204,8 +205,9 @@ def reconstruct_space(tree: RootedLabeledTree) -> MaxChainSpace:
     Requires a monotone labeling.  Chains come in depth-first leaf order,
     so the deepest common vertex of chains i < j is the shallowest, and so
     the highest labeled, of those where consecutive chains between them
-    part: the parting labels are the chains' single-linkage gaps, and
-    `core._gap_rows` builds the rows from them.  O(m^2) in C, plus the chains.
+    part: the parting labels are the chains' single-linkage gaps, and the
+    space is built from them (`FiniteUltrametricSpace._from_gaps`).  O(m^2)
+    in C, plus the chains.
     """
     ok, reason = is_monotone_labeling(tree)
     if not ok:
@@ -213,7 +215,8 @@ def reconstruct_space(tree: RootedLabeledTree) -> MaxChainSpace:
     chains, parting = _chains_and_partings(tree)
     used, (gaps,) = _rank_of(_gather(parting)(tree.label_rank), [range(len(parting))])
     names = [str(c.leaf) for c in chains]
-    space = FiniteUltrametricSpace._from_ranks(names, _gather(used)(tree.label_values), _gap_rows(gaps))
+    space = FiniteUltrametricSpace._from_gaps(names, _gather(used)(tree.label_values),
+                                              range(len(gaps)), gaps)
     return MaxChainSpace(chains, space)
 
 
@@ -316,7 +319,7 @@ def sphere_plus_center_condition(
     passes iff one of its children is a point.  The witness, the only `Ball`
     built, is the first offending ball in canonical order.  O(n log n).
     """
-    runs, parent = _ball_tree(_require_ultrametric(space, "ball operations"))
+    runs, parent = _ball_tree(_require_ultrametric(space, "ball operations")._gaps)
     order, values = space._order, space.distance_values
     centered = {parent[v] for v, (r, _, _) in enumerate(runs) if not r}   # a point among its children
     bad = min((v for v, (r, _, _) in enumerate(runs) if r and v not in centered),

@@ -269,6 +269,45 @@ def test_joins_never_call_closed_ball(monkeypatch):
     assert counts == {"closed_ball": 1}
 
 
+class UnreadPoints(tuple):
+    """A point tuple that fails the test when hashed or compared whole."""
+
+    def __eq__(self, other):
+        raise AssertionError("a point tuple was compared")
+
+    __ne__ = __eq__
+
+    def __hash__(self):
+        raise AssertionError("a point tuple was hashed")
+
+
+def test_ball_poset_finds_its_own_balls_without_reading_their_points():
+    space = FiniteUltrametricSpace([f"p{i}" for i in range(256)], caterpillar_matrix(256))
+    poset = ball_poset(space)
+    whole, leaf = poset.balls[0], poset.balls[-1]
+    assert len(whole) == 256 and len(leaf) == 1
+    for ball in poset.balls:
+        ball.points = UnreadPoints(ball.points)
+    assert poset.leq(whole, whole) and poset.leq(leaf, whole) and not poset.leq(whole, leaf)
+    assert poset.join(leaf, whole) is whole and poset.meet(whole, leaf) is leaf
+
+
+def test_ball_poset_refuses_a_point_set_that_is_not_its_ball():
+    poset = ball_poset(FiniteUltrametricSpace([f"p{i}" for i in range(64)], caterpillar_matrix(64)))
+    points = {b.points for b in poset.balls}
+    for ball in poset.balls:
+        copy = Ball(ball.points, ball.diameter, ball.witness_center, ball.witness_radius)
+        assert poset.leq(copy, poset.balls[0]) and poset.join(copy, copy) is ball
+        # the same smallest point and size, another point set
+        other = next((ball.points[:-1] + (x,) for x in range(ball.points[-1] + 1, 64)
+                      if ball.points[:-1] + (x,) not in points), None)
+        if other is not None:
+            with pytest.raises(ValueError, match="is not a ball of this space"):
+                poset.leq(Ball(other, ball.diameter, other[0], ball.diameter), poset.balls[0])
+    with pytest.raises(ValueError, match="is not a ball of this space"):
+        poset.leq(Ball((), Fraction(0), 0, Fraction(0)), poset.balls[0])
+
+
 def test_hausdorff_examples():
     space = nested_four_point_space()
     by_points = {b.points: b for b in ballean(space)}

@@ -1,10 +1,14 @@
-"""Spaces the library derives from integer ranks match the public constructor.
+"""Spaces the library derives from a point order and its gaps match the older routes.
 
-`FiniteUltrametricSpace._from_ranks` skips parsing and ranking.  Every
-derived space is rebuilt here the way the library used to build it, from a
-`Fraction` matrix through `FiniteUltrametricSpace(names, matrix)`, and the
-two must agree on type, names, distance set, rank matrix, distances and
-representing tree.
+`FiniteUltrametricSpace._from_gaps` takes an order in which every ball is a
+run and the rank at which each point joins the points before it.  Any gaps
+give an ultrametric, so only the O(n) checks that can fail are run, and
+the rank rows are built from the gaps.  Every derived space is rebuilt here
+from a `Fraction` matrix through `FiniteUltrametricSpace(names, matrix)`,
+and the two must agree on type, names, distance set, rank matrix,
+distances and representing tree; and through `util.from_ranks`, the
+rank-matrix route that re-runs every check and the O(n^2) single-linkage
+pass, and the two must agree on every field, order and gaps included.
 """
 
 from __future__ import annotations
@@ -33,18 +37,24 @@ from ultratree import (
     threshold_function,
     tree_to_json,
 )
+from ultratree import core
+from ultratree.core import _rank_of
 from util import (
     caterpillar_matrix,
     chain_scan_reconstruct,
+    count_calls,
     differential_spaces,
     first_point_hausdorff_ball_space,
     flat_matrix,
+    from_ranks,
     kruskal_fill_path_max_metric,
     padic_matrix,
     pairwise_hausdorff_ball_space,
+    pairwise_padic_space,
     permuted,
     random_labeled_tree,
     random_monotone_tree,
+    random_run_order,
     random_ultrametric_matrix,
     running_min_reconstruct,
     walk_path_max_metric,
@@ -205,16 +215,16 @@ def test_from_ranks_keeps_the_checks_with_witnesses():
     values = (Fraction(0), Fraction(1), Fraction(2))
     # d(a,c) = 2 but d(a,b) = d(b,c) = 1: the largest distance occurs once
     with pytest.raises(SpaceValidationError) as info:
-        FiniteUltrametricSpace._from_ranks("abc", values, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        from_ranks("abc", values, [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
     assert info.value.axiom == "strong-triangle" and info.value.witness == (0, 1, 2)
     with pytest.raises(SpaceValidationError) as info:
-        FiniteUltrametricSpace._from_ranks("abc", values, [[0, 1, 2], [1, 0, 2], [1, 2, 0]])
+        from_ranks("abc", values, [[0, 1, 2], [1, 0, 2], [1, 2, 0]])
     assert info.value.axiom == "symmetry" and info.value.witness == (0, 2)
     with pytest.raises(SpaceValidationError) as info:
-        FiniteUltrametricSpace._from_ranks("aab", values, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+        from_ranks("aab", values, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert info.value.axiom == "names"
     with pytest.raises(SpaceValidationError) as info:
-        FiniteUltrametricSpace._from_ranks("ab", values, [[0, 0], [0, 0]])
+        from_ranks("ab", values, [[0, 0], [0, 0]])
     assert info.value.axiom == "positivity" and info.value.witness == (0, 1)
 
 
@@ -223,8 +233,8 @@ def realized(space) -> tuple:
 
 
 def test_derived_distance_values_are_exactly_the_realized_distances():
-    # `_from_ranks` keeps every value it is given, so each constructor must
-    # pass only realized ones, on the edge cases where a value could go unused
+    # `_from_gaps` refuses a value no gap uses, so each constructor must pass
+    # only realized ones, on the edge cases where a value could go unused
     one = RootedLabeledTree(["5"], [], root=0)
     dip = RootedLabeledTree(["3", "1", "2"], [(0, 1), (1, 2)], root=0)   # 1 is below both
     chain = RootedLabeledTree(["3", "2", "0", "0"], [(0, 1), (1, 2), (1, 3)], root=0)
@@ -245,3 +255,127 @@ def test_derived_distance_values_are_exactly_the_realized_distances():
     for space in derived:
         if isinstance(space, FiniteUltrametricSpace):
             assert space.distance_values == realized(space)
+
+
+FIELDS = ("names", "distance_values", "rank", "_order", "_gaps", "_strong_witness", "matrix")
+
+
+def ranked_image(space, f):
+    """`apply_preserving`'s rank-matrix route: the image values ranked over `space.rank`."""
+    return from_ranks(space.names, *_rank_of([f(v) for v in space.distance_values], space.rank))
+
+
+def padic_samples(rng):
+    """Integers, rationals with denominators prime to p or divisible by it, negatives."""
+    samples = [(range(p ** k), p) for p, k in ((2, 6), (3, 4), (5, 3), (7, 2))]
+    # small points beside huge ones, whose digits run far past the small points'
+    huge = [2 ** 300 + 5, -(3 ** 200), Fraction(1, 7 ** 90)]
+    samples += [([*range(40), *huge], p) for p in (2, 3, 7)]
+    for _ in range(60):
+        p = rng.choice([2, 3, 5, 7])
+        den = rng.choice([1, p, p * p, 3 if p == 2 else 2, 5 if p == 3 else 9, 7 if p == 5 else 25])
+        pts = {Fraction(rng.randint(-400, 400), rng.choice([1, den]))
+               for _ in range(rng.randint(1, 30))}
+        samples.append((sorted(pts, key=lambda _: rng.random()), p))
+    return samples
+
+
+def derived_pairs(rng):
+    """(builder's space, the same space through `from_ranks`) for every derived builder."""
+    matrix = random_ultrametric_matrix(rng, 128)
+    spaces = SPACES + [FiniteUltrametricSpace([f"p{i}" for i in range(128)], m)
+                       for m in (matrix, permuted(rng, matrix))]
+    for space in spaces:
+        values = space.distance_values
+        yield hausdorff_ball_space(space).space, first_point_hausdorff_ball_space(space).space
+        yield rank_transform(space), from_ranks(space.names, map(Fraction, range(len(values))),
+                                                space.rank)
+        yield bound_transform(space, 3), ranked_image(space, lambda t: 3 * t / (1 + t))
+        yield quantize_binary(space), ranked_image(space, snap_binary)
+        r = values[len(values) // 2]
+        if r:
+            yield (apply_preserving(space, threshold_function(r)),
+                   ranked_image(space, lambda t: min(r, t)))
+    trees = [build_representing_tree(s) for s in spaces]
+    trees += [random_monotone_tree(rng, rng.randint(1, 40)) for _ in range(150)]
+    for tree in trees:
+        yield reconstruct_space(tree).space, running_min_reconstruct(tree).space
+    for tree in trees + [random_labeled_tree(rng, rng.randint(1, 30)) for _ in range(200)]:
+        yield path_max_metric(tree), kruskal_fill_path_max_metric(tree)
+    for _ in range(40):
+        seq = sorted({Fraction(rng.randint(1, 200), rng.randint(1, 9))
+                      for _ in range(rng.randint(0, 30))}, reverse=True)
+        pts = [Fraction(0)] + seq[::-1]
+        ids = range(len(pts))
+        yield space_from_sequence(seq), from_ranks(
+            [str(v) for v in pts], pts, [[0 if i == j else max(i, j) for j in ids] for i in ids])
+    for pts, p in padic_samples(rng):
+        yield padic_space(pts, p), pairwise_padic_space(pts, p)
+
+
+def test_every_derived_builder_matches_the_rank_matrix_route():
+    kinds = set()
+    for got, want in derived_pairs(random.Random(67)):
+        assert type(got) is type(want)
+        kinds.add(type(got))
+        if isinstance(want, PseudoUltrametricSpace):
+            assert (got.names, got.matrix, got.zero_pair) == (want.names, want.matrix,
+                                                              want.zero_pair)
+            continue
+        for field in FIELDS:
+            assert getattr(got, field) == getattr(want, field), field
+    assert kinds == {FiniteUltrametricSpace, PseudoUltrametricSpace}
+
+
+def test_from_gaps_reads_the_single_linkage_order_off_any_run_order():
+    rng = random.Random(68)
+    matrix = random_ultrametric_matrix(rng, 200)
+    spaces = SPACES + [FiniteUltrametricSpace([f"p{i}" for i in range(200)], m)
+                       for m in (matrix, permuted(rng, matrix))]
+    for space in spaces:
+        for _ in range(3):
+            order, gaps = random_run_order(rng, space)
+            got = FiniteUltrametricSpace._from_gaps(space.names, space.distance_values, order, gaps)
+            assert (got._order, got._gaps) == core._ball_order(space.rank)
+            assert (got.rank, got.matrix, got._strong_witness) == (space.rank, space.matrix, None)
+
+
+def test_from_gaps_refuses_what_can_fail_with_its_axiom():
+    values = (Fraction(0), Fraction(1), Fraction(2))
+    cases = [
+        ((), values, [], [0], "nonempty", ()),
+        ("aab", values, [0, 1, 2], [0, 1, 2], "names", ()),
+        ("abc", values, [0, 1, 1], [0, 1, 2], "square", ()),    # not a permutation
+        ("abc", values, [0, 1], [0, 1], "square", ()),          # a point left out
+        ("abc", values, [0, 1, 2], [0, 1], "square", ()),       # a gap short
+        ("abc", (1, 2, 3), [0, 1, 2], [0, 1, 2], "values", ()),  # not from 0
+        ("abc", (0, 2, 1), [0, 1, 2], [0, 1, 2], "values", ()),  # not rising
+        ("abc", values, [2, 0, 1], [0, 2, 0], "positivity", (0, 1)),
+        ("abc", values, [0, 1, 2], [0, 1, 1], "values", ()),    # 2 unused
+        ("abc", values, [0, 1, 2], [0, 1, 3], "values", ()),    # a gap past the values
+    ]
+    for names, vals, order, gaps, axiom, witness in cases:
+        with pytest.raises(SpaceValidationError) as info:
+            FiniteUltrametricSpace._from_gaps(names, vals, order, gaps)
+        assert (info.value.axiom, info.value.witness) == (axiom, witness)
+    with pytest.raises(SpaceValidationError) as info:
+        padic_space([], 2)
+    assert info.value.axiom == "nonempty"
+
+
+def test_derived_builders_skip_the_quadratic_checks(monkeypatch):
+    space = SPACES[-1]
+    tree = build_representing_tree(space)
+    counts = count_calls(monkeypatch, core, ("_basic_validate", "_ball_order", "_first_break"))
+    hausdorff_ball_space(space)
+    rank_transform(space)
+    quantize_binary(space)
+    bound_transform(space, 3)
+    apply_preserving(space, threshold_function(space.distance_values[1]))
+    reconstruct_space(tree)
+    path_max_metric(tree)
+    space_from_sequence(range(9, 0, -1))
+    padic_space(range(27), 3)
+    assert counts == {"_basic_validate": 0, "_ball_order": 0, "_first_break": 0}
+    FiniteUltrametricSpace(space.names, space.matrix)   # the public constructor runs each once
+    assert counts == {"_basic_validate": 1, "_ball_order": 1, "_first_break": 1}

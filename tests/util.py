@@ -10,8 +10,9 @@ the triple-loop poset check, the frozenset root-path order, the
 `Fraction` path-max walk, the all-roots representability test, the
 per-call breadth-first walk, Prim's single-linkage loop, the `Fraction`
 weak-similarity and closed-ball scans, the rung-by-rung ladder snap,
-`_from_ranks`'s scan for unused values, the generator-recursion canonical
-code, the `Fraction` monotone-labeling test, the transposed gap rows, the
+the rank-matrix route of derived spaces (`from_ranks`) and its scan for
+unused values, `padic_space`'s pairwise valuations, the generator-recursion
+canonical code, the `Fraction` monotone-labeling test, the transposed gap rows, the
 `closed_ball` join, the stack walk of the chains and their partings, the
 O(n^3) strong-triangle scan, the isometry and weak-similarity decisions
 through text codes of two built trees, and the CLI parser of every verb
@@ -49,6 +50,7 @@ from ultratree.morphisms import (
     canonical_code,
     rank_transform,
 )
+from ultratree.padic import _valuation
 from ultratree.repr_tree import TreeOrder
 from ultratree.tree_metric import (
     MaxChain,
@@ -549,7 +551,7 @@ def first_point_hausdorff_ball_space(space: FiniteUltrametricSpace) -> Hausdorff
     """Oracle for `hausdorff_ball_space`: max(d(a_0, b_0), diam A, diam B) for A != B.
 
     The balls come from `row_sort_ballean`; O(b^2) in Python for b balls,
-    through `_from_ranks`.
+    through `from_ranks`.
     """
     balls = row_sort_ballean(space).balls
     names = ["{" + ",".join(space.names[p] for p in b.points) + "}" for b in balls]
@@ -563,7 +565,7 @@ def first_point_hausdorff_ball_space(space: FiniteUltrametricSpace) -> Hausdorff
         row = [max(rank[a][b], ra, rb) for b, rb in zip(firsts, diams)]
         row[i] = 0
         ranks.append(row)
-    return HausdorffBallSpace(FiniteUltrametricSpace._from_ranks(names, values, ranks), balls)
+    return HausdorffBallSpace(from_ranks(names, values, ranks), balls)
 
 
 def kruskal_fill_path_max_metric(tree: RootedLabeledTree):
@@ -596,15 +598,67 @@ def kruskal_fill_path_max_metric(tree: RootedLabeledTree):
 
 
 def realized_from_ranks(names, values, rank) -> FiniteUltrametricSpace:
-    """`_from_ranks` after dropping the values no entry uses, by a scan of every entry.
+    """`from_ranks` after dropping the values no entry uses, by a scan of every entry.
 
     The library's constructors pass only realized values; this n^2 scan is
-    the one `_from_ranks` ran on every derived space before they did.
+    the one the rank-matrix route ran on every derived space before they did.
     """
     used = sorted(set().union(*rank))
     remap = {r: t for t, r in enumerate(used)}
-    return FiniteUltrametricSpace._from_ranks(
-        names, [values[r] for r in used], [[remap[r] for r in row] for row in rank])
+    return from_ranks(names, [values[r] for r in used], [[remap[r] for r in row] for row in rank])
+
+
+def from_ranks(names, values, rank) -> FiniteUltrametricSpace:
+    """Oracle for `FiniteUltrametricSpace._from_gaps`: a space from an integer rank matrix.
+
+    The route every derived space took before it was built from its order
+    and gaps: it skips parsing and ranking and runs every other check of the
+    public constructor, `_basic_validate` and the O(n^2) single-linkage pass
+    that finds the order and gaps again, so a wrong matrix raises with its
+    axiom and witness.
+    """
+    space = FiniteUltrametricSpace.__new__(FiniteUltrametricSpace)
+    space._assign(names, tuple(values), tuple(map(tuple, rank)))
+    return space
+
+
+def pairwise_padic_space(points, p: int) -> FiniteUltrametricSpace:
+    """Oracle for `padic_space`: the valuation of every pairwise difference, O(n^2)."""
+    pts = [parse_rational(v) for v in points]
+    n = len(pts)
+    gamma = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            gamma[i][j] = gamma[j][i] = _valuation(pts[i] - pts[j], p)
+    # the norm p^-g falls as g grows: rank the valuations found from the largest
+    found = sorted({g for row in gamma for g in row} - {None}, reverse=True)
+    rank_of = {None: 0, **{g: t for t, g in enumerate(found, 1)}}
+    rank = [[rank_of[g] for g in row] for row in gamma]
+    values = [Fraction(0)] + [Fraction(p) ** -g for g in found]
+    return from_ranks([str(v) for v in pts], values, rank)
+
+
+def random_run_order(rng: random.Random, space: FiniteUltrametricSpace) -> tuple[list, list]:
+    """A random point order in which every ball of `space` is a run, and its gaps.
+
+    The ball tree walked in preorder with each ball's children shuffled;
+    a point's gap is the rank of the lowest ball it shares with the point
+    before, and the first gap, which names no pair, is random.
+    """
+    runs, parent = _ball_tree(space._gaps)
+    kids: list[list[int]] = [[] for _ in runs]
+    for v in range(1, len(runs)):
+        kids[parent[v]].append(v)
+    order, gaps, stack = [], [], [(0, rng.randrange(len(space.distance_values)))]
+    while stack:
+        v, g = stack.pop()
+        if kids[v]:
+            rng.shuffle(kids[v])
+            stack += [(c, runs[v][0]) for c in kids[v][1:]] + [(kids[v][0], g)]
+        else:
+            order.append(space._order[runs[v][1]])
+            gaps.append(g)
+    return order, gaps
 
 
 def triple_loop_ballean_poset(n: int, covers) -> PosetCheckReport:
@@ -920,7 +974,7 @@ def one_ball_relabeled(rng: random.Random, space: FiniteUltrametricSpace) -> Fin
     so the result is ultrametric with the same representing tree but for
     that one label.  A one-point space comes back as it is.
     """
-    runs, parent = _ball_tree(space)
+    runs, parent = _ball_tree(space._gaps)
     inner = [v for v, (r, _, _) in enumerate(runs) if r]
     if not inner:
         return space
