@@ -5,8 +5,8 @@ floats.  Inside, a space is its integer *rank* matrix, indexing each
 distance into `distance_values`, the sorted distinct values.  Every
 decision the library makes depends only on the order of distances, so it
 runs on ranks, and each distinct value is parsed once and printed once.
-Only spaces keep the `Fraction` matrix, and only this module (the weak
-triangle test, the triangle error messages) and the isometry oracle read it.
+The ranks are all a space stores per pair: its `Fraction` matrix is built
+on first read and kept, and no construction, check or decision reads it.
 
 A space has two entry points.  `FiniteUltrametricSpace(names, matrix)`
 parses each distinct raw entry of outside input once, ranks, validates on
@@ -381,7 +381,8 @@ def _ball_tree(gaps: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     return [runs[v] for v in num], [-1] + [at[parent[v]] for v in num[1:]]
 
 
-def _weak_triangle_witness(matrix) -> Optional[tuple[int, int, int]]:
+def _weak_triangle_witness(rank, values) -> Optional[tuple[int, int, int]]:
+    matrix = tuple(_gather(row)(values) for row in rank)   # let go after the scan
     n = len(matrix)
     for i in range(n):
         for j in range(i + 1, n):
@@ -421,23 +422,29 @@ class FiniteMetricSpace(_RankedMatrix):
     """A finite metric space with named points and exact rational distances.
 
     Immutable after construction.  `distance_values` is the sorted distance
-    set (zero included), `rank[i][j]` is the index of d(i, j) in it, and
-    `matrix[i][j]` is d(i, j) itself.
+    set (zero included) and `rank[i][j]` is the index of d(i, j) in it:
+    those ranks are all a space stores per pair.  `matrix[i][j]` is d(i, j)
+    itself, built from the ranks on first read and kept for later reads.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("_matrix",)
 
     def _assign(self, names: Iterable[str], values, rank) -> None:
         super()._assign(names, values, rank)
-        self.matrix = tuple(_gather(row)(values) for row in rank)
         self._check_triangle()
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        if not hasattr(self, "_matrix"):
+            self._matrix = tuple(_gather(row)(self.distance_values) for row in self.rank)
+        return self._matrix
 
     def _check_triangle(self) -> None:
         # Strong triangle implies the weak one, so only a failed strong test
         # leaves the weak one to check.
         if self._strong_witness is None:
             return
-        w = _weak_triangle_witness(self.matrix)
+        w = _weak_triangle_witness(self.rank, self.distance_values)
         if w is not None:
             i, j, k = w
             names = self.names
@@ -516,18 +523,17 @@ class FiniteUltrametricSpace(FiniteMetricSpace):
         space = cls.__new__(cls)
         space.names, space.distance_values, space.rank = names, values, rank
         space._order, space._gaps, space._strong_witness = order, gaps, None
-        space.matrix = tuple(_gather(row)(values) for row in rank)
         return space
 
     def _check_triangle(self) -> None:
         w = self._strong_witness
         if w is not None:
             i, j, k = w
-            names, mat = self.names, self.matrix
+            names, d = self.names, self.distance
             raise SpaceValidationError(
                 "strong-triangle", w,
                 f"strong triangle fails on ({names[i]},{names[j]},{names[k]}): "
-                f"{mat[i][j]}, {mat[i][k]}, {mat[j][k]}",
+                f"{d(i, j)}, {d(i, k)}, {d(j, k)}",
             )
 
 

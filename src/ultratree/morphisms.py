@@ -110,12 +110,13 @@ def brute_force_isometry(
     n = len(x)
     if n > _BRUTE_FORCE_CAP:
         raise ValueError(f"brute force capped at {_BRUTE_FORCE_CAP} points, got {n}")
-    flat_x = sorted(v for row in x.matrix for v in row)
-    flat_y = sorted(v for row in y.matrix for v in row)
+    mx, my = x.matrix, y.matrix
+    flat_x = sorted(v for row in mx for v in row)
+    flat_y = sorted(v for row in my for v in row)
     if flat_x != flat_y:
         return False, None
-    profile_x = [tuple(sorted(x.matrix[i])) for i in range(n)]
-    profile_y = [tuple(sorted(y.matrix[i])) for i in range(n)]
+    profile_x = [tuple(sorted(mx[i])) for i in range(n)]
+    profile_y = [tuple(sorted(my[i])) for i in range(n)]
     mapping: list[int] = []
     used = [False] * n
 
@@ -125,7 +126,7 @@ def brute_force_isometry(
         for j in range(n):
             if used[j] or profile_x[i] != profile_y[j]:
                 continue
-            if any(x.matrix[i][k] != y.matrix[j][mapping[k]] for k in range(i)):
+            if any(mx[i][k] != my[j][mapping[k]] for k in range(i)):
                 continue
             used[j] = True
             mapping.append(j)
@@ -294,7 +295,7 @@ class PiecewiseLinearFn:
         self.breakpoints = tuple((parse_rational(a), parse_rational(b))
                                  for a, b in breakpoints)
         self.tail_slope = parse_rational(tail_slope)
-        if self.breakpoints[0] != (0, 0):
+        if self.breakpoints[:1] != ((0, 0),):
             raise ValueError("must start at the origin")
         for (x0, y0), (x1, y1) in zip(self.breakpoints, self.breakpoints[1:]):
             if not (x0 < x1 and y0 < y1):

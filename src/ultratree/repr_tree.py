@@ -410,12 +410,15 @@ def tree_to_json(tree: RootedLabeledTree) -> dict:
 
 def tree_from_json(obj: dict) -> RootedLabeledTree:
     labels, edges = _document(obj, "tree", "labels", "edges")
+    truncated = obj.get("truncated", False)
+    if type(truncated) is not bool:   # "false" or 0 would pass as truthiness
+        raise ValueError('tree JSON "truncated" must be true or false')
     return RootedLabeledTree(
         labels,
         [tuple(e) for e in edges],
         root=obj.get("root"),
         ball_points=obj.get("ball_points"),
-        truncated=obj.get("truncated", False),
+        truncated=truncated,
     )
 
 

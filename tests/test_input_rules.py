@@ -5,8 +5,9 @@ each of those must hold an array: a string or an object there would be
 read element by element.  Every verb that reads a document refuses a
 malformed one the same way, `check` included.  Positive rational
 arguments keep one message per call site.  Point ids are ints, a tree's
-`ball_points` is an array of arrays, and an entry past the int digit limit
-is refused by the part that is too long.
+`ball_points` is an array of arrays, its `truncated` flag is JSON true or
+false when present, and an entry past the int digit limit is refused by the
+part that is too long.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from ultratree import (
     sphere_tree,
     threshold_function,
     threshold_partition,
+    tree_from_json,
+    tree_to_json,
     unbound_transform,
     verify_tree_invariants,
 )
@@ -121,6 +124,11 @@ def test_piecewise_linear_fn_reports_its_tail_slope_after_its_breakpoints():
         PiecewiseLinearFn([(1, 1)], -1)
 
 
+def test_piecewise_linear_fn_without_breakpoints_does_not_start_at_the_origin():
+    with pytest.raises(ValueError, match="^must start at the origin$"):
+        PiecewiseLinearFn([], 1)
+
+
 @pytest.mark.parametrize("argv", [
     ["bethe", "--prime", "2", "--depth", "2", "--top", "0"],
     ["bethe", "--prime", "3", "--depth", "2", "--top", "-1", "--sphere"],
@@ -185,3 +193,22 @@ def test_a_tree_audit_needs_an_ultrametric_space():
     tree = build_representing_tree(make_space("abc", [[0, 1, 3], [1, 0, 3], [3, 3, 0]]))
     with pytest.raises(TypeError, match="^tree audits need a FiniteUltrametricSpace$"):
         verify_tree_invariants(tree, metric)
+
+
+@pytest.mark.parametrize("truncated", ["false", "true", 0, 1, None, [], {}],
+                         ids=["false-string", "true-string", "zero", "one", "null", "array", "object"])
+def test_a_tree_is_truncated_only_by_json_true_or_false(tmp_path, capsys, truncated):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(dict(TREE, truncated=truncated)))
+    for verb in ("reconstruct", "representable"):
+        assert run([verb, str(path)]) == 2
+        assert capsys.readouterr() == ("", f'error: {path}: tree JSON "truncated" must be true or false\n')
+
+
+@pytest.mark.parametrize("doc, truncated", [(TREE, False), (dict(TREE, truncated=False), False),
+                                            (dict(TREE, truncated=True), True)],
+                         ids=["absent", "false", "true"])
+def test_a_tree_keeps_its_truncated_flag_through_json(doc, truncated):
+    tree = tree_from_json(doc)
+    assert tree.truncated is truncated
+    assert tree_to_json(tree).get("truncated", False) is truncated
