@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Every verb maps to one library pipeline and prints deterministic JSON (or
-DOT); its handler imports only the submodules it runs.  Exit codes: 0 for
-success or a positive decision, 1 for a negative decision, 2 for input
-errors, 3 for internal errors (any other exception, reported as one
-`internal error: <Type>: <message>` line on stderr).
+DOT); its handler imports only the submodules it runs.  A named verb's argv
+is read off the verb table, `_VERBS`; argparse loads only for help and usage
+errors.  Exit codes: 0 for success or a positive decision, 1 for a negative
+decision, 2 for input errors, 3 for internal errors (any other exception,
+reported as one `internal error: <Type>: <message>` line on stderr).  `run`
+returns the code; `main` flushes and leaves through `os._exit`, so no
+atexit hook runs in the `ultratree` process.
 
 `check` runs one ultrametricity test, the O(n^2) single-linkage pass
 that every space constructor also runs, and prints a sorted violating
@@ -14,9 +17,10 @@ triple scan and the threshold-graph test.
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 from . import core
 
@@ -138,15 +142,9 @@ def _cmd_posetcheck(args) -> int:
     from . import tree_metric
     report = _decode(args.poset, lambda obj: tree_metric.check_ballean_poset(
         *tree_metric.poset_from_json(obj)))
-    _emit({
-        "accepted": report.accepted,
-        "has_largest": report.has_largest,
-        "unique_upper_cover": report.unique_upper_cover,
-        "upper_witness": report.upper_witness,
-        "lower_covers_ok": report.lower_covers_ok,
-        "lower_witness": report.lower_witness,
-        "covers_are_covering_relation": report.covers_are_covering_relation,
-    })
+    _emit({key: getattr(report, key) for key in (
+        "accepted", "has_largest", "unique_upper_cover", "upper_witness", "lower_covers_ok",
+        "lower_witness", "covers_are_covering_relation")})
     return 0 if report.accepted else 1
 
 
@@ -229,19 +227,46 @@ _VERBS = {
 }
 
 
-def build_parser(verbs=None) -> argparse.ArgumentParser:
-    """The parser of `verbs` (default all); its errors print what all verbs' would."""
+def _read_argv(argv):
+    """`build_parser().parse_args(argv)` read off `_VERBS`, or None to leave argv to argparse.
+
+    Read: a verb, then its positionals and exact long options, each valued option
+    followed by its value, where no positional or value starts with "-"."""
+    if not argv or argv[0] not in _VERBS:
+        return None
+    _, handler, arguments = _VERBS[argv[0]]
+    options = dict(arg for arg in arguments if not isinstance(arg, str))
+    values = {o[2:]: s.get("default", False if "action" in s else None) for o, s in options.items()}
+    positionals, tokens = [], iter(argv[1:])
+    try:   # a value `int` refuses, or a miscount of positionals: argparse words the error
+        for token in tokens:
+            spec = options.get(token)
+            if spec is None:
+                positionals.append(token)
+            elif "action" in spec:   # store_true, the one action the table uses
+                values[token[2:]] = True
+            elif (value := next(tokens, "-")).startswith("-"):
+                return None
+            else:
+                values[token[2:]] = spec.get("type", str)(value)
+        values.update(zip((a for a in arguments if isinstance(a, str)), positionals, strict=True))
+    except ValueError:
+        return None
+    if any(p.startswith("-") for p in positionals) or None in values.values():
+        return None   # None is left by a required option, the only ones with no default
+    return SimpleNamespace(command=argv[0], handler=handler, **values)
+
+
+def build_parser():
+    """The argparse parser of every verb: help, and the text of every usage error."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="ultratree",
         description="Finite ultrametric spaces: balls, representing trees, "
                     "isometry, transforms, p-adic generators.",
     )
-    # the usage line names every verb; argparse writes it when it has them all,
-    # where a metavar would replace "command" in its missing or unknown verb errors
-    sub = parser.add_subparsers(dest="command", required=True, metavar=None if verbs is None
-                                else "{" + ",".join(_VERBS) + "}")
-    for verb in _VERBS if verbs is None else verbs:
-        what, handler, arguments = _VERBS[verb]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for verb, (what, handler, arguments) in _VERBS.items():
         p = sub.add_parser(verb, help=what)
         for arg in arguments:
             name, options = (arg, {}) if isinstance(arg, str) else arg
@@ -252,9 +277,8 @@ def build_parser(verbs=None) -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a request that names its verb needs only that verb's parser
-    parser = build_parser(argv[:1] if argv[:1] and argv[0] in _VERBS else None)
-    args = parser.parse_args(argv)
+    # argparse answers what the verb table leaves: help, usage errors, other forms
+    args = _read_argv(argv) or build_parser().parse_args(argv)
     try:
         # looked up by name, so a handler replaced on this module is the one run
         return globals()[args.handler](args)
@@ -267,7 +291,13 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:   # flushed, the process leaves without interpreter teardown or atexit hooks
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:   # a broken or missing stream: the interpreter's own exit, as before
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

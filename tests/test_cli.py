@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ultratree
 import ultratree.core as core
@@ -452,8 +453,7 @@ def test_internal_errors_exit_3_without_a_traceback(capsys, monkeypatch, space_f
 
 VERBS = ("check", "dset", "balls", "tree", "iso", "weaksim", "reconstruct", "representable",
          "posetcheck", "transform", "padic", "bethe", "roundtrip")
-PARSER_BATTERY = [
-    # every verb with valid arguments
+WELL_FORMED = [   # every verb with valid arguments
     ["check", "space.json"], ["dset", "space.json"], ["balls", "space.json"],
     ["tree", "space.json"], ["tree", "--dot", "space.json"],
     ["iso", "space.json", "space.json"], ["weaksim", "space.json", "other.json"],
@@ -464,6 +464,9 @@ PARSER_BATTERY = [
     ["bethe", "--prime", "3", "--depth", "2"],
     ["bethe", "--sphere", "--prime", "2", "--depth", "2", "--top", "4"],
     ["roundtrip", "space.json"], ["check", "missing.json"],
+]
+PARSER_BATTERY = [
+    *WELL_FORMED,
     # a missing or an extra positional
     ["check"], ["iso", "space.json"], ["reconstruct"], ["transform", "--fn", "quantize"],
     ["check", "space.json", "space.json"], ["iso", "space.json", "space.json", "extra"],
@@ -501,7 +504,116 @@ def test_one_verb_parser_answers_as_the_whole_parser(tmp_path, capsys, monkeypat
 
     assert list(cli._VERBS) == list(VERBS)
     narrowed = [outcome(argv) for argv in PARSER_BATTERY]
-    monkeypatch.setattr(cli, "build_parser", lambda verbs=None: every_verb_parser())
+    monkeypatch.setattr(cli, "build_parser", every_verb_parser)
     for argv, got in zip(PARSER_BATTERY, narrowed):
         assert got == outcome(argv), argv
     assert {code for code, _, _ in narrowed} == {0, 1, 2}
+
+
+# tokens a well-formed request of some verb uses, and ones argparse reads its own way
+PLAIN = ["space.json", "tree.json", "check", "a b", "x", "2", "quantize"]
+VALUES = ["2", "3", "x", "1.5", "bound:3", "quantize", "a b", " 7", "٣", "1_0", "", "1" * 5000]
+HOSTILE = ["-h", "--help", "--", "--fn=x", "--pri", "--dot=1", "--bogus", "-1", "- x", "-",
+           "--prime", "--fn", "--dot", "--sphere", "--depth", "--top", "--points", "-x"]
+
+
+@st.composite
+def verb_argv(draw):
+    """A verb's arguments in any order, each valued option with a value, then a few edits."""
+    verb = draw(st.sampled_from(VERBS))
+    pieces = []
+    for arg in cli._VERBS[verb][2]:
+        if isinstance(arg, str):
+            pieces.append([draw(st.sampled_from(PLAIN + VALUES))])
+        elif arg[1].get("required") or draw(st.booleans()):
+            name, spec = arg
+            pieces.append([name] if "action" in spec else [name, draw(st.sampled_from(VALUES))])
+    tokens = [token for piece in draw(st.permutations(pieces)) for token in piece]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        edit = draw(st.sampled_from(["insert", "delete", "repeat"]))
+        if edit == "insert":
+            tokens.insert(at, draw(st.sampled_from(HOSTILE + PLAIN + VALUES)))
+        elif tokens and edit == "delete":
+            del tokens[min(at, len(tokens) - 1)]
+        elif tokens:
+            tokens.append(tokens[min(at, len(tokens) - 1)])
+    return [verb] + tokens
+
+
+def test_the_verb_table_reads_argv_as_argparse_does(capsys):
+    outcomes = set()
+
+    @settings(max_examples=1500, derandomize=True, deadline=None)
+    @given(argv=verb_argv())
+    def check(argv):
+        args = cli._read_argv(argv)
+        outcomes.add(args is not None)
+        if args is not None:
+            assert vars(every_verb_parser().parse_args(argv)) == vars(args), argv
+            assert capsys.readouterr() == ("", ""), argv
+
+    check()
+    assert outcomes == {True, False}
+    assert all(cli._read_argv(argv) for argv in WELL_FORMED)
+
+
+def script(*argv, **kwargs):
+    """`python -m ultratree.cli argv` in a new process: its `main`, and its exit path."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultratree.__file__)))
+    return subprocess.run([sys.executable, "-m", "ultratree.cli", *argv],
+                          env=env, timeout=60, **kwargs)
+
+
+def test_the_process_writes_what_run_writes_to_a_pipe_and_a_file(tmp_path, capsys):
+    tree = os.path.join(os.path.dirname(__file__), "data", "four_point_tree.json")
+    assert run(["reconstruct", tree]) == 0
+    files = {"space.json": capsys.readouterr().out, "points.json": json.dumps([0, 1, 2, 3, "1/2"]),
+             "poset.json": json.dumps({"elements": ["X", "a", "b"], "covers": [[1, 0], [2, 0]]})}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    space, points, poset = (str(tmp_path / name) for name in files)
+    requests = [[verb, space] for verb in ("check", "dset", "balls", "tree", "roundtrip")] + [
+        ["tree", "--dot", space], ["iso", space, space], ["weaksim", space, space],
+        ["reconstruct", tree], ["representable", tree], ["posetcheck", poset],
+        ["transform", "--fn", "quantize", space], ["padic", "--prime", "2", "--points", points],
+        ["bethe", "--prime", "3", "--depth", "2"]]
+    assert sorted({argv[0] for argv in requests}) == sorted(VERBS)
+    for argv in requests:
+        code, out, err = invoke(capsys, *argv)
+        assert code == 0, (argv, err)
+        expected = (code, out.encode(), err.encode())
+        piped = script(*argv, capture_output=True)
+        assert (piped.returncode, piped.stdout, piped.stderr) == expected, argv
+        with open(tmp_path / "out.txt", "wb") as fh:
+            filed = script(*argv, stdout=fh, stderr=subprocess.PIPE)
+        assert (filed.returncode, (tmp_path / "out.txt").read_bytes(), filed.stderr) == expected
+
+
+def test_a_closed_stdout_is_an_internal_error_without_a_traceback(space_file):
+    read, write = os.pipe()
+    os.close(read)   # every write to the pipe fails with EPIPE
+    try:
+        proc = script("tree", space_file, stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (
+        3, "internal error: BrokenPipeError: [Errno 32] Broken pipe\n")
+    # no descriptor 1 at all: `sys.stdout` is None, and the exit flushes nothing
+    proc = script("dset", space_file, stderr=subprocess.PIPE, text=True,
+                  preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (
+        3, "internal error: AttributeError: 'NoneType' object has no attribute 'write'\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["check", "-h"], ["bethe", "--help"], ["check"],
+                                  ["tree", "--dot=1", "space.json"], ["padic", "--prime", "x"]])
+def test_help_and_usage_errors_keep_argparse_text_and_exit_codes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps help to the terminal's width
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code in (0, 2) and (exc.value.code == 0) == bool(out)
+    proc = script(*argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (exc.value.code, out, err)
+    assert "Traceback" not in proc.stderr

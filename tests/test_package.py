@@ -91,7 +91,10 @@ def test_canonical_code_digest_is_the_sha256_of_its_text():
 CHILD = """
 import json, sys
 from ultratree.cli import run
-run(sys.argv[1:])
+try:
+    run(sys.argv[1:])
+except SystemExit:   # argparse's help
+    pass
 print(json.dumps(sorted(sys.modules)))
 """
 
@@ -142,3 +145,7 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
             for verb, modules in loaded.items()} == expected
     for verb, modules in loaded.items():
         assert "hashlib" not in modules, verb
+        # argv is read off the verb table: argparse, and the gettext and locale it
+        # imports, load only for help and usage errors
+        assert not modules & {"argparse", "gettext", "locale"}, verb
+    assert "argparse" in _modules_loaded_by("check", "-h")
