@@ -12,7 +12,8 @@ _EXPORTS = {
         "NotUltrametricError", "SpaceValidationError", "diam", "diametrical_partition",
         "distance_set", "is_ultrametric_multipartite", "is_ultrametric_triangle",
         "make_space", "parse_rational", "format_rational", "space_from_json",
-        "space_from_sequence", "space_to_json", "threshold_partition",
+        "space_from_sequence", "space_to_json", "spaces_isometric", "threshold_partition",
+        "weakly_similar",
     ),
     "balls": (
         "Ball", "Ballean", "BallPoset", "HausdorffBallSpace", "ball_poset", "ballean",
@@ -20,22 +21,20 @@ _EXPORTS = {
         "hausdorff_distance_direct", "smallest_enclosing_ball",
     ),
     "repr_tree": (
-        "InvariantReport", "RootedLabeledTree", "TreeOrder", "build_representing_tree",
-        "edge_characterization_check", "tree_from_json", "tree_order", "tree_to_dot",
-        "tree_to_json", "verify_tree_invariants",
+        "MaxChain", "MaxChainSpace", "Representability", "RootedLabeledTree",
+        "build_representing_tree", "check_representable", "is_monotone_labeling",
+        "maximal_chains", "reconstruct_space", "tree_from_json", "tree_to_dot", "tree_to_json",
     ),
     "tree_metric": (
-        "MaxChain", "MaxChainSpace", "PosetCheckReport", "PseudoUltrametricSpace",
-        "Representability", "check_ballean_poset", "check_representable",
-        "is_monotone_labeling", "maximal_chains", "path_max_metric", "poset_from_json",
-        "reconstruct_space", "sphere_plus_center_condition",
+        "InvariantReport", "PosetCheckReport", "PseudoUltrametricSpace", "TreeOrder",
+        "check_ballean_poset", "edge_characterization_check", "path_max_metric",
+        "poset_from_json", "sphere_plus_center_condition", "tree_order", "verify_tree_invariants",
     ),
     "morphisms": (
         "CanonicalCode", "PiecewiseLinearFn", "PreservingFunctionError", "ScalingFunction",
         "apply_preserving", "bound_transform", "brute_force_isometry", "canonical_code",
         "extend_scaling_function", "quantize_binary", "quantize_ladder", "rank_transform",
-        "spaces_isometric", "threshold_function", "unbound_transform",
-        "weak_similarity_check", "weakly_similar",
+        "threshold_function", "unbound_transform", "weak_similarity_check",
     ),
     "padic": (
         "PAdicValuation", "bethe_ball_tree", "is_prime", "p_valuation",

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import core
@@ -70,7 +71,24 @@ def _load_ultrametric(path: str) -> core.FiniteUltrametricSpace:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
+    sys.stdout.write(_indented(obj, "") + "\n")
+
+
+def _indented(obj, pad: str) -> str:
+    """`json.dumps(obj, indent=2)` at indent `pad`, a list of only str or only int joined in C."""
+    inner = pad + "  "
+    sep = ",\n" + inner   # one f-string a level: the joined text is copied once
+    if isinstance(obj, (list, tuple)) and obj:
+        kinds = set(map(type, obj))
+        items = (map(encode_basestring_ascii, obj) if kinds == {str} else
+                 map(int.__repr__, obj) if kinds == {int} else
+                 (_indented(v, inner) for v in obj))
+        return f"[\n{inner}{sep.join(items)}\n{pad}]"
+    if isinstance(obj, dict) and obj and set(map(type, obj)) == {str}:
+        items = (f"{encode_basestring_ascii(k)}: {_indented(v, inner)}" for k, v in obj.items())
+        return f"{{\n{inner}{sep.join(items)}\n{pad}}}"
+    # a scalar, an empty array or object, or other keys: json's own text, shifted to `pad`
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
 def _cmd_check(args) -> int:
@@ -112,9 +130,8 @@ def _cmd_tree(args) -> int:
 
 def _cmd_pair(args) -> int:
     # iso and weaksim: one decision on two spaces, printed under its own key
-    from . import morphisms
-    key, decide = {"iso": ("isometric", morphisms.spaces_isometric),
-                   "weaksim": ("weakly_similar", morphisms.weakly_similar)}[args.command]
+    key, decide = {"iso": ("isometric", core.spaces_isometric),
+                   "weaksim": ("weakly_similar", core.weakly_similar)}[args.command]
     a = _load_ultrametric(args.space_a)
     b = _load_ultrametric(args.space_b)
     verdict = decide(a, b)
@@ -123,17 +140,17 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    from . import repr_tree, tree_metric
-    rebuilt = _decode(args.tree, lambda obj: tree_metric.reconstruct_space(
+    from . import repr_tree
+    rebuilt = _decode(args.tree, lambda obj: repr_tree.reconstruct_space(
         repr_tree.tree_from_json(obj)))
     _emit(core.space_to_json(rebuilt.space))
     return 0
 
 
 def _cmd_representable(args) -> int:
-    from . import repr_tree, tree_metric
+    from . import repr_tree
     tree = _decode(args.tree, repr_tree.tree_from_json)
-    result = tree_metric.check_representable(tree)
+    result = repr_tree.check_representable(tree)
     _emit({"accepted": result.accepted, "root": result.root, "reason": result.reason})
     return 0 if result.accepted else 1
 
@@ -192,11 +209,11 @@ def _cmd_bethe(args) -> int:
 
 
 def _cmd_roundtrip(args) -> int:
-    from . import morphisms, repr_tree, tree_metric
+    from . import repr_tree
     space = _load_ultrametric(args.space)
     tree = repr_tree.build_representing_tree(space)
-    rebuilt = tree_metric.reconstruct_space(tree)
-    verdict = morphisms.spaces_isometric(space, rebuilt.space)
+    rebuilt = repr_tree.reconstruct_space(tree)
+    verdict = core.spaces_isometric(space, rebuilt.space)
     _emit({"points": len(space), "balls": tree.n, "isometric": verdict})
     return 0 if verdict else 1
 

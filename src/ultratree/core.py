@@ -16,13 +16,15 @@ reads the order off the balls by descending from point 0, checks it with
 slice comparisons of the permuted rows, and runs Prim's algorithm only on
 a matrix that check refutes, for the witness in the first row the check
 breaks on.  Every ball is a run of the order, so `_ball_tree` reads the
-balls off the gaps as runs, numbered once as the representing tree is.
+balls off the gaps as runs, numbered once as the representing tree is;
+`spaces_isometric` and `weakly_similar` compare integer codes of two of them.
 The library's derived spaces enter through `_from_gaps` with a point
 order and its gaps instead: any gaps give an ultrametric (Gower & Ross
 1969), so the O(n^2) checks could never fail there and only the O(n)
 ones that can are run; `_gap_rows` builds the rank rows from the gaps.
 The input rules each module shares live here once: `_document` (a JSON
-document's keys), `_is_index`, `_array`, `_positive` and `_require_ultrametric`.
+document's keys), `_is_index`, `_array` (also of matrix rows), `_positive`
+and `_require_ultrametric`.
 """
 
 from __future__ import annotations
@@ -381,6 +383,37 @@ def _ball_tree(gaps: Sequence[int]) -> tuple[list[list[int]], list[int]]:
     return [runs[v] for v in num], [-1] + [at[parent[v]] for v in num[1:]]
 
 
+def _same_ranked_tree(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
+    """Are the ball trees, labeled by diameter rank, isomorphic?  O(n log n), no recursion:
+    reverse numbering puts children first, and one table shared by both trees numbers
+    each (rank, sorted child codes) (Aho, Hopcroft & Ullman 1974, §3.2)."""
+    table: dict = {}
+    roots = []
+    for space in (x, y):
+        runs, parent = _ball_tree(_require_ultrametric(space, "representing trees")._gaps)
+        codes = [[] for _ in range(len(runs) + 1)]   # the last list takes the root's code
+        for v in range(len(runs) - 1, -1, -1):
+            codes[v].sort()
+            codes[parent[v]].append(table.setdefault((runs[v][0], *codes[v]), len(table)))
+        roots.append(codes[-1])
+    return roots[0] == roots[1]
+
+
+def spaces_isometric(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
+    """Isometry decision: isomorphic ball trees over the same distance set."""
+    return _same_ranked_tree(x, y) and x.distance_values == y.distance_values
+
+
+def weakly_similar(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
+    """Weak-similarity decision via rank reduction.
+
+    A weak similarity is an order isomorphism of distance sets composed
+    with an isometry, so the spaces are weakly similar iff their
+    rank-transformed copies are isometric.
+    """
+    return _same_ranked_tree(x, y)
+
+
 def _weak_triangle_witness(rank, values) -> Optional[tuple[int, int, int]]:
     matrix = tuple(_gather(row)(values) for row in rank)   # let go after the scan
     n = len(matrix)
@@ -407,7 +440,8 @@ class _RankedMatrix:
     __slots__ = ("names", "distance_values", "rank", "_order", "_gaps", "_strong_witness")
 
     def __init__(self, names: Iterable[str], matrix):
-        self._assign(names, *_rank_of(*_parse_entries(matrix)))
+        rows = [_array(row, f"matrix row {i}") for i, row in enumerate(matrix)]
+        self._assign(names, *_rank_of(*_parse_entries(rows)))
 
     def _assign(self, names: Iterable[str], values, rank) -> None:
         names = tuple(str(x) for x in names)

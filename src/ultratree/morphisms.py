@@ -1,11 +1,10 @@
-"""Canonical tree codes, isometry and weak-similarity decisions, distance transforms.
+"""Canonical tree codes, brute-force isometry, weak-similarity checks, distance transforms.
 
 Two finite ultrametric spaces are isometric exactly when their labeled
-representing trees are isomorphic, so both decisions compare integer codes
-of the tree every space holds, labeled by rank, as `core._ball_tree`.  Weak
-similarity (order-preserving bijection of distances) is isometry once every
-distance is replaced by its rank; checking a given bijection compares rank
-matrices.
+representing trees are isomorphic; the isometry and weak-similarity
+decisions compare integer codes of the ball tree every space holds, so
+they live beside it in `core`, and answer here too.  Checking a given
+bijection for weak similarity compares rank matrices.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Union
 
-from .core import (FiniteUltrametricSpace, parse_rational, _ball_tree, _gather, _is_index,
-                   _positive, _rank_of, _require_ultrametric)
+from .core import (FiniteUltrametricSpace, parse_rational, _gather, _is_index, _positive, _rank_of,
+                   _same_ranked_tree, spaces_isometric, weakly_similar)
 
 if TYPE_CHECKING:
     from .repr_tree import RootedLabeledTree
@@ -62,7 +61,7 @@ def canonical_code(tree: RootedLabeledTree) -> CanonicalCode:
     frames a level: on Python 3.11, 497 levels pass the default limit and
     the bench's depth-600 probe still raises RecursionError (ROADMAP item 2).
     """
-    from .repr_tree import _label_texts   # so the decisions load without `repr_tree`
+    from .repr_tree import _label_texts   # so the transforms load without `repr_tree`
     root = tree.require_root()
     adj, text = tree._adj, _label_texts(tree)
 
@@ -72,27 +71,6 @@ def canonical_code(tree: RootedLabeledTree) -> CanonicalCode:
         return "(" + text[v] + ";" + ",".join(subs) + ")"
 
     return CanonicalCode(encode(root, -1))
-
-
-def _same_ranked_tree(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
-    """Are the ball trees, labeled by diameter rank, isomorphic?  O(n log n), no recursion:
-    reverse numbering puts children first, and one table shared by both trees numbers
-    each (rank, sorted child codes) (Aho, Hopcroft & Ullman 1974, §3.2)."""
-    table: dict = {}
-    roots = []
-    for space in (x, y):
-        runs, parent = _ball_tree(_require_ultrametric(space, "representing trees")._gaps)
-        codes = [[] for _ in range(len(runs) + 1)]   # the last list takes the root's code
-        for v in range(len(runs) - 1, -1, -1):
-            codes[v].sort()
-            codes[parent[v]].append(table.setdefault((runs[v][0], *codes[v]), len(table)))
-        roots.append(codes[-1])
-    return roots[0] == roots[1]
-
-
-def spaces_isometric(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
-    """Isometry decision: isomorphic ball trees over the same distance set."""
-    return _same_ranked_tree(x, y) and x.distance_values == y.distance_values
 
 
 def brute_force_isometry(
@@ -200,16 +178,6 @@ def rank_transform(space: FiniteUltrametricSpace) -> FiniteUltrametricSpace:
     """Replace every distance by its rank in the distance set."""
     values = [Fraction(r) for r in range(len(space.distance_values))]
     return FiniteUltrametricSpace._from_gaps(space.names, values, space._order, space._gaps)
-
-
-def weakly_similar(x: FiniteUltrametricSpace, y: FiniteUltrametricSpace) -> bool:
-    """Weak-similarity decision via rank reduction.
-
-    A weak similarity is an order isomorphism of distance sets composed
-    with an isometry, so the spaces are weakly similar iff their
-    rank-transformed copies are isometric.
-    """
-    return _same_ranked_tree(x, y)
 
 
 class PreservingFunctionError(ValueError):

@@ -1,32 +1,23 @@
-"""Representing trees of finite ultrametric spaces and rooted-tree orders.
+"""Representing trees, both ways: a space's labeled tree, and a monotone tree's space.
 
 The representing tree is `core._ball_tree`, the Cartesian tree of the
 single-linkage gaps that every space computes when it is constructed:
 each ball is a run of that order, and its payload is the run, sorted.
-`verify_tree_invariants` audits a tree against balls found another way,
-by sorting and splitting the whole space top down into diametrical
-parts, so the audit does not share the code it checks.
-
-Orders are kept as up-set bitmasks: `_up_closure` closes (lower, upper)
-arcs and `_covering_pairs` reads the covers (the transitive reduction)
-back off, for `tree_order`, `edge_characterization_check` and
-`tree_metric.check_ballean_poset`.  A tree is walked, in preorder, and its
-labels are ranked once, when built; vertex ids are ints, not bools, floats
-or strings.
+The way back reads the maximal chains of a monotone labeled tree, and
+only a vertex of largest label can root one (`check_representable`).
+A tree is walked, in preorder, and its labels are ranked once, when
+built; vertex ids are ints, not bools, floats or strings.  The audits and
+orders of trees answer here too, looked up in `tree_metric` on each access.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from functools import reduce
-from operator import and_
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .core import (
     FiniteUltrametricSpace,
     _array,
     _ball_tree,
-    _classes_below,
     _document,
     _gather,
     _is_index,
@@ -35,6 +26,17 @@ from .core import (
     _require_ultrametric,
     format_rational,
 )
+
+_IN_TREE_METRIC = {"CheckEntry", "InvariantReport", "TreeOrder", "_covering_pairs", "_diametrical_splits",
+                   "_inclusion_up_sets", "_up_closure", "edge_characterization_check", "tree_order",
+                   "verify_tree_invariants"}
+
+
+def __getattr__(name):
+    if name not in _IN_TREE_METRIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import tree_metric
+    return getattr(tree_metric, name)
 
 
 class RootedLabeledTree:
@@ -158,236 +160,140 @@ def build_representing_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
                              root=0, ball_points=[tuple(sorted(order[s:e])) for _, s, e in runs])
 
 
-class CheckEntry:
-    __slots__ = ("name", "passed", "witness")
+def is_monotone_labeling(tree: RootedLabeledTree) -> tuple[bool, Optional[str]]:
+    """Labels strictly decrease toward the leaves and every leaf is labeled zero.
 
-    def __init__(self, name: str, passed: bool, witness: Optional[str] = None):
-        self.name = name
-        self.passed = passed
-        self.witness = witness
+    This is the finite reading of a monotone labeling: maximal chains end
+    in a leaf, and their labels must reach zero there.
+    """
+    rank = tree.label_rank
+    for v, p in enumerate(tree.parent_map()):
+        if p is not None and not rank[v] < rank[p]:
+            return False, f"label of {v} does not drop below its parent {p}"
+    for v in range(tree.n):   # label 0 is rank 0, unless the smallest label is positive
+        if tree.out_degree(v) == 0 and (rank[v] or tree.label_values[0]):
+            return False, f"leaf {v} has positive label {tree.labels[v]}"
+    return True, None
+
+
+class Representability:
+    __slots__ = ("accepted", "root", "reason")
+
+    def __init__(self, accepted: bool, root: Optional[int], reason: Optional[str]):
+        self.accepted = accepted
+        self.root = root
+        self.reason = reason
 
     def __repr__(self):
-        tail = "" if self.passed else f" ({self.witness})"
-        return f"<{self.name}: {'ok' if self.passed else 'FAIL'}{tail}>"
+        if self.accepted:
+            return f"<accepted root={self.root}>"
+        return f"<rejected: {self.reason}>"
 
 
-class InvariantReport:
-    __slots__ = ("entries",)
+def check_representable(tree: RootedLabeledTree) -> Representability:
+    """Decide whether a labeled tree is the representing tree of some space.
 
-    def __init__(self, entries: Iterable[CheckEntry]):
-        self.entries = tuple(entries)
+    Accepts under a root where the labeling is monotone and no vertex has
+    out-degree one.  Only the first vertex of largest label can be such a
+    root; vertex 0 is tried first, as its blocking condition is the reason
+    reported on rejection.  O(n).
+    """
+    first_reason = None
+    for root in sorted({0, tree.label_rank.index(len(tree.label_values) - 1)}):
+        rooted = tree if tree.root == root else RootedLabeledTree(tree.labels, tree.edges, root=root)
+        v = next((v for v in range(tree.n) if rooted.out_degree(v) == 1), None)
+        if v is not None:
+            reason = f"out-degree 1 at vertex {v}"
+        else:
+            ok, reason = is_monotone_labeling(rooted)
+            if ok:
+                return Representability(True, root, None)
+        first_reason = first_reason or f"root {root}: {reason}"
+    return Representability(False, None, first_reason)
+
+
+class MaxChain:
+    """A maximal chain of the rooted order: the vertex path from root to a leaf."""
+
+    __slots__ = ("vertices",)
+
+    def __init__(self, vertices: Sequence[int]):
+        self.vertices = tuple(vertices)
 
     @property
-    def ok(self) -> bool:
-        return all(e.passed for e in self.entries)
+    def leaf(self) -> int:
+        return self.vertices[-1]
 
-    def failures(self) -> tuple[CheckEntry, ...]:
-        return tuple(e for e in self.entries if not e.passed)
+    def __len__(self):
+        return len(self.vertices)
+
+    def __iter__(self):
+        return iter(self.vertices)
+
+    def __eq__(self, other):
+        return isinstance(other, MaxChain) and self.vertices == other.vertices
+
+    def __hash__(self):
+        return hash(self.vertices)
 
     def __repr__(self):
-        return f"<InvariantReport {'ok' if self.ok else self.failures()}>"
+        return f"<MaxChain {'>'.join(map(str, self.vertices))}>"
 
 
-def _diametrical_splits(space: FiniteUltrametricSpace) -> dict:
-    """Each ball's point set -> (diameter, diametrical part count), split top down.
-
-    A ball listed by rank from its first point ends at its diameter t, and
-    its first part is the prefix below t.  The rest, re-sorted from its own
-    first point, has the second part as its prefix; only a third or later
-    part takes `_classes_below`'s greedy loop, and is sorted once.
-    """
-    rank, values = _require_ultrametric(space, "tree audits").rank, space.distance_values
-    balls: dict = {}
-    todo = [sorted(range(len(rank)), key=rank[0].__getitem__)]
-    for ball in todo:   # grows while it is read
-        get = rank[ball[0]].__getitem__
-        t = get(ball[-1])
-        parts = []
-        if t:   # none for a singleton
-            k = bisect_left(ball, t, key=get)   # ball[:k]: the first point's part
-            get = rank[ball[k]].__getitem__
-            rest = sorted(ball[k:], key=get)    # by rank from its own first point
-            j = bisect_left(rest, t, key=get)   # rest[:j]: the second part
-            parts = [ball[:k], rest[:j], *(sorted(p, key=rank[p[0]].__getitem__)
-                                          for p in _classes_below(rank, rest[j:], t))]
-        balls[frozenset(ball)] = (values[t], len(parts))
-        todo += parts
-    return balls
+def maximal_chains(tree: RootedLabeledTree) -> tuple[MaxChain, ...]:
+    """One chain per leaf, each the unique root-to-leaf path, in leaf order."""
+    return _chains_and_partings(tree)[0]
 
 
-def verify_tree_invariants(tree: RootedLabeledTree,
-                           space: FiniteUltrametricSpace) -> InvariantReport:
-    """Structural audit of a representing tree against its space.
-
-    Checks, each with a witness on failure: every payload is a ball and
-    the vertex set equals the ballean; labels are ball diameters; degree 2
-    occurs at most once; no vertex has out-degree 1; the degree of every
-    vertex matches the part count of its diametrical graph; and leaves are
-    exactly the zero-labeled vertices.  The diameter and degree checks
-    skip vertices whose payload is not a ball.  The reference balls come
-    from `_diametrical_splits`, not from the ball tree the tree is built on.
-    """
+def _chains_and_partings(tree: RootedLabeledTree) -> tuple[tuple[MaxChain, ...], list[int]]:
+    # The chains in the order the tree's one walk (`_pre`) reaches their leaves, each a leaf
+    # on its parent's path, with the vertex where it parts from the one before: the parent of
+    # the vertex the walk visits after that one's leaf, and for the first chain its own leaf.
     root = tree.require_root()
-    pts = tree.ball_points
-    if pts is None:
-        raise ValueError("tree carries no ball payloads to verify against")
-
-    def vertex(flags):   # the first vertex flagged, as a witness
-        return next((f"vertex {v}" for v, flag in enumerate(flags) if flag), None)
-
-    balls = _diametrical_splits(space)
-    keys = [frozenset(p) for p in pts]
-    tree_sets = set(keys)
-    # a payload is a ball when its points are distinct and make one
-    found = [balls.get(k) if len(k) == len(p) else None for k, p in zip(keys, pts)]
-    # every payload a ball, all distinct, and as many as the balls: the ballean
-    ballean = None if None not in found and len(tree_sets) == tree.n == len(balls) else (
-        f"tree {len(tree_sets)} sets vs ballean {len(balls)}"
-        + ("" if None not in found else f", vertex {found.index(None)} is not a ball"))
-    degree = list(map(len, tree._adj))
-    out = [d - (v != root) for v, d in enumerate(degree)]   # all but the root have a parent
-    positive = list(map(bool, tree.labels))
-    deg2 = [v for v, d in enumerate(degree) if d == 2]
-    # a ball's degree: a parent edge, plus one child per part when its label is positive
-    expected = [f and (v != root) + (f[1] if p else 0) for v, (f, p) in enumerate(zip(found, positive))]
-    formula = next((f"vertex {v}: degree {d}, expected {e}" for v, (d, e) in enumerate(zip(degree, expected))
-                    if e is not None and d != e), None)
-    return InvariantReport(CheckEntry(name, witness is None, witness) for name, witness in (
-        ("vertices-equal-ballean", ballean),
-        # a label built from the space is its diameter's own object: `is` settles most
-        ("labels-are-diameters",
-         vertex(f and l is not f[0] and l != f[0] for l, f in zip(tree.labels, found))),
-        ("degree-two-at-most-once", f"vertices {deg2}" if len(deg2) > 1 else None),
-        ("out-degree-never-one", vertex(d == 1 for d in out)),
-        ("degree-formula", formula),
-        ("leaf-iff-zero-label", vertex((d > 0) != p for d, p in zip(out, positive))),
-    ))
+    pre, adj, depth = tree._pre, tree._adj, tree._depth
+    chains, parting, path = [], [], []
+    after = 0   # where the walk goes on after the last leaf, 0 before the first
+    for i, v in enumerate(pre):
+        del path[depth[v]:]   # the path of v's parent
+        path.append(v)
+        if len(adj[v]) == (v != root):   # out-degree 0: a leaf
+            chains.append(MaxChain(path))
+            parting.append(tree._parent[pre[after]] if after else v)
+            after = i + 1
+    return tuple(chains), parting
 
 
-def edge_characterization_check(space: FiniteUltrametricSpace,
-                                tree: RootedLabeledTree) -> bool:
-    """Adjacency in the tree iff strict ball nesting with no ball between.
+class MaxChainSpace:
+    """The ultrametric space reconstructed from a monotone labeled tree."""
 
-    The edges must be exactly the covering pairs of the inclusion order
-    of the vertices' balls.  Two vertices with one point set fail outright.
+    __slots__ = ("chains", "space")
+
+    def __init__(self, chains: tuple[MaxChain, ...], space: FiniteUltrametricSpace):
+        self.chains = chains
+        self.space = space
+
+
+def reconstruct_space(tree: RootedLabeledTree) -> MaxChainSpace:
+    """Space over the maximal chains: distance is the label of the deepest common vertex.
+
+    The deepest common vertex of two chains is the meet of their
+    intersection, i.e. the lowest common ancestor of their leaves.
+    Requires a monotone labeling.  Chains come in depth-first leaf order,
+    so the deepest common vertex of chains i < j is the shallowest, and so
+    the highest labeled, of those where consecutive chains between them
+    part: the parting labels are the chains' single-linkage gaps, and the
+    space is built from them (`FiniteUltrametricSpace._from_gaps`).  O(m^2)
+    in C, plus the chains.
     """
-    pts = tree.ball_points
-    if pts is None:
-        raise ValueError("tree carries no ball payloads")
-    up = _inclusion_up_sets(pts, len(space))
-    if len(set(up)) != tree.n:   # equal up-sets iff equal point sets
-        return False
-    return {(min(p), max(p)) for p in _covering_pairs(up)} == set(tree.edges)
-
-
-def _inclusion_up_sets(point_sets, npoints: int) -> list[int]:
-    """Bit j of entry i is set iff point set i lies inside point set j."""
-    holding = [0] * npoints   # holding[x]: the sets containing x
-    for i, pts in enumerate(point_sets):
-        for x in pts:
-            holding[x] |= 1 << i
-    full = (1 << len(point_sets)) - 1
-    return [reduce(and_, map(holding.__getitem__, pts), full) for pts in point_sets]
-
-
-def _up_closure(n: int, arcs) -> list[int]:
-    """Closure of (lower, upper) arcs: bit w of `up[v]` is set iff v <= w.
-
-    Vertices are closed in reverse topological order (Kahn 1962): each
-    ORs in the up-sets of its upper ends once they are all closed, so a
-    DAG closes in one pass whatever order its arcs are listed in.  What a
-    cycle holds back is closed by repeated passes until nothing changes.
-    """
-    uppers: list[list[int]] = [[] for _ in range(n)]
-    lowers: list[list[int]] = [[] for _ in range(n)]
-    for lo, hi in arcs:
-        uppers[lo].append(hi)
-        lowers[hi].append(lo)
-    waiting = list(map(len, uppers))   # upper ends not yet closed
-    up = [1 << v for v in range(n)]
-    ready = [v for v in range(n) if not waiting[v]]
-    for v in ready:   # grows while it is read
-        mask = up[v]
-        for w in uppers[v]:
-            mask |= up[w]
-        up[v] = mask
-        for u in lowers[v]:
-            waiting[u] -= 1
-            if not waiting[u]:
-                ready.append(u)
-    changed = len(ready) < n
-    while changed:
-        changed = False
-        for lo, hi in arcs:
-            merged = up[lo] | up[hi]
-            if merged != up[lo]:
-                up[lo] = merged
-                changed = True
-    return up
-
-
-def _covering_pairs(up: list[int]) -> list[tuple[int, int]]:
-    """Covering pairs (a, b), sorted, of a closed order given by up-sets.
-
-    The transitive reduction (Aho, Garey & Ullman 1972): the covers of a
-    are its strict up-set minus the strict up-sets of its members.  A
-    member already above another one is skipped, its up-set lying inside.
-    """
-    pairs = []
-    for a, mask in enumerate(up):
-        strict = mask & ~(1 << a)
-        above = 0
-        rest = strict
-        while rest:
-            low = rest & -rest
-            above |= up[low.bit_length() - 1] & ~low
-            rest = (rest ^ low) & ~above
-        rest = strict & ~above
-        while rest:
-            low = rest & -rest
-            pairs.append((a, low.bit_length() - 1))
-            rest ^= low
-    return pairs
-
-
-class TreeOrder:
-    """The partial order a root induces on a tree.
-
-    `leq(u, v)` holds iff v lies on the path from u to the root, i.e. iff
-    bit v of `up[u]` is set, so the root is the largest element and
-    covering pairs are exactly the child-parent pairs.
-    """
-
-    __slots__ = ("root", "parent", "up", "covers")
-
-    def __init__(self, root, parent, up, covers):
-        self.root = root
-        self.parent = parent
-        self.up = up
-        self.covers = covers
-
-    def leq(self, u: int, v: int) -> bool:
-        return bool(self.up[u] >> v & 1)
-
-    def comparable(self, u: int, v: int) -> bool:
-        return self.leq(u, v) or self.leq(v, u)
-
-    def incomparable(self, u: int, v: int) -> bool:
-        return not self.comparable(u, v)
-
-
-def tree_order(tree: RootedLabeledTree) -> TreeOrder:
-    """The root-path order: the closure of the child-parent covers.
-
-    O(n^2 / w) for w-bit words.  The test suite checks that the root is
-    largest, the upper covers are the parents, the order is the closure of
-    the covers, the covers are the edges, and the order is ball inclusion.
-    """
-    root = tree.require_root()
-    parent = tree.parent_map()
-    covers = tuple((v, p) for v, p in enumerate(parent) if p is not None)
-    up = _up_closure(tree.n, covers)
-    return TreeOrder(root, parent, tuple(up), covers)
+    ok, reason = is_monotone_labeling(tree)
+    if not ok:
+        raise ValueError(f"labeling is not monotone: {reason}")
+    chains, parting = _chains_and_partings(tree)
+    used, (gaps,) = _rank_of(_gather(parting)(tree.label_rank), [range(len(parting))])
+    names = [str(c.leaf) for c in chains]
+    space = FiniteUltrametricSpace._from_gaps(names, _gather(used)(tree.label_values),
+                                              range(len(gaps)), gaps)
+    return MaxChainSpace(chains, space)
 
 
 def _label_texts(tree: RootedLabeledTree) -> tuple[str, ...]:

@@ -1,8 +1,8 @@
 """The input rules every module shares, and the CLI refusals they give.
 
 A JSON document must be an object holding each of its required keys, and
-each of those must hold an array: a string or an object there would be
-read element by element.  Every verb that reads a document refuses a
+each of those must hold an array, as must each row of a matrix: a string
+or an object there would be read element by element.  Every verb that reads a document refuses a
 malformed one the same way, `check` included.  Positive rational
 arguments keep one message per call site.  Point ids are ints, a tree's
 `ball_points` is an array of arrays, its `truncated` flag is JSON true or
@@ -95,6 +95,18 @@ def test_a_number_array_stays_with_the_reader(tmp_path, capsys):
     for verb in ("check", "dset"):
         assert run([verb, str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: 'int' object is not iterable\n"
+
+
+@pytest.mark.parametrize("row", ["10", {"1": 0, "0": 1}], ids=["string", "object"])
+def test_a_string_or_object_matrix_row_is_refused(tmp_path, capsys, row):
+    # read element by element, either would load as a valid 2-point space
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(SPACE, matrix=[["0", "1"], row])))
+    for verb in ("check", "dset", "tree"):
+        assert run([verb, str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: matrix row 1 must be an array\n")
+    with pytest.raises(ValueError, match="^matrix row 1 must be an array$"):
+        make_space(["a", "b"], [["0", "1"], row])
 
 
 @pytest.mark.parametrize("value", [0, -1, "0/5"])

@@ -82,6 +82,45 @@ def test_a_wrapper_on_a_submodule_is_what_the_package_returns(monkeypatch):
     assert "make_space" not in vars(ultratree)
 
 
+# (old module, new home) -> the definitions that moved between them
+MOVED = {
+    ("tree_metric", "repr_tree"): (
+        "MaxChain", "MaxChainSpace", "Representability", "_chains_and_partings",
+        "check_representable", "is_monotone_labeling", "maximal_chains", "reconstruct_space"),
+    ("repr_tree", "tree_metric"): (
+        "CheckEntry", "InvariantReport", "TreeOrder", "_covering_pairs", "_diametrical_splits",
+        "_inclusion_up_sets", "_up_closure", "edge_characterization_check", "tree_order",
+        "verify_tree_invariants"),
+    ("morphisms", "core"): ("_same_ranked_tree", "spaces_isometric", "weakly_similar"),
+}
+
+
+def test_moved_names_answer_at_their_old_modules(monkeypatch):
+    for (old, new), names in MOVED.items():
+        old_module = importlib.import_module(f"ultratree.{old}")
+        new_module = importlib.import_module(f"ultratree.{new}")
+        for name in names:
+            obj = getattr(new_module, name)
+            assert obj.__module__ == new_module.__name__, name
+            assert getattr(old_module, name) is obj, name
+            if name in ultratree.__all__:
+                assert getattr(ultratree, name) is obj, name
+    # `repr_tree` looks the audits up in `tree_metric` on every access, and keeps none
+    repr_tree, tree_metric = ultratree.repr_tree, ultratree.tree_metric
+    for name in MOVED["repr_tree", "tree_metric"]:
+        original = getattr(tree_metric, name)
+
+        def wrapper(*args, _f=original):
+            return _f(*args)
+
+        monkeypatch.setattr(tree_metric, name, wrapper)
+        assert getattr(repr_tree, name) is wrapper
+        monkeypatch.undo()
+        assert getattr(repr_tree, name) is original and name not in vars(repr_tree)
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        repr_tree.no_such_name
+
+
 def test_canonical_code_digest_is_the_sha256_of_its_text():
     code = canonical_code(build_representing_tree(nested_four_point_space()))
     assert code.digest == hashlib.sha256(code.text.encode()).hexdigest()
@@ -125,21 +164,25 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
     poset = tmp_path / "poset.json"
     poset.write_text(json.dumps({"elements": ["X", "a", "b"], "covers": [[1, 0], [2, 0]]}))
     loaded["posetcheck"] = _modules_loaded_by("posetcheck", str(poset))
+    loaded["roundtrip"] = _modules_loaded_by("roundtrip", str(space))
+    loaded["bethe"] = _modules_loaded_by("bethe", "--prime", "2", "--depth", "2")
     base = {"ultratree", "ultratree.cli", "ultratree.core"}
     # `balls` reads the ballean off core's ball tree, without `repr_tree`;
     # no other verb below reads the ballean, so none other loads `balls`;
-    # `iso` and `weaksim` decide on core's ball tree too, and `padic`
-    # builds no tree, so none of the next four loads `repr_tree`
+    # `iso` and `weaksim` decide on core's ball tree, beside it, and `padic`
+    # builds no tree, so none of them loads `repr_tree`; a tree's way back to
+    # its space is in `repr_tree`, and only the poset checker needs `tree_metric`
     expected = {
         "check": base, "dset": base, "balls": base | {"ultratree.balls"},
         "tree": base | {"ultratree.repr_tree"},
-        "iso": base | {"ultratree.morphisms"},
-        "weaksim": base | {"ultratree.morphisms"},
+        "iso": base, "weaksim": base,
         "transform": base | {"ultratree.morphisms"},
         "padic": base | {"ultratree.padic"},
-        "reconstruct": base | {"ultratree.repr_tree", "ultratree.tree_metric"},
-        "representable": base | {"ultratree.repr_tree", "ultratree.tree_metric"},
+        "reconstruct": base | {"ultratree.repr_tree"},
+        "representable": base | {"ultratree.repr_tree"},
+        "roundtrip": base | {"ultratree.repr_tree"},
         "posetcheck": base | {"ultratree.repr_tree", "ultratree.tree_metric"},
+        "bethe": base | {"ultratree.padic", "ultratree.repr_tree"},
     }
     assert {verb: {m for m in modules if m.startswith("ultratree")}
             for verb, modules in loaded.items()} == expected

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import ultratree.tree_metric as tree_metric
 from ultratree import (
     FiniteUltrametricSpace,
     PseudoUltrametricSpace,
@@ -167,12 +166,11 @@ def test_every_tree_keeps_its_labels_ranked(monkeypatch):
     def recorded(*args, **kwargs):
         seen.append(RootedLabeledTree(*args, **kwargs))
         return seen[-1]
-    monkeypatch.setattr(tree_metric, "RootedLabeledTree", recorded)
+    # `check_representable` re-roots, and `padic` builds, through `repr_tree`
+    monkeypatch.setattr(repr_tree, "RootedLabeledTree", recorded)
     for tree in trees:
         check_representable(tree)
     rerooted_count = len(seen)
-    # `padic` builds its trees through `repr_tree`, which it loads on first use
-    monkeypatch.setattr(repr_tree, "RootedLabeledTree", recorded)
     for p, depth in ((2, 4), (3, 3), (5, 2)):
         assert padic_ball_tree_vs_sample(p, depth)
     # three trees a comparison: the sample's, the Bethe tree, and its collapse
