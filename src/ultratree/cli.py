@@ -9,10 +9,12 @@ reported as one `internal error: <Type>: <message>` line on stderr).  `run`
 returns the code; `main` flushes and leaves through `os._exit`, so no
 atexit hook runs in the `ultratree` process.
 
-`check` runs one ultrametricity test, the O(n^2) single-linkage pass
-that every space constructor also runs, and prints a sorted violating
-triple on failure; the test suite cross-checks it against the O(n^3)
-triple scan and the threshold-graph test.
+A space document is built by the class whose rule its verb needs.  `check`
+ranks it (`core._RankedMatrix`), runs one ultrametricity test, the O(n^2)
+single-linkage pass, and prints a sorted violating triple on failure.  `dset`
+takes any metric (`core.make_space`) and alone runs the O(n^3) ordinary-triangle
+scan.  Every other verb builds a `core.FiniteUltrametricSpace`, whose
+constructor refuses any other matrix in that same pass, naming the same triple.
 """
 
 from __future__ import annotations
@@ -59,15 +61,9 @@ def _argument(build, *args):
         raise InputError(str(exc)) from exc
 
 
-def _load_ultrametric(path: str) -> core.FiniteUltrametricSpace:
-    space = _decode(path, core.space_from_json)
-    if not isinstance(space, core.FiniteUltrametricSpace):
-        i, j, k = space._strong_witness
-        raise InputError(
-            f"{path}: not ultrametric, witness triple "
-            f"({space.names[i]},{space.names[j]},{space.names[k]})"
-        )
-    return space
+def _space(path: str, build):
+    """The space document in `path`, built by the class whose rule the verb needs."""
+    return _decode(path, lambda obj: build(*core._document(obj, "space", "points", "matrix")))
 
 
 def _emit(obj) -> None:
@@ -92,10 +88,8 @@ def _indented(obj, pad: str) -> str:
 
 
 def _cmd_check(args) -> int:
-    # validated and ranked with the file's own names, but with no triangle
-    # inequality required: check decides matrices that fail it
-    ranked = _decode(args.space, lambda obj: core._RankedMatrix(
-        *core._document(obj, "space", "points", "matrix")))
+    # no triangle inequality required: check decides matrices that fail it
+    ranked = _space(args.space, core._RankedMatrix)
     ok, witness = core.is_ultrametric_triangle(ranked)
     _emit({
         "ultrametric": ok,
@@ -105,21 +99,21 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dset(args) -> int:
-    space = _decode(args.space, core.space_from_json)
+    space = _space(args.space, core.make_space)
     _emit({"distances": [core.format_rational(v) for v in core.distance_set(space)]})
     return 0
 
 
 def _cmd_balls(args) -> int:
     from . import balls
-    space = _load_ultrametric(args.space)
+    space = _space(args.space, core.FiniteUltrametricSpace)
     _emit(balls.ballean_to_json(balls.ballean(space)))
     return 0
 
 
 def _cmd_tree(args) -> int:
     from . import repr_tree
-    space = _load_ultrametric(args.space)
+    space = _space(args.space, core.FiniteUltrametricSpace)
     tree = repr_tree.build_representing_tree(space)
     if args.dot:
         sys.stdout.write(repr_tree.tree_to_dot(tree))
@@ -132,8 +126,7 @@ def _cmd_pair(args) -> int:
     # iso and weaksim: one decision on two spaces, printed under its own key
     key, decide = {"iso": ("isometric", core.spaces_isometric),
                    "weaksim": ("weakly_similar", core.weakly_similar)}[args.command]
-    a = _load_ultrametric(args.space_a)
-    b = _load_ultrametric(args.space_b)
+    a, b = (_space(path, core.FiniteUltrametricSpace) for path in (args.space_a, args.space_b))
     verdict = decide(a, b)
     _emit({key: verdict})
     return 0 if verdict else 1
@@ -184,7 +177,7 @@ def _parse_fn(spec: str, space: core.FiniteUltrametricSpace):
 
 
 def _cmd_transform(args) -> int:
-    space = _load_ultrametric(args.space)
+    space = _space(args.space, core.FiniteUltrametricSpace)
     _emit(core.space_to_json(_argument(_parse_fn, args.fn, space)))
     return 0
 
@@ -210,7 +203,7 @@ def _cmd_bethe(args) -> int:
 
 def _cmd_roundtrip(args) -> int:
     from . import repr_tree
-    space = _load_ultrametric(args.space)
+    space = _space(args.space, core.FiniteUltrametricSpace)
     tree = repr_tree.build_representing_tree(space)
     rebuilt = repr_tree.reconstruct_space(tree)
     verdict = core.spaces_isometric(space, rebuilt.space)

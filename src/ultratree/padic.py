@@ -44,9 +44,14 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _require_int(value, what: str) -> int:
+    if type(value) is not int:   # a bool, float or string is refused, not truncated
+        raise ValueError(f"{what} must be an int, not {value!r}")
+    return value
+
+
 def _require_prime(p: int) -> int:
-    p = int(p)
-    if not is_prime(p):
+    if not is_prime(_require_int(p, "the prime")):
         raise ValueError(f"{p} is not prime")
     return p
 
@@ -187,7 +192,7 @@ def bethe_ball_tree(p: int, depth: int, top_label) -> RootedLabeledTree:
     representing tree itself.
     """
     p = _require_prime(p)
-    if depth < 0:
+    if _require_int(depth, "depth") < 0:
         raise ValueError("depth must be nonnegative")
     top = _positive(top_label, "top label")
     return _bethe_tree(p, top, depth, p)
@@ -202,7 +207,7 @@ def sphere_tree(p: int, depth: int, top_label) -> RootedLabeledTree:
     with the top label halved.
     """
     p = _require_prime(p)
-    if depth < 1:
+    if _require_int(depth, "depth") < 1:
         raise ValueError("sphere trees need depth >= 1")
     top = _positive(top_label, "top label")
     if p == 2:
@@ -218,7 +223,7 @@ def padic_ball_tree_vs_sample(p: int, depth: int) -> bool:
     collapses to label zero (singletons have diameter zero).
     """
     p = _require_prime(p)
-    if depth < 0:
+    if _require_int(depth, "depth") < 0:
         raise ValueError("depth must be nonnegative")
     from .morphisms import canonical_code
     from .repr_tree import RootedLabeledTree, build_representing_tree

@@ -124,7 +124,7 @@ def test_check_and_loads_scan_each_space_once(tmp_path, capsys, monkeypatch):
     scans = count_calls(monkeypatch, util, ("strong_triangle_witness",))
     expected = {"_single_linkage": 1, "is_ultrametric_multipartite": 0}
     code, _, err = invoke(capsys, "tree", str(metric))
-    assert code == 2 and "witness triple (a,b,c)" in err
+    assert code == 2 and "strong triangle fails on (a,b,c): 2, 3, 2" in err
     assert counts == expected
 
     counts.update(dict.fromkeys(counts, 0))
@@ -132,6 +132,52 @@ def test_check_and_loads_scan_each_space_once(tmp_path, capsys, monkeypatch):
     assert code == 1 and json.loads(out)["witness"] == ["a", "b", "c"]
     assert counts == expected
     assert scans == {"strong_triangle_witness": 0}
+
+
+NOT_ULTRAMETRIC = {   # name -> a matrix that fails the strong triangle inequality
+    "metric": [[0, 2, 3], [2, 0, 2], [3, 2, 0]],
+    "non-metric": [[0, 1, 3], [1, 0, 1], [3, 1, 0]],
+    "perturbed-64": util.perturbed(random.Random(4), util.random_ultrametric_matrix(
+        random.Random(4), 64)),
+}
+ULTRAMETRIC_VERBS = [["tree"], ["balls"], ["iso", None, "GOOD"], ["iso", "GOOD", None],
+                     ["weaksim", None, "GOOD"], ["weaksim", "GOOD", None],
+                     ["transform", "--fn", "bound:3"], ["roundtrip"]]
+
+
+@pytest.mark.parametrize("verb", ULTRAMETRIC_VERBS, ids=lambda v: " ".join(a or "BAD" for a in v))
+@pytest.mark.parametrize("name", NOT_ULTRAMETRIC)
+def test_ultrametric_verbs_refuse_with_the_witness_check_prints(tmp_path, capsys, monkeypatch,
+                                                                space_file, name, verb):
+    matrix = NOT_ULTRAMETRIC[name]
+    names = [f"q{i}" for i in range(len(matrix))]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"points": names, "matrix": [[str(v) for v in row] for row in matrix]}))
+    code, out, _ = invoke(capsys, "check", str(path))
+    assert code == 1
+    i, j, k = (names.index(x) for x in json.loads(out)["witness"])
+    scans = count_calls(monkeypatch, core, ("_weak_triangle_witness",))
+    argv = [str(path) if a is None else space_file if a == "GOOD" else a for a in verb]
+    if None not in verb:
+        argv.append(str(path))
+    d = [[core.parse_rational(v) for v in row] for row in matrix]
+    assert invoke(capsys, *argv) == (2, "", (
+        f"error: {path}: strong triangle fails on ({names[i]},{names[j]},{names[k]}): "
+        f"{d[i][j]}, {d[i][k]}, {d[j][k]}\n"))
+    assert scans == {"_weak_triangle_witness": 0}
+
+
+def test_dset_alone_scans_for_the_ordinary_triangle(tmp_path, capsys, monkeypatch):
+    scans = count_calls(monkeypatch, core, ("_weak_triangle_witness",))
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": list("abc"), "matrix": NOT_ULTRAMETRIC["metric"]}))
+    code, out, _ = invoke(capsys, "dset", str(path))
+    assert code == 0 and json.loads(out) == {"distances": ["0", "2", "3"]}
+    assert scans == {"_weak_triangle_witness": 1}
+    path.write_text(json.dumps({"points": list("abc"), "matrix": NOT_ULTRAMETRIC["non-metric"]}))
+    code, out, err = invoke(capsys, "dset", str(path))
+    assert (code, out) == (2, "") and "triangle inequality fails" in err
+    assert scans == {"_weak_triangle_witness": 2}
 
 
 def test_deep_caterpillar_runs_without_recursion(tmp_path, capsys):
@@ -484,7 +530,7 @@ PARSER_BATTERY = [
 ]
 
 
-def test_one_verb_parser_answers_as_the_whole_parser(tmp_path, capsys, monkeypatch):
+def test_the_verb_table_parser_answers_as_every_verb_parser(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "space.json").write_text(json.dumps(space_to_json(nested_four_point_space())))
     (tmp_path / "other.json").write_text(json.dumps(space_to_json(two_pair_space())))

@@ -4,10 +4,10 @@ A JSON document must be an object holding each of its required keys, and
 each of those must hold an array, as must each row of a matrix: a string
 or an object there would be read element by element.  Every verb that reads a document refuses a
 malformed one the same way, `check` included.  Positive rational
-arguments keep one message per call site.  Point ids are ints, a tree's
-`ball_points` is an array of arrays, its `truncated` flag is JSON true or
-false when present, and an entry past the int digit limit is refused by the
-part that is too long.
+arguments keep one message per call site.  Point ids, primes and depths
+are ints, a tree's `ball_points` is an array of arrays, its `truncated` flag
+is JSON true or false when present, and an entry past the int digit limit is
+refused by the part that is too long.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from ultratree import (
     diametrical_partition,
     hausdorff_distance,
     make_space,
+    p_valuation,
+    padic_ball_tree_vs_sample,
+    padic_space,
+    residue_partition_check,
     smallest_enclosing_ball,
     space_to_json,
     sphere_tree,
@@ -148,6 +152,30 @@ def test_piecewise_linear_fn_without_breakpoints_does_not_start_at_the_origin():
 def test_bethe_refuses_a_nonpositive_top_label(capsys, argv):
     assert run(argv) == 2
     assert capsys.readouterr() == ("", "error: top label must be positive\n")
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.9, 3.0, "3", True],
+                         ids=["float", "float-above", "whole-float", "str", "bool"])
+@pytest.mark.parametrize("call", [
+    lambda p: padic_space([0, 1, 2, 3], p), lambda p: p_valuation(12, p),
+    lambda p: residue_partition_check([0, 1, 2], p), lambda p: bethe_ball_tree(p, 1, 1),
+    lambda p: sphere_tree(p, 1, 1), lambda p: padic_ball_tree_vs_sample(p, 1),
+], ids=["padic_space", "p_valuation", "residue_partition_check", "bethe_ball_tree",
+        "sphere_tree", "padic_ball_tree_vs_sample"])
+def test_a_prime_is_an_int(call, bad):
+    # truncated, 2.5 would answer as the prime 2 and "3" as 3
+    with pytest.raises(ValueError, match=rf"^the prime must be an int, not {re.escape(repr(bad))}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 2.5, "1"], ids=["bool", "whole-float", "float", "str"])
+@pytest.mark.parametrize("call", [
+    lambda depth: bethe_ball_tree(2, depth, 1), lambda depth: sphere_tree(3, depth, 1),
+    lambda depth: padic_ball_tree_vs_sample(2, depth),
+], ids=["bethe_ball_tree", "sphere_tree", "padic_ball_tree_vs_sample"])
+def test_a_depth_is_an_int(call, bad):
+    with pytest.raises(ValueError, match=rf"^depth must be an int, not {re.escape(repr(bad))}$"):
+        call(bad)
 
 
 @pytest.mark.parametrize("bad", [True, 0.0, "a", -1, 4],
