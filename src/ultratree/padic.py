@@ -22,14 +22,21 @@ MR_LIMIT = 318665857834031151167461
 BETHE_MAX_VERTICES = 1 << 17   # larger bethe and sphere trees are refused
 
 
-@lru_cache(maxsize=256)
+def _require_int(value, what: str) -> int:
+    if type(value) is not int:   # a bool, float or string is refused, not truncated
+        raise ValueError(f"{what} must be an int, not {value!r}")
+    return value
+
+
+@lru_cache(maxsize=256, typed=True)
 def is_prime(p: int) -> bool:
     """Miller-Rabin on the first 12 prime bases, exact below `MR_LIMIT`.
 
-    (Sorenson & Webster, Math. Comp. 86, 2017.)  Larger p raise ValueError.
-    Verdicts are cached, since `p_valuation` tests its prime on every call.
+    (Sorenson & Webster, Math. Comp. 86, 2017.)  Larger p and non-ints raise
+    ValueError.  Verdicts are cached, by type too (3.0 is not 3), since
+    `p_valuation` tests its prime on every call.
     """
-    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+    if _require_int(p, "the prime") < 2 or any(p % b == 0 for b in _MR_BASES):
         return p in _MR_BASES
     if p < 41 * 41:   # a composite this small has a prime factor up to 37
         return True
@@ -44,14 +51,8 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _require_int(value, what: str) -> int:
-    if type(value) is not int:   # a bool, float or string is refused, not truncated
-        raise ValueError(f"{what} must be an int, not {value!r}")
-    return value
-
-
 def _require_prime(p: int) -> int:
-    if not is_prime(_require_int(p, "the prime")):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
 
@@ -144,7 +145,7 @@ def residue_partition_check(points: Iterable[int], p: int) -> bool:
     sample's diameter is 1 and the diametrical graph separates residues.
     """
     p = _require_prime(p)
-    pts = [int(v) for v in points]
+    pts = [_require_int(v, "a sample point") for v in points]
     residues: dict[int, set[int]] = {}
     for i, v in enumerate(pts):
         residues.setdefault(v % p, set()).add(i)

@@ -20,7 +20,7 @@ from operator import and_
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .core import (FiniteUltrametricSpace, _ball_tree, _classes_below, _document, _gap_rows, _gather,
-                   _is_index, _require_ultrametric)
+                   _is_index, _rank_of, _require_ultrametric, _subset_points)
 from .repr_tree import (MaxChain, MaxChainSpace, Representability, RootedLabeledTree,
                         _chains_and_partings, check_representable, is_monotone_labeling,
                         maximal_chains, reconstruct_space)
@@ -77,10 +77,8 @@ def path_max_metric(tree: RootedLabeledTree) -> Union[FiniteUltrametricSpace,
             for y in other:
                 group[y] = mine
         joined.add(v)
-    used = sorted(set(gap))   # the distances, 0 among them: a label below its neighbors' is none
-    remap = {r: t for t, r in enumerate(used)}
+    used, (gaps,) = _rank_of(gap, [group[0]])   # 0 is used; a label below its neighbors' is not
     values = [values[r] for r in used]
-    gaps = [remap[gap[v]] for v in group[0]]
     names = [f"v{i}" for i in range(n)]
     for u, v in tree.edges:
         if ranks[u] == 0 and ranks[v] == 0:   # both labels 0
@@ -203,9 +201,9 @@ def edge_characterization_check(space: FiniteUltrametricSpace,
     The edges must be exactly the covering pairs of the inclusion order
     of the vertices' balls.  Two vertices with one point set fail outright.
     """
-    pts = tree.ball_points
-    if pts is None:
+    if tree.ball_points is None:
         raise ValueError("tree carries no ball payloads")
+    pts = [_subset_points(space, p, "a ball payload") for p in tree.ball_points]
     up = _inclusion_up_sets(pts, len(space))
     if len(set(up)) != tree.n:   # equal up-sets iff equal point sets
         return False

@@ -2,8 +2,10 @@
 
 `FiniteUltrametricSpace._from_gaps` takes an order in which every ball is a
 run and the rank at which each point joins the points before it.  Any gaps
-give an ultrametric, so only the O(n) checks that can fail are run, and
-the rank rows are built from the gaps.  Every derived space is rebuilt here
+give an ultrametric, so it checks only the names, and builds the rank rows
+from the gaps.  The O(n) checks of the order, gaps and values that it once
+ran run here on every caller's hand-off, through
+`util.check_from_gaps_handoff`.  Every derived space is rebuilt here
 from a `Fraction` matrix through `FiniteUltrametricSpace(names, matrix)`,
 and the two must agree on type, names, distance set, rank matrix,
 distances and representing tree; and through `util.from_ranks`, the
@@ -14,6 +16,7 @@ pass, and the two must agree on every field, order and gaps included.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -42,6 +45,7 @@ from ultratree.core import _rank_of
 from util import (
     caterpillar_matrix,
     chain_scan_reconstruct,
+    check_from_gaps_handoff,
     count_calls,
     differential_spaces,
     first_point_hausdorff_ball_space,
@@ -232,18 +236,16 @@ def realized(space) -> tuple:
     return tuple(sorted({space.distance(i, j) for i in space.points() for j in space.points()}))
 
 
-def test_derived_distance_values_are_exactly_the_realized_distances():
-    # `_from_gaps` refuses a value no gap uses, so each constructor must pass
-    # only realized ones, on the edge cases where a value could go unused
+DIP = RootedLabeledTree(["3", "1", "2"], [(0, 1), (1, 2)], root=0)   # 1 is below both
+
+
+def edge_case_spaces() -> list:
+    """Derived spaces on the edge cases where a value could go unused."""
     one = RootedLabeledTree(["5"], [], root=0)
-    dip = RootedLabeledTree(["3", "1", "2"], [(0, 1), (1, 2)], root=0)   # 1 is below both
     chain = RootedLabeledTree(["3", "2", "0", "0"], [(0, 1), (1, 2), (1, 3)], root=0)
     derived = [padic_space([0, 1, 4], 2), padic_space([0, Fraction(1, 2), 8, 24], 2),
                padic_space([0, 9], 3), padic_space([7], 5), path_max_metric(one),
-               path_max_metric(dip), reconstruct_space(chain).space, space_from_sequence([])]
-    assert [s.distance_values for s in derived[:2]] == [(0, Fraction(1, 4), 1),
-                                                        (0, Fraction(1, 16), Fraction(1, 8), 2)]
-    assert path_max_metric(dip).distance_values == (0, 2, 3)
+               path_max_metric(DIP), reconstruct_space(chain).space, space_from_sequence([])]
     rng = random.Random(62)
     derived += [path_max_metric(random_labeled_tree(rng, rng.randint(1, 12))) for _ in range(40)]
     derived += [reconstruct_space(random_monotone_tree(rng, rng.randint(1, 12))).space
@@ -252,6 +254,17 @@ def test_derived_distance_values_are_exactly_the_realized_distances():
         derived += [hausdorff_ball_space(space).space, rank_transform(space),
                     bound_transform(space, 1), quantize_binary(space),
                     apply_preserving(space, threshold_function((space.distance_values[1:] or (1,))[0]))]
+    return derived
+
+
+def test_derived_distance_values_are_exactly_the_realized_distances():
+    # `_from_gaps` trusts each constructor to pass only realized values (the
+    # hand-off check below holds it to that): on the edge cases where a value
+    # could go unused, each space's values are the distances it realizes
+    derived = edge_case_spaces()
+    assert [s.distance_values for s in derived[:2]] == [(0, Fraction(1, 4), 1),
+                                                        (0, Fraction(1, 16), Fraction(1, 8), 2)]
+    assert path_max_metric(DIP).distance_values == (0, 2, 3)
     for space in derived:
         if isinstance(space, FiniteUltrametricSpace):
             assert space.distance_values == realized(space)
@@ -341,10 +354,15 @@ def test_from_gaps_reads_the_single_linkage_order_off_any_run_order():
 
 
 def test_from_gaps_refuses_what_can_fail_with_its_axiom():
+    # the names are the one input outside callers reach; the checker refuses
+    # what only a wrong caller could hand over
     values = (Fraction(0), Fraction(1), Fraction(2))
+    for names, order, gaps, axiom in [((), [], [0], "nonempty"),
+                                      ("aab", [0, 1, 2], [0, 1, 2], "names")]:
+        with pytest.raises(SpaceValidationError) as info:
+            FiniteUltrametricSpace._from_gaps(names, values, order, gaps)
+        assert (info.value.axiom, info.value.witness) == (axiom, ())
     cases = [
-        ((), values, [], [0], "nonempty", ()),
-        ("aab", values, [0, 1, 2], [0, 1, 2], "names", ()),
         ("abc", values, [0, 1, 1], [0, 1, 2], "square", ()),    # not a permutation
         ("abc", values, [0, 1], [0, 1], "square", ()),          # a point left out
         ("abc", values, [0, 1, 2], [0, 1], "square", ()),       # a gap short
@@ -356,11 +374,32 @@ def test_from_gaps_refuses_what_can_fail_with_its_axiom():
     ]
     for names, vals, order, gaps, axiom, witness in cases:
         with pytest.raises(SpaceValidationError) as info:
-            FiniteUltrametricSpace._from_gaps(names, vals, order, gaps)
+            check_from_gaps_handoff(names, vals, order, gaps)
         assert (info.value.axiom, info.value.witness) == (axiom, witness)
     with pytest.raises(SpaceValidationError) as info:
         padic_space([], 2)
     assert info.value.axiom == "nonempty"
+
+
+CALLERS = {"hausdorff_ball_space", "rank_transform", "apply_preserving", "reconstruct_space",
+           "path_max_metric", "padic_space", "space_from_sequence"}
+
+
+def test_every_caller_hands_from_gaps_a_valid_order_gaps_and_values(monkeypatch):
+    # the checks `_from_gaps` no longer runs, run on every hand-off instead
+    build = FiniteUltrametricSpace._from_gaps.__func__
+    calls = dict.fromkeys(CALLERS, 0)
+
+    def checked(cls, names, values, order, gaps):
+        names = tuple(names)
+        check_from_gaps_handoff(names, values, order, gaps)
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return build(cls, names, values, order, gaps)
+    monkeypatch.setattr(FiniteUltrametricSpace, "_from_gaps", classmethod(checked))
+    for _ in derived_pairs(random.Random(67)):
+        pass
+    edge_case_spaces()
+    assert set(calls) == CALLERS and min(calls.values()) > 0, calls
 
 
 def test_derived_builders_skip_the_quadratic_checks(monkeypatch):

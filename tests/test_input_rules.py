@@ -4,8 +4,9 @@ A JSON document must be an object holding each of its required keys, and
 each of those must hold an array, as must each row of a matrix: a string
 or an object there would be read element by element.  Every verb that reads a document refuses a
 malformed one the same way, `check` included.  Positive rational
-arguments keep one message per call site.  Point ids, primes and depths
-are ints, a tree's `ball_points` is an array of arrays, its `truncated` flag
+arguments keep one message per call site.  Point ids (a ball payload's
+among them), primes, depths and sample points are ints, a tree's
+`ball_points` is an array of arrays, its `truncated` flag
 is JSON true or false when present, and an entry past the int digit limit is
 refused by the part that is too long.
 """
@@ -27,7 +28,9 @@ from ultratree import (
     closed_ball,
     diam,
     diametrical_partition,
+    edge_characterization_check,
     hausdorff_distance,
+    is_prime,
     make_space,
     p_valuation,
     padic_ball_tree_vs_sample,
@@ -160,10 +163,12 @@ def test_bethe_refuses_a_nonpositive_top_label(capsys, argv):
     lambda p: padic_space([0, 1, 2, 3], p), lambda p: p_valuation(12, p),
     lambda p: residue_partition_check([0, 1, 2], p), lambda p: bethe_ball_tree(p, 1, 1),
     lambda p: sphere_tree(p, 1, 1), lambda p: padic_ball_tree_vs_sample(p, 1),
+    lambda p: [is_prime(q) for q in (3, 1, p)],
 ], ids=["padic_space", "p_valuation", "residue_partition_check", "bethe_ball_tree",
-        "sphere_tree", "padic_ball_tree_vs_sample"])
+        "sphere_tree", "padic_ball_tree_vs_sample", "is_prime"])
 def test_a_prime_is_an_int(call, bad):
-    # truncated, 2.5 would answer as the prime 2 and "3" as 3
+    # truncated, 2.5 would answer as the prime 2 and "3" as 3; `is_prime`
+    # tests 3 and 1 first, whose verdicts an untyped cache gives 3.0 and True
     with pytest.raises(ValueError, match=rf"^the prime must be an int, not {re.escape(repr(bad))}$"):
         call(bad)
 
@@ -178,18 +183,32 @@ def test_a_depth_is_an_int(call, bad):
         call(bad)
 
 
-@pytest.mark.parametrize("bad", [True, 0.0, "a", -1, 4],
-                         ids=["bool", "float", "str", "negative", "out-of-range"])
+@pytest.mark.parametrize("bad", [True, 0.0, "a", -1, 4, 99],
+                         ids=["bool", "float", "str", "negative", "out-of-range", "far-out"])
 def test_point_ids_are_ints(bad):
     space = nested_four_point_space()
     message = rf"^point {re.escape(repr(bad))} is not an index in range\(4\)$"
     good, wrong = Ball([0], 0, 0, 0), Ball([bad], 0, bad, 0)
+    tree = build_representing_tree(space)
+    # as list indices, a payload's -1 read point 3, True point 1, and 99 raised IndexError
+    payloads = [[1, 2, bad] if p == (1, 2, 3) else p for p in tree.ball_points]
+    wrong_tree = RootedLabeledTree(tree.labels, tree.edges, root=tree.root, ball_points=payloads)
     for call in (lambda: diam(space, [bad, 0]), lambda: diametrical_partition(space, [0, bad]),
                  lambda: closed_ball(space, bad, 1), lambda: smallest_enclosing_ball(space, [bad]),
                  lambda: hausdorff_distance(space, good, wrong),
-                 lambda: hausdorff_distance(space, wrong, good)):
+                 lambda: hausdorff_distance(space, wrong, good),
+                 lambda: edge_characterization_check(space, wrong_tree)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("sample", [[0.5, 1, 2], [0, 1, 2.9], [True, 2, 3], ["0", "1", "3"]],
+                         ids=["float", "float-above", "bool", "str"])
+def test_a_sample_point_is_an_int(sample):
+    # truncated by int(), each sample passed the check at p = 2
+    bad = next(v for v in sample if type(v) is not int)
+    with pytest.raises(ValueError, match=rf"^a sample point must be an int, not {re.escape(repr(bad))}$"):
+        residue_partition_check(sample, 2)
 
 
 def test_hausdorff_distance_refuses_a_point_outside_a_multi_point_ball():

@@ -18,7 +18,8 @@ O(n^3) strong-triangle scan, the isometry and weak-similarity decisions
 through text codes of two built trees, and the CLI parser of every verb
 are the implementations the library's faster ones replaced, kept here as
 oracles.
-`tree_order_failures` holds the audits `tree_order` once ran on every call.
+`tree_order_failures` holds the audits `tree_order` once ran on every call,
+and `check_from_gaps_handoff` those `_from_gaps` once ran on every call.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from itertools import accumulate
-from operator import neg
+from operator import ge, neg
 from typing import Optional
 
-from ultratree import FiniteUltrametricSpace, RootedLabeledTree, build_representing_tree
+from ultratree import (FiniteUltrametricSpace, RootedLabeledTree, SpaceValidationError,
+                       build_representing_tree)
 from ultratree.balls import Ball, Ballean, BallPoset, HausdorffBallSpace, closed_ball
 from ultratree.core import (
     _ball_tree,
@@ -606,6 +608,25 @@ def realized_from_ranks(names, values, rank) -> FiniteUltrametricSpace:
     used = sorted(set().union(*rank))
     remap = {r: t for t, r in enumerate(used)}
     return from_ranks(names, [values[r] for r in used], [[remap[r] for r in row] for row in rank])
+
+
+def check_from_gaps_handoff(names, values, order, gaps) -> None:
+    """The checks `FiniteUltrametricSpace._from_gaps` ran on every call, kept as an oracle.
+
+    What each caller hands over: a permutation of its points with a gap per
+    point, no zero gap after the first, and values that rise from 0, each
+    some gap's.  A hand-off that breaks one raises with its axiom and witness.
+    """
+    names, values, n = tuple(map(str, names)), tuple(values), len(order)
+    if n != len(names) or len(gaps) != n or set(order) != set(range(n)):
+        raise SpaceValidationError("square", (), "order must be a permutation, a gap per point")
+    if 0 in gaps[1:]:
+        i, j = sorted(order[gaps.index(0, 1) - 1:][:2])
+        raise SpaceValidationError("positivity", (i, j),
+                                   f"d({names[i]},{names[j]}) = 0 must be positive")
+    if (values[:1] != (0,) or any(map(ge, values, values[1:]))
+            or set(gaps[1:]) != set(range(1, len(values)))):
+        raise SpaceValidationError("values", (), "values must rise from 0, each a gap's")
 
 
 def from_ranks(names, values, rank) -> FiniteUltrametricSpace:
