@@ -247,7 +247,8 @@ def hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
     the label of their lowest common ancestor in `core._ball_tree`.  So in
     that tree's numbering, a preorder, each ball joins at its parent's
     diameter rank, and `FiniteUltrametricSpace._from_gaps` builds the space
-    from that order and those gaps.  O(b^2) for b balls.
+    from that order and those gaps.  O(b log b) for b balls, plus the names;
+    its rank rows are built when first read.
     """
     runs, parent, canonical, balls = _tree_balls(space)
     escape = str.maketrans({c: "\\" + c for c in "\\,{}"})

@@ -15,6 +15,8 @@ single-linkage pass, and prints a sorted violating triple on failure.  `dset`
 takes any metric (`core.make_space`) and alone runs the O(n^3) ordinary-triangle
 scan.  Every other verb builds a `core.FiniteUltrametricSpace`, whose
 constructor refuses any other matrix in that same pass, naming the same triple.
+`padic` and `reconstruct` print n^2 distances from an input of size O(n), so
+past `MAX_PRINTED_POINTS` points they refuse the space they built before printing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 from . import core
+
+
+MAX_PRINTED_POINTS = 1 << 12   # the most points of a space `padic` or `reconstruct` prints
 
 
 class InputError(Exception):
@@ -68,6 +73,13 @@ def _space(path: str, build):
 
 def _emit(obj) -> None:
     sys.stdout.write(_indented(obj, "") + "\n")
+
+
+def _emit_space(space, path: str, what: str) -> None:
+    if len(space) > MAX_PRINTED_POINTS:   # before any n^2 row or text is built
+        raise InputError(f"{path}: {len(space)} {what} pass {MAX_PRINTED_POINTS}, "
+                         "the most a printed space may have")
+    _emit(core.space_to_json(space))
 
 
 def _indented(obj, pad: str) -> str:
@@ -136,7 +148,7 @@ def _cmd_reconstruct(args) -> int:
     from . import repr_tree
     rebuilt = _decode(args.tree, lambda obj: repr_tree.reconstruct_space(
         repr_tree.tree_from_json(obj)))
-    _emit(core.space_to_json(rebuilt.space))
+    _emit_space(rebuilt.space, args.tree, "leaves")
     return 0
 
 
@@ -190,7 +202,7 @@ def _cmd_padic(args) -> int:
         if not isinstance(obj, list):
             raise ValueError("expected a JSON array of rationals")
         return padic.padic_space(obj, prime)
-    _emit(core.space_to_json(_decode(args.points, build)))
+    _emit_space(_decode(args.points, build), args.points, "points")
     return 0
 
 

@@ -5,7 +5,7 @@ floats.  Inside, a space is its integer *rank* matrix, indexing each
 distance into `distance_values`, the sorted distinct values.  Every
 decision the library makes depends only on the order of distances, so it
 runs on ranks, and each distinct value is parsed once and printed once.
-The ranks are all a space stores per pair: its `Fraction` matrix is built
+A space stores at most its ranks per pair: its `Fraction` matrix is built
 on first read and kept, and no construction, check or decision reads it.
 
 A space has two entry points.  `FiniteUltrametricSpace(names, matrix)`
@@ -21,7 +21,8 @@ balls off the gaps as runs, numbered once as the representing tree is;
 The library's derived spaces enter through `_from_gaps` with a point
 order and its gaps instead: any gaps give an ultrametric (Gower & Ross
 1969), so only the names are checked; the test suite checks each caller's
-order, gaps and values.  `_gap_rows` builds the rank rows from the gaps.
+order, gaps and values.  It holds O(n) until `rank` is read, which builds
+the rows from the gaps (`_gap_rows`); no tree, ball or transform reads them.
 The input rules each module shares live here once: `_document` (a JSON
 document's keys), `_is_index`, `_array` (also of matrix rows), `_positive`
 and `_require_ultrametric`.
@@ -437,7 +438,7 @@ class _RankedMatrix:
     `_strong_witness` is a sorted strong-triangle violation or None.
     """
 
-    __slots__ = ("names", "distance_values", "rank", "_order", "_gaps", "_strong_witness")
+    __slots__ = ("names", "distance_values", "_rank", "_order", "_gaps", "_strong_witness")
 
     def __init__(self, names: Iterable[str], matrix):
         rows = [_array(row, f"matrix row {i}") for i, row in enumerate(matrix)]
@@ -448,17 +449,28 @@ class _RankedMatrix:
         _basic_validate(names, rank, values)
         self.names = names
         self.distance_values = values
-        self.rank = rank
+        self._rank = rank
         self._order, self._gaps, self._strong_witness = _single_linkage(rank)
+
+    @property
+    def rank(self) -> tuple[tuple[int, ...], ...]:
+        """`rank[i][j]` indexes d(i, j); `_from_gaps` leaves it to the first read."""
+        if self._rank is None:
+            rank, order, ids = _gap_rows(self._gaps), self._order, list(range(len(self._gaps)))
+            if order != ids:
+                get = _gather(sorted(ids, key=order.__getitem__))   # each point's place
+                rank = tuple(map(get, get(rank)))
+            self._rank = rank
+        return self._rank
 
 
 class FiniteMetricSpace(_RankedMatrix):
     """A finite metric space with named points and exact rational distances.
 
     Immutable after construction.  `distance_values` is the sorted distance
-    set (zero included) and `rank[i][j]` is the index of d(i, j) in it:
-    those ranks are all a space stores per pair.  `matrix[i][j]` is d(i, j)
-    itself, built from the ranks on first read and kept for later reads.
+    set (zero included) and `rank[i][j]` is the index of d(i, j) in it, at
+    most all a space stores per pair.  `matrix[i][j]` is d(i, j) itself,
+    built from the ranks on first read and kept for later reads.
     """
 
     __slots__ = ("_matrix",)
@@ -542,12 +554,8 @@ class FiniteUltrametricSpace(FiniteMetricSpace):
                     v = parent[v]
                 if v >= 0:   # the next point leads v's next sibling
                     g, v = runs[parent[v]][0], after[v]
-        rank = _gap_rows(gaps)
-        if order != ids:
-            get = _gather(sorted(ids, key=order.__getitem__))   # each point's place
-            rank = tuple(map(get, get(rank)))
         space = cls.__new__(cls)
-        space.names, space.distance_values, space.rank = names, values, rank
+        space.names, space.distance_values, space._rank = names, values, None
         space._order, space._gaps, space._strong_witness = order, gaps, None
         return space
 
@@ -659,7 +667,8 @@ def diam(space: FiniteMetricSpace, subset: Optional[Iterable[int]] = None) -> Fr
 def _subset_diam_rank(space: FiniteMetricSpace, pts: Sequence[int]) -> int:
     # every member sees the rest of an ultrametric subset within its diameter
     seen_from = pts[:1] if isinstance(space, FiniteUltrametricSpace) else pts
-    return max(max(map(space.rank[a].__getitem__, pts)) for a in seen_from)
+    rank = space.rank
+    return max(max(map(rank[a].__getitem__, pts)) for a in seen_from)
 
 
 class MultipartitePartition:

@@ -282,8 +282,8 @@ def reconstruct_space(tree: RootedLabeledTree) -> MaxChainSpace:
     so the deepest common vertex of chains i < j is the shallowest, and so
     the highest labeled, of those where consecutive chains between them
     part: the parting labels are the chains' single-linkage gaps, and the
-    space is built from them (`FiniteUltrametricSpace._from_gaps`).  O(m^2)
-    in C, plus the chains.
+    space is built from them (`FiniteUltrametricSpace._from_gaps`).  O(m log m)
+    plus the chains; the rank rows are built when first read.
     """
     ok, reason = is_monotone_labeling(tree)
     if not ok:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import and_
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
@@ -201,9 +202,13 @@ def edge_characterization_check(space: FiniteUltrametricSpace,
     The edges must be exactly the covering pairs of the inclusion order
     of the vertices' balls.  Two vertices with one point set fail outright.
     """
-    if tree.ball_points is None:
+    pts = tree.ball_points
+    if pts is None:
         raise ValueError("tree carries no ball payloads")
-    pts = [_subset_points(space, p, "a ball payload") for p in tree.ball_points]
+    flat = list(chain.from_iterable(pts))   # checked at once, or one by one for the first offender
+    if not (all(pts) and set(map(type, flat)) == {int} and 0 <= min(flat) and max(flat) < len(space)
+            and sum(map(len, map(set, pts))) == len(flat)):
+        pts = [_subset_points(space, p, "a ball payload") for p in pts]
     up = _inclusion_up_sets(pts, len(space))
     if len(set(up)) != tree.n:   # equal up-sets iff equal point sets
         return False

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -436,6 +437,35 @@ def test_padic_and_bethe_refuse_sizes_they_cannot_finish(tmp_path, capsys):
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: ") and ("passes" in err or "too large" in err), err
+
+
+def test_padic_and_reconstruct_refuse_past_the_printed_space_cap(tmp_path, capsys, monkeypatch):
+    # one point past the cap: refused before any rank row or JSON text is built
+    n = cli.MAX_PRINTED_POINTS + 1
+    points, star = tmp_path / "points.json", tmp_path / "star.json"
+    points.write_text(json.dumps(list(range(n))))
+    star.write_text(json.dumps({"root": 0, "labels": [1] + [0] * n,
+                                "edges": [[0, v] for v in range(1, n + 1)]}))
+    counts = count_calls(monkeypatch, core, ("_gap_rows", "space_to_json"))
+    for argv, what in ((["padic", "--prime", "2", "--points", str(points)], "points"),
+                       (["reconstruct", str(star)], "leaves")):
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: {argv[-1]}: {n} {what} pass {n - 1}, "
+                       "the most a printed space may have\n")
+    assert counts == {"_gap_rows": 0, "space_to_json": 0}
+    # at the cap a space prints
+    monkeypatch.setattr(cli, "MAX_PRINTED_POINTS", 3)
+    points.write_text(json.dumps([0, 1, 2]))
+    star.write_text(json.dumps({"root": 0, "labels": [1, 0, 0, 0], "edges": [[0, 1], [0, 2], [0, 3]]}))
+    for argv in (["padic", "--prime", "2", "--points", str(points)], ["reconstruct", str(star)]):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and len(json.loads(out)["points"]) == 3, argv
+    points.write_text(json.dumps([0, 1, 2, 3]))
+    code, _, err = invoke(capsys, "padic", "--prime", "2", "--points", str(points))
+    assert code == 2 and "4 points pass 3" in err
 
 
 def test_roundtrip(capsys, space_file):

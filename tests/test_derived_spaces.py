@@ -2,8 +2,9 @@
 
 `FiniteUltrametricSpace._from_gaps` takes an order in which every ball is a
 run and the rank at which each point joins the points before it.  Any gaps
-give an ultrametric, so it checks only the names, and builds the rank rows
-from the gaps.  The O(n) checks of the order, gaps and values that it once
+give an ultrametric, so it checks only the names, and the rank rows are
+built from the gaps on the first read of `rank`: no tree-only step reads
+them, so a derived space holds none until something does.  The O(n) checks of the order, gaps and values that it once
 ran run here on every caller's hand-off, through
 `util.check_from_gaps_handoff`.  Every derived space is rebuilt here
 from a `Fraction` matrix through `FiniteUltrametricSpace(names, matrix)`,
@@ -27,6 +28,7 @@ from ultratree import (
     RootedLabeledTree,
     SpaceValidationError,
     apply_preserving,
+    ballean,
     bound_transform,
     build_representing_tree,
     hausdorff_ball_space,
@@ -37,8 +39,11 @@ from ultratree import (
     rank_transform,
     reconstruct_space,
     space_from_sequence,
+    spaces_isometric,
+    sphere_plus_center_condition,
     threshold_function,
     tree_to_json,
+    weakly_similar,
 )
 from ultratree import core
 from ultratree.core import _rank_of
@@ -418,3 +423,27 @@ def test_derived_builders_skip_the_quadratic_checks(monkeypatch):
     assert counts == {"_basic_validate": 0, "_ball_order": 0, "_first_break": 0}
     FiniteUltrametricSpace(space.names, space.matrix)   # the public constructor runs each once
     assert counts == {"_basic_validate": 1, "_ball_order": 1, "_first_break": 1}
+
+
+def tree_only_steps(space):
+    """Run every step that reads a space's order and gaps alone; return the spaces it derives."""
+    core._ball_tree(space._gaps)
+    assert spaces_isometric(space, space) and weakly_similar(space, space)
+    build_representing_tree(space)
+    ballean(space)
+    sphere_plus_center_condition(space)
+    return [hausdorff_ball_space(space).space, rank_transform(space),
+            apply_preserving(space, lambda t: 2 * t)]
+
+
+def test_derived_rank_rows_are_built_on_first_read():
+    derived = [got for got, _ in derived_pairs(random.Random(67))] + edge_case_spaces()
+    derived = [s for s in derived if isinstance(s, FiniteUltrametricSpace)]
+    for space in derived:
+        assert space._rank is None
+        for image in tree_only_steps(space):
+            assert space._rank is None and image._rank is None
+        rank = space.rank
+        assert rank == FiniteUltrametricSpace(space.names, space.matrix).rank
+        assert rank == from_ranks(space.names, space.distance_values, rank).rank
+        assert space.rank is rank and space._rank is rank

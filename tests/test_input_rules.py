@@ -46,8 +46,10 @@ from ultratree import (
     unbound_transform,
     verify_tree_invariants,
 )
+from ultratree import tree_metric
 from ultratree.cli import run
-from util import nested_four_point_space
+from ultratree.core import _subset_points
+from util import count_calls, nested_four_point_space
 
 SPACE = {"points": ["a", "b"], "matrix": [["0", "1"], ["1", "0"]]}
 TREE = {"root": 0, "labels": ["1", "0", "0"], "edges": [[0, 1], [0, 2]]}
@@ -200,6 +202,25 @@ def test_point_ids_are_ints(bad):
                  lambda: edge_characterization_check(space, wrong_tree)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("change", [(), (0, 0), (4,), (-1,), (True,), (1.0,), ("1",), (1, 1.5)],
+                         ids=["empty", "repeat", "past-n", "negative", "bool", "float", "str",
+                              "int-then-float"])
+def test_ball_payloads_are_checked_at_once_and_refused_by_the_first_offender(monkeypatch, change):
+    # every payload valid: one pass over all of them, no per-payload check
+    space = nested_four_point_space()
+    tree = build_representing_tree(space)
+    counts = count_calls(monkeypatch, tree_metric, ("_subset_points",))
+    assert edge_characterization_check(space, tree) and counts == {"_subset_points": 0}
+    # a bad payload, alone or ahead of another: refused as the per-payload check refuses it
+    with pytest.raises(ValueError) as want:
+        _subset_points(space, change, "a ball payload")
+    for later in ((1,), (9,)):
+        payloads = [change if v == 2 else later if v == 4 else p for v, p in enumerate(tree.ball_points)]
+        wrong_tree = RootedLabeledTree(tree.labels, tree.edges, root=tree.root, ball_points=payloads)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            edge_characterization_check(space, wrong_tree)
 
 
 @pytest.mark.parametrize("sample", [[0.5, 1, 2], [0, 1, 2.9], [True, 2, 3], ["0", "1", "3"]],
