@@ -8,11 +8,11 @@ order, led by its smallest point.  Balls are identified by their point
 sets; centers and radii are only witnesses, since every point of a ball
 is one of its centers.
 
-Everything reads ranks, never the `Fraction` matrix.  Inclusion and
+Everything reads ranks, never the `Fraction` matrix.  Inclusion is run
+containment and a join walks up the ball tree, with no rank row read;
 distances between balls come from their smallest points and diameter
-ranks, and a join walks up the ball tree, with no row scan.  The tests
-keep the center-by-radius enumerations the ballean replaced, and the
-`closed_ball` join, as oracles.
+ranks.  The tests keep the center-by-radius enumerations the ballean
+replaced, and the `closed_ball` join, as oracles.
 """
 
 from __future__ import annotations
@@ -142,13 +142,12 @@ class BallPoset:
     is reported as None, not an error.
 
     Inclusion is ancestry in `core._ball_tree`, read in canonical order:
-    each ball's diameter rank and parent.  A lies in b iff diam(a) <= diam(b)
-    and d(a_0, b_0) <= diam(b) for their smallest points.  The join is the
-    first ball up from a whose diameter reaches the largest of those three
-    ranks, since diameters rise toward the root: O(depth), with no scan.
+    each ball's run `(start, end)` of the single-linkage order and its
+    parent.  A lies in b iff b's run holds a's, and the join is the first
+    ball up from a whose run holds b's: O(depth), with no rank row read.
     """
 
-    __slots__ = ("space", "balls", "_index", "_diam", "_parent")
+    __slots__ = ("space", "balls", "_index", "_run", "_parent")
 
     def __init__(self, space: FiniteUltrametricSpace):
         runs, parent, canonical, self.balls = _tree_balls(space)
@@ -156,7 +155,7 @@ class BallPoset:
         self.space = space
         # balls are nested or disjoint, so the smallest point and size name one
         self._index = {(b.points[0], len(b)): i for i, b in enumerate(self.balls)}
-        self._diam = [runs[v][0] for v in canonical]
+        self._run = [runs[v][1:] for v in canonical]
         self._parent = [at.get(parent[v]) for v in canonical]
 
     def __len__(self):
@@ -171,24 +170,23 @@ class BallPoset:
         return i
 
     def leq(self, lower: Ball, upper: Ball) -> bool:
-        t = self._diam[self._resolve(upper)]
-        return (self._diam[self._resolve(lower)] <= t
-                and self.space.rank[lower.points[0]][upper.points[0]] <= t)
+        (s, e), (t, f) = self._run[self._resolve(upper)], self._run[self._resolve(lower)]
+        return s <= t and f <= e
 
     def comparable(self, a: Ball, b: Ball) -> bool:
         return self.leq(a, b) or self.leq(b, a)
 
     def join(self, a: Ball, b: Ball) -> Ball:
-        diam, i = self._diam, self._resolve(a)
-        t = max(diam[i], diam[self._resolve(b)], self.space.rank[a.points[0]][b.points[0]])
-        while diam[i] < t:
+        run, i = self._run, self._resolve(a)
+        t, f = run[self._resolve(b)]
+        while run[i][0] > t or run[i][1] < f:   # up to the first run holding b's
             i = self._parent[i]
         return self.balls[i]
 
     def meet(self, a: Ball, b: Ball) -> Optional[Ball]:
         # non-disjoint balls are nested, so the intersection is the inner ball
-        inner, outer = sorted((a, b), key=lambda x: self._diam[self._resolve(x)])
-        return self.balls[self._resolve(inner)] if self.leq(inner, outer) else None
+        inner = a if self.leq(a, b) else b if self.leq(b, a) else None
+        return None if inner is None else self.balls[self._resolve(inner)]
 
     def largest(self) -> Ball:
         return self.balls[0]

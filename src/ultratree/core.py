@@ -23,6 +23,7 @@ order and its gaps instead: any gaps give an ultrametric (Gower & Ross
 1969), so only the names are checked; the test suite checks each caller's
 order, gaps and values.  It holds O(n) until `rank` is read, which builds
 the rows from the gaps (`_gap_rows`); no tree, ball or transform reads them.
+Library-built trees likewise enter with their label ranks, unparsed.
 The input rules each module shares live here once: `_document` (a JSON
 document's keys), `_is_index`, `_array` (also of matrix rows), `_positive`
 and `_require_ultrametric`.

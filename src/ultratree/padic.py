@@ -161,27 +161,27 @@ def residue_partition_check(points: Iterable[int], p: int) -> bool:
 def _bethe_tree(p: int, top: Fraction, depth: int, root_children: int) -> RootedLabeledTree:
     """Root labeled `top` with `root_children` children, then full p-ary to `depth`.
 
-    Each child carries a p-th of its parent's label; vertices are numbered
-    in pre-order.  Sizes above `BETHE_MAX_VERTICES` are refused before
+    Each child carries a p-th of its parent's label, so a vertex's label
+    rank is its level counted up from the bottom; vertices are numbered in
+    pre-order.  Sizes above `BETHE_MAX_VERTICES` are refused before
     anything is built.
     """
     # p >= 2, so 64 levels already pass the cap: no huge power is formed
     if 1 + sum(root_children * p ** k for k in range(min(depth, 64))) > BETHE_MAX_VERTICES:
         raise ValueError(f"p = {p}, depth {depth} passes {BETHE_MAX_VERTICES} vertices")
     from .repr_tree import RootedLabeledTree   # `padic_space` builds no tree
-    labels = [top]
+    rank = [depth]
     edges: list[tuple[int, int]] = []
-    # (parent, label, levels below) of vertices still to number; siblings
-    # are identical, so the order they come off the stack does not matter
-    stack = [(0, top / p, depth - 1)] * root_children if depth > 0 else []
+    # (parent, rank) of vertices still to number; siblings are identical,
+    # so the order they come off the stack does not matter
+    stack = [(0, depth - 1)] * root_children if depth > 0 else []
     while stack:
-        parent, label, remaining = stack.pop()
-        vid = len(labels)
-        labels.append(label)
-        edges.append((parent, vid))
-        if remaining > 0:
-            stack.extend([(vid, label / p, remaining - 1)] * p)
-    return RootedLabeledTree(labels, edges, root=0, truncated=True)
+        parent, r = stack.pop()
+        edges.append((parent, len(rank)))
+        stack += [(len(rank), r - 1)] * p if r > 0 else []
+        rank.append(r)
+    values = [top / p ** r for r in range(depth, -1, -1)]   # one label per level
+    return RootedLabeledTree._from_ranks(values, rank, edges, root=0, truncated=True)
 
 
 def bethe_ball_tree(p: int, depth: int, top_label) -> RootedLabeledTree:
@@ -211,9 +211,7 @@ def sphere_tree(p: int, depth: int, top_label) -> RootedLabeledTree:
     if _require_int(depth, "depth") < 1:
         raise ValueError("sphere trees need depth >= 1")
     top = _positive(top_label, "top label")
-    if p == 2:
-        return bethe_ball_tree(2, depth, top / 2)
-    return _bethe_tree(p, top, depth, p - 1)
+    return _bethe_tree(2, top / 2, depth, 2) if p == 2 else _bethe_tree(p, top, depth, p - 1)
 
 
 def padic_ball_tree_vs_sample(p: int, depth: int) -> bool:
@@ -221,24 +219,14 @@ def padic_ball_tree_vs_sample(p: int, depth: int) -> bool:
 
     The representing tree of the sample must match the depth-limited ball
     tree, scaled to the sample's diameter, once the truncated leaf level
-    collapses to label zero (singletons have diameter zero).
+    collapses to label zero (singletons have diameter zero).  The
+    prediction is built, or refused, before the sample.
     """
-    p = _require_prime(p)
-    if _require_int(depth, "depth") < 0:
-        raise ValueError("depth must be nonnegative")
+    predicted = bethe_ball_tree(p, depth, 1)   # the sample's diameter, for depth >= 1
     from .morphisms import canonical_code
     from .repr_tree import RootedLabeledTree, build_representing_tree
-    sample = range(p ** depth)
-    space = padic_space(sample, p)
-    actual = build_representing_tree(space)
-    if depth == 0:
-        return actual.n == 1 and actual.labels[0] == 0
-    diameter = space.distance_values[-1]
-    predicted = bethe_ball_tree(p, depth, diameter)
-    collapsed = RootedLabeledTree(
-        [Fraction(0) if predicted.degree(v) <= 1 and v != predicted.root
-         else predicted.labels[v] for v in range(predicted.n)],
-        predicted.edges,
-        root=predicted.root,
-    )
+    actual = build_representing_tree(padic_space(range(p ** depth), p))
+    # the leaves, rank 0, collapse to label zero; at depth 0 the root is the one point
+    collapsed = RootedLabeledTree._from_ranks((Fraction(0), *predicted.label_values[1:]),
+                                              predicted.label_rank, predicted.edges, root=0)
     return canonical_code(actual) == canonical_code(collapsed)

@@ -5,9 +5,9 @@ single-linkage gaps that every space computes when it is constructed:
 each ball is a run of that order, and its payload is the run, sorted.
 The way back reads the maximal chains of a monotone labeled tree, and
 only a vertex of largest label can root one (`check_representable`).
-A tree is walked, in preorder, and its labels are ranked once, when
-built; vertex ids are ints, not bools, floats or strings.  The audits and
-orders of trees answer here too, looked up in `tree_metric` on each access.
+A tree is walked, in preorder, when built, and only outside labels are
+parsed: library builders hand over ranks.  Vertex ids are ints, not bools,
+floats or strings.  Tree audits and orders answer here too, from `tree_metric`.
 """
 
 from __future__ import annotations
@@ -43,11 +43,12 @@ class RootedLabeledTree:
     """A tree with rational vertex labels and an optional root.
 
     `label_rank[v]` indexes v's label in `label_values`, the sorted distinct
-    labels.  Rooted operations refuse a free tree; they read the constructor's
-    one walk, a preorder with children ascending (`_pre`), and the parents and
-    depths it finds.  `ball_points[v]`, from a space,
-    is the point set of the ball a vertex stands for.  `truncated` marks
-    prefixes of infinite trees whose leaves still carry positive labels.
+    labels, parsed by `__init__` or handed over to `_from_ranks`.  Rooted
+    operations refuse a free tree; they read the one walk, a preorder with
+    children ascending (`_pre`), and the parents and depths it finds.
+    `ball_points[v]`, from a space, is the point set of the ball a vertex
+    stands for.  `truncated` marks prefixes of infinite trees whose leaves
+    still carry positive labels.
     """
 
     __slots__ = ("labels", "label_values", "label_rank", "edges", "root", "ball_points", "truncated",
@@ -55,9 +56,21 @@ class RootedLabeledTree:
 
     def __init__(self, labels, edges, root: Optional[int] = None,
                  ball_points=None, truncated: bool = False):
-        parsed, (row,) = _parse_entries([labels])   # each distinct label parsed once
-        self.labels = _gather(row)(parsed)
-        n = len(row)
+        values, (rank,) = _rank_of(*_parse_entries([labels]))   # each distinct label parsed once
+        self._build(values, rank, edges, root, ball_points, truncated)
+
+    @classmethod
+    def _from_ranks(cls, label_values: Sequence, label_rank: Sequence[int], *args, **kwargs):
+        # no parse: each caller hands over values rising strictly and ranks using
+        # each, which the test suite checks; the rest is checked as in `__init__`
+        tree = cls.__new__(cls)
+        tree._build(tuple(label_values), tuple(label_rank), *args, **kwargs)
+        return tree
+
+    def _build(self, label_values, label_rank, edges, root=None, ball_points=None, truncated=False):
+        self.label_values, self.label_rank = label_values, label_rank
+        self.labels = _gather(label_rank)(label_values)
+        n = len(label_rank)
         if n == 0:
             raise ValueError("a tree needs at least one vertex")
         norm = []
@@ -91,15 +104,11 @@ class RootedLabeledTree:
                     stack.append(v)
         if len(pre) < n:
             raise ValueError("edges do not connect the vertex set")
-        self.label_values, (self.label_rank,) = _rank_of(parsed, [row])
-        if self.label_values[0] < 0:
+        if label_values[0] < 0:
             raise ValueError("labels must be nonnegative")
         if root is not None and not _is_index(root, n):
             raise ValueError(f"root {root!r} is not a vertex index")
-        self._parent = tuple(parent)
-        self._depth = tuple(depth)
-        self._pre = tuple(pre)
-        self.root = root
+        self._parent, self._depth, self._pre, self.root = tuple(parent), tuple(depth), tuple(pre), root
         if ball_points is not None:
             ball_points = tuple(tuple(_array(p, "a ball_points payload"))
                                 for p in _array(ball_points, "ball_points"))
@@ -155,9 +164,10 @@ def build_representing_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
     labeled zero.  O(n log n) plus the size of the payloads.
     """
     runs, parent = _ball_tree(_require_ultrametric(space, "representing trees")._gaps)
-    values, order = space.distance_values, space._order
-    return RootedLabeledTree([values[r] for r, _, _ in runs], zip(parent[1:], range(1, len(runs))),
-                             root=0, ball_points=[tuple(sorted(order[s:e])) for _, s, e in runs])
+    order = space._order   # every distance is some ball's diameter, so every value is used
+    return RootedLabeledTree._from_ranks(
+        space.distance_values, [r for r, _, _ in runs], zip(parent[1:], range(1, len(runs))),
+        root=0, ball_points=[tuple(sorted(order[s:e])) for _, s, e in runs])
 
 
 def is_monotone_labeling(tree: RootedLabeledTree) -> tuple[bool, Optional[str]]:
@@ -200,7 +210,8 @@ def check_representable(tree: RootedLabeledTree) -> Representability:
     """
     first_reason = None
     for root in sorted({0, tree.label_rank.index(len(tree.label_values) - 1)}):
-        rooted = tree if tree.root == root else RootedLabeledTree(tree.labels, tree.edges, root=root)
+        rooted = tree if tree.root == root else RootedLabeledTree._from_ranks(
+            tree.label_values, tree.label_rank, tree.edges, root=root)
         v = next((v for v in range(tree.n) if rooted.out_degree(v) == 1), None)
         if v is not None:
             reason = f"out-degree 1 at vertex {v}"

@@ -28,6 +28,7 @@ from ultratree import (
     RootedLabeledTree,
     SpaceValidationError,
     apply_preserving,
+    ball_poset,
     ballean,
     bound_transform,
     build_representing_tree,
@@ -51,6 +52,7 @@ from util import (
     caterpillar_matrix,
     chain_scan_reconstruct,
     check_from_gaps_handoff,
+    closed_ball_join,
     count_calls,
     differential_spaces,
     first_point_hausdorff_ball_space,
@@ -447,3 +449,17 @@ def test_derived_rank_rows_are_built_on_first_read():
         assert rank == FiniteUltrametricSpace(space.names, space.matrix).rank
         assert rank == from_ranks(space.names, space.distance_values, rank).rank
         assert space.rank is rank and space._rank is rank
+
+
+def test_ball_poset_reads_no_rank_rows_of_a_derived_space():
+    rng = random.Random(68)
+    derived = [got for got, _ in derived_pairs(rng)] + edge_case_spaces()
+    for space in [s for s in derived if isinstance(s, FiniteUltrametricSpace)]:
+        poset = ball_poset(space)
+        pairs = [(rng.choice(poset.balls), rng.choice(poset.balls)) for _ in range(20)]
+        got = [(poset.leq(a, b), poset.join(a, b), poset.meet(a, b)) for a, b in pairs]
+        assert space._rank is None
+        for (a, b), (leq, join, meet) in zip(pairs, got):   # the oracles read the rows
+            assert leq == (set(a.points) <= set(b.points))
+            assert join == closed_ball_join(poset, a, b)
+            assert meet == (a if leq else b if set(b.points) <= set(a.points) else None)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -103,6 +104,20 @@ def test_bethe_sizes_past_the_cap_are_refused_before_building(monkeypatch):
         with pytest.raises(ValueError, match="passes 7 vertices"):
             make(p, depth, 1)
     assert built == []
+
+
+def test_sample_comparison_refuses_before_it_builds_the_sample(monkeypatch):
+    sampled = []
+    monkeypatch.setattr(padic, "padic_space", lambda *a: sampled.append(a))
+    # refused in order: the prime, the depth's type, its sign, then the cap
+    for p, depth, message in ((4, -1.5, "4 is not prime"), (2, -1.5, "depth must be an int"),
+                              (2, -1, "depth must be nonnegative"), (3, 12, "passes"),
+                              (2, 40, f"passes {padic.BETHE_MAX_VERTICES} vertices")):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            padic_ball_tree_vs_sample(p, depth)
+        assert time.perf_counter() - start < 1
+    assert sampled == []
 
 
 def test_valuation_examples():

@@ -10,7 +10,10 @@ kept in `util` as oracles.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 from ultratree import (
     FiniteUltrametricSpace,
@@ -31,6 +34,7 @@ from ultratree import (
 from ultratree import core, repr_tree
 from util import (
     caterpillar_matrix,
+    check_from_ranks_handoff,
     count_calls,
     differential_spaces,
     flat_matrix,
@@ -162,12 +166,13 @@ def test_every_tree_keeps_its_labels_ranked(monkeypatch):
     docs += [tree_to_json(random_monotone_tree(rng, rng.randint(1, 40))) for _ in range(50)]
     trees += [tree_from_json(doc) for doc in docs]
     seen = []   # the trees check_representable re-roots and the p-adic comparison builds
+    build = RootedLabeledTree._from_ranks.__func__
 
-    def recorded(*args, **kwargs):
-        seen.append(RootedLabeledTree(*args, **kwargs))
+    def recorded(cls, *args, **kwargs):
+        seen.append(build(cls, *args, **kwargs))
         return seen[-1]
-    # `check_representable` re-roots, and `padic` builds, through `repr_tree`
-    monkeypatch.setattr(repr_tree, "RootedLabeledTree", recorded)
+    # `check_representable` re-roots, and `padic` builds, through `_from_ranks`
+    monkeypatch.setattr(RootedLabeledTree, "_from_ranks", classmethod(recorded))
     for tree in trees:
         check_representable(tree)
     rerooted_count = len(seen)
@@ -192,3 +197,64 @@ def test_each_distinct_label_is_parsed_and_printed_once(monkeypatch):
     dot = tree_to_dot(tree)
     assert all(f'  v{v} [label="{l}"' in dot for v, l in enumerate(doc["labels"]))
     assert counts["format_rational"] == 2 * len(tree.label_values)
+
+
+FROM_RANKS_CALLERS = {"build_representing_tree", "check_representable", "_bethe_tree",
+                      "padic_ball_tree_vs_sample"}
+
+
+def test_every_caller_hands_from_ranks_ranked_labels(monkeypatch):
+    # the label parse `_from_ranks` skips, checked on every hand-off instead
+    build = RootedLabeledTree._from_ranks.__func__
+    calls = dict.fromkeys(FROM_RANKS_CALLERS, 0)
+
+    def checked(cls, label_values, label_rank, edges, *args, **kwargs):
+        edges = list(edges)   # build_representing_tree hands over an iterator
+        tree = build(cls, label_values, label_rank, edges, *args, **kwargs)
+        check_from_ranks_handoff(tree, label_values, label_rank, edges, *args, **kwargs)
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return tree
+    monkeypatch.setattr(RootedLabeledTree, "_from_ranks", classmethod(checked))
+    rng = random.Random(1807)
+    trees = [build_representing_tree(s) for s in differential_spaces(rng, 40)]
+    trees += bench_shape_trees(rng) + padic_trees() + edge_case_trees(rng)
+    trees += [rerooted(rng, random_labeled_tree(rng, rng.randint(1, 40))) for _ in range(100)]
+    for tree in trees:
+        check_representable(tree)
+    for p, depth in ((2, 0), (2, 4), (3, 3), (5, 2)):
+        assert padic_ball_tree_vs_sample(p, depth)
+    assert set(calls) == FROM_RANKS_CALLERS and min(calls.values()) > 0, calls
+
+
+def test_from_ranks_handoff_check_refuses_a_bad_hand_off():
+    edges = [(0, 1), (0, 2)]
+    tree = RootedLabeledTree([2, 0, 1], edges, root=0)
+    check_from_ranks_handoff(tree, (0, 1, 2), (2, 0, 1), edges, root=0)
+    for values, rank, message in [((0, 2, 1), (1, 0, 2), "rise"), ((0, 0, 2), (2, 0, 1), "rise"),
+                                  ((0, 1, 2, 3), (3, 0, 1), "use every"),
+                                  ((0, 1, 2), (2, 0, 3), "use every"),
+                                  ((0, 1, 2), (2, 1, 0), "labels differs")]:
+        with pytest.raises(ValueError, match=message):
+            check_from_ranks_handoff(tree, values, rank, edges, root=0)
+    with pytest.raises(ValueError, match="root differs"):
+        check_from_ranks_handoff(tree, (0, 1, 2), (2, 0, 1), edges, root=1)
+
+
+def test_library_built_trees_parse_no_label(monkeypatch):
+    rng = random.Random(1808)
+    spaces = differential_spaces(rng, 20)
+    free = [random_labeled_tree(rng, rng.randint(1, 30)) for _ in range(20)]
+    parses = count_calls(monkeypatch, core, ("parse_rational",))
+    entries = count_calls(monkeypatch, repr_tree, ("_parse_entries",))   # the constructor's parse
+    for space in spaces:
+        check_representable(build_representing_tree(space))
+    for tree in free:
+        check_representable(tree)
+    assert parses == {"parse_rational": 0}
+    # the one parse left is `_positive` reading the top label `bethe_ball_tree` or `sphere_tree` gets
+    for build in (lambda: bethe_ball_tree(3, 3, Fraction(7, 3)), lambda: sphere_tree(2, 4, "1/2"),
+                  lambda: sphere_tree(5, 2, 1), lambda: padic_ball_tree_vs_sample(3, 3)):
+        parses["parse_rational"] = 0
+        build()
+        assert parses == {"parse_rational": 1}
+    assert entries == {"_parse_entries": 0}

@@ -19,7 +19,9 @@ through text codes of two built trees, and the CLI parser of every verb
 are the implementations the library's faster ones replaced, kept here as
 oracles.
 `tree_order_failures` holds the audits `tree_order` once ran on every call,
-and `check_from_gaps_handoff` those `_from_gaps` once ran on every call.
+and `check_from_gaps_handoff` those `_from_gaps` once ran on every call;
+`check_from_ranks_handoff` checks what the label parse of
+`RootedLabeledTree` guaranteed before library builders handed over ranks.
 """
 
 from __future__ import annotations
@@ -627,6 +629,24 @@ def check_from_gaps_handoff(names, values, order, gaps) -> None:
     if (values[:1] != (0,) or any(map(ge, values, values[1:]))
             or set(gaps[1:]) != set(range(1, len(values)))):
         raise SpaceValidationError("values", (), "values must rise from 0, each a gap's")
+
+
+def check_from_ranks_handoff(tree: RootedLabeledTree, label_values, label_rank, *args, **kwargs) -> None:
+    """What each caller of `RootedLabeledTree._from_ranks` hands over, checked on its tree.
+
+    The values rise strictly and the ranks are in range and use each one,
+    so the tree is, field by field, the one the public constructor builds
+    from the same labels and the rest of the arguments.
+    """
+    values, rank = tuple(label_values), tuple(label_rank)
+    if any(map(ge, values, values[1:])):
+        raise ValueError(f"label values must rise strictly: {values}")
+    if set(rank) != set(range(len(values))):
+        raise ValueError(f"label ranks must be in range and use every value: {sorted(set(rank))}")
+    public = RootedLabeledTree([values[r] for r in rank], *args, **kwargs)
+    for field in RootedLabeledTree.__slots__:
+        if getattr(tree, field) != getattr(public, field):
+            raise ValueError(f"{field} differs from the public constructor's")
 
 
 def from_ranks(names, values, rank) -> FiniteUltrametricSpace:
