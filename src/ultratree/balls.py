@@ -197,17 +197,12 @@ def ball_poset(space: FiniteUltrametricSpace) -> BallPoset:
 
 
 def hausdorff_distance(space: FiniteUltrametricSpace, a: Ball, b: Ball) -> Fraction:
-    """Hausdorff distance between two balls: diameter of their union when distinct.
-
-    In an ultrametric that diameter is the largest of the two diameters and
-    the distance between any member of one ball and any member of the other.
-    """
+    """Hausdorff distance between two balls: diameter of their union when distinct."""
     _require_ultrametric(space, "ball operations")
     pa, pb = (_subset_points(space, x.points, "Hausdorff distance") for x in (a, b))
     if pa == pb:
         return Fraction(0)
-    t = max(space.rank[pa[0]][pb[0]], _subset_diam_rank(space, pa), _subset_diam_rank(space, pb))
-    return space.distance_values[t]
+    return space.distance_values[_subset_diam_rank(space, pa + pb)]
 
 
 def hausdorff_distance_direct(space: FiniteUltrametricSpace, a: Ball, b: Ball) -> Fraction:

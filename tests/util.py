@@ -27,7 +27,10 @@ and `check_from_gaps_handoff` those `_from_gaps` once ran on every call;
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
@@ -35,6 +38,7 @@ from itertools import accumulate
 from operator import ge, neg
 from typing import Optional
 
+import ultratree
 from ultratree import (FiniteUltrametricSpace, RootedLabeledTree, SpaceValidationError,
                        build_representing_tree)
 from ultratree.balls import Ball, Ballean, BallPoset, HausdorffBallSpace, closed_ball
@@ -64,6 +68,13 @@ from ultratree.tree_metric import (
     is_monotone_labeling,
     maximal_chains,
 )
+
+
+def script(*argv, timeout=60, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m ultratree.cli argv` in a new process: its `main`, and its exit path."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ultratree.__file__)))
+    return subprocess.run([sys.executable, "-m", "ultratree.cli", *argv],
+                          env=env, timeout=timeout, **kwargs)
 
 
 def nested_four_point_space() -> FiniteUltrametricSpace:
