@@ -8,11 +8,10 @@ order, led by its smallest point.  Balls are identified by their point
 sets; centers and radii are only witnesses, since every point of a ball
 is one of its centers.
 
-Everything reads ranks, never the `Fraction` matrix.  Inclusion is run
-containment and a join walks up the ball tree, with no rank row read;
-distances between balls come from their smallest points and diameter
-ranks.  The tests keep the center-by-radius enumerations the ballean
-replaced, and the `closed_ball` join, as oracles.
+Everything reads the space's order and gaps, never a rank row: a closed
+ball is the run around its center, inclusion is run containment, a join
+walks up the ball tree.  The tests keep as oracles the center-by-radius
+enumerations the ballean replaced and the row scans these reads replaced.
 """
 
 from __future__ import annotations
@@ -94,10 +93,12 @@ def closed_ball(space: FiniteUltrametricSpace, center: int, radius) -> Ball:
     radius = parse_rational(radius)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    values, row = space.distance_values, space.rank[center]
-    t = bisect_right(values, radius)   # the ranks of the values <= radius
-    members = tuple(x for x, r in enumerate(row) if r < t)
-    return Ball(members, values[max(map(row.__getitem__, members))], center, radius)
+    values, gaps = space.distance_values, space._gaps
+    t, c = bisect_right(values, radius), space._places()[center]   # ranks below t are within radius
+    # the run around the center's place, bounded by the gaps of rank t or more
+    s = next((a for a in range(c, 0, -1) if gaps[a] >= t), 0)
+    e = next((b for b in range(c + 1, len(gaps)) if gaps[b] >= t), len(gaps))
+    return Ball(space._order[s:e], values[max(gaps[s + 1:e], default=0)], center, radius)
 
 
 def ballean(space: FiniteUltrametricSpace) -> Ballean:
@@ -240,8 +241,7 @@ def hausdorff_ball_space(space: FiniteUltrametricSpace) -> HausdorffBallSpace:
     the label of their lowest common ancestor in `core._ball_tree`.  So in
     that tree's numbering, a preorder, each ball joins at its parent's
     diameter rank, and `FiniteUltrametricSpace._from_gaps` builds the space
-    from that order and those gaps.  O(b log b) for b balls, plus the names;
-    its rank rows are built when first read.
+    from that order and those gaps.  O(b log b) for b balls, plus the names.
     """
     runs, parent, canonical, balls = _tree_balls(space)
     escape = str.maketrans({c: "\\" + c for c in "\\,{}"})

@@ -21,6 +21,7 @@ past `MAX_PRINTED_POINTS` points they refuse the space they built before printin
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import sys
@@ -308,16 +309,23 @@ def run(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except Exception as exc:
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
-        return 3
+        return _internal_error(exc)
+
+
+def _internal_error(exc: Exception) -> int:
+    sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+    return 3
 
 
 def main() -> None:
+    if isinstance(getattr(out := sys.stdout, "buffer", None), io.FileIO):   # -u: raw writes end short unseen
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer), out.encoding, out.errors)
     code = run()
-    try:   # flushed, the process leaves without interpreter teardown or atexit hooks
+    try:   # flushed (stderr is line-buffered), the process leaves without teardown or atexit hooks
         sys.stdout.flush()
-        sys.stderr.flush()
-    except Exception:   # a broken or missing stream: the interpreter's own exit, as before
+    except OSError as exc:   # what stdout held was not written: an internal error, told once
+        code = code if code == 3 else _internal_error(exc)
+    except Exception:   # a missing stream: the interpreter's own exit, as before
         sys.exit(code)
     os._exit(code)
 

@@ -1,12 +1,12 @@
 """Finite metric and ultrametric spaces over exact rational distances.
 
 Distances enter and leave as exact `fractions.Fraction` values, never
-floats.  Inside, a space is its integer *rank* matrix, indexing each
+floats.  Inside, a space works on integer *ranks*, each indexing a
 distance into `distance_values`, the sorted distinct values.  Every
 decision the library makes depends only on the order of distances, so it
 runs on ranks, and each distinct value is parsed once and printed once.
-A space stores at most its ranks per pair: its `Fraction` matrix is built
-on first read and kept, and no construction, check or decision reads it.
+A metric space holds its ranks per pair, an ultrametric one its order and
+gaps; rank rows and `Fraction` matrix are views, built on first read.
 
 A space has two entry points.  `FiniteUltrametricSpace(names, matrix)`
 parses each distinct raw entry of outside input once, ranks, validates on
@@ -18,11 +18,10 @@ a matrix that check refutes, for the witness in the first row the check
 breaks on.  Every ball is a run of the order, so `_ball_tree` reads the
 balls off the gaps as runs, numbered once as the representing tree is;
 `spaces_isometric` and `weakly_similar` compare integer codes of two of them.
-The library's derived spaces enter through `_from_gaps` with a point
-order and its gaps instead: any gaps give an ultrametric (Gower & Ross
-1969), so only the names are checked; the test suite checks each caller's
-order, gaps and values.  It holds O(n) until `rank` is read, which builds
-the rows from the gaps (`_gap_rows`); no tree, ball or transform reads them.
+An accepted space lets its rows go, as rank(x_a, x_b) = max(gaps[a+1..b])
+(Gower & Ross 1969).  Derived spaces enter through `_from_gaps` with an
+order and gaps, any of which give an ultrametric, so only the names are
+checked; the test suite checks each caller's order, gaps and values.
 Library-built trees likewise enter with their label ranks, unparsed.
 The input rules each module shares live here once: `_document` (a JSON
 document's keys), `_is_index`, `_array` (also of matrix rows), `_positive`
@@ -297,6 +296,11 @@ def _gap_rows(gaps: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _rows_at(place: Sequence[int], gaps: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    # the rank rows of points at these places of a single-linkage order with these gaps
+    return tuple(map(_gather(place), _gather(place)(_gap_rows(gaps))))
+
+
 def _single_linkage(rank) -> tuple[list[int], list[int], Optional[tuple[int, int, int]]]:
     """Prim order, gap ranks and ultrametricity of a validated rank matrix.
 
@@ -439,7 +443,7 @@ class _RankedMatrix:
     `_strong_witness` is a sorted strong-triangle violation or None.
     """
 
-    __slots__ = ("names", "distance_values", "_rank", "_order", "_gaps", "_strong_witness")
+    __slots__ = ("names", "distance_values", "_rank", "_order", "_gaps", "_strong_witness", "_place")
 
     def __init__(self, names: Iterable[str], matrix):
         rows = [_array(row, f"matrix row {i}") for i, row in enumerate(matrix)]
@@ -455,23 +459,24 @@ class _RankedMatrix:
 
     @property
     def rank(self) -> tuple[tuple[int, ...], ...]:
-        """`rank[i][j]` indexes d(i, j); `_from_gaps` leaves it to the first read."""
+        """`rank[i][j]` indexes d(i, j); an ultrametric space builds it on first read."""
         if self._rank is None:
-            rank, order, ids = _gap_rows(self._gaps), self._order, list(range(len(self._gaps)))
-            if order != ids:
-                get = _gather(sorted(ids, key=order.__getitem__))   # each point's place
-                rank = tuple(map(get, get(rank)))
-            self._rank = rank
+            self._rank = _rows_at(self._places(), self._gaps)
         return self._rank
+
+    def _places(self) -> list[int]:   # each point's place in `_order`, kept from first use
+        if not hasattr(self, "_place"):
+            self._place = sorted(range(len(self._order)), key=self._order.__getitem__)
+        return self._place
 
 
 class FiniteMetricSpace(_RankedMatrix):
     """A finite metric space with named points and exact rational distances.
 
     Immutable after construction.  `distance_values` is the sorted distance
-    set (zero included) and `rank[i][j]` is the index of d(i, j) in it, at
-    most all a space stores per pair.  `matrix[i][j]` is d(i, j) itself,
-    built from the ranks on first read and kept for later reads.
+    set (zero included) and `rank[i][j]` is the index of d(i, j) in it.
+    `matrix[i][j]` is d(i, j) itself, built from the ranks on first read and
+    kept, as an ultrametric space builds its rank rows from its gaps.
     """
 
     __slots__ = ("_matrix",)
@@ -505,7 +510,7 @@ class FiniteMetricSpace(_RankedMatrix):
         return len(self.names)
 
     def distance(self, i: int, j: int) -> Fraction:
-        return self.distance_values[self.rank[i][j]]
+        return self.distance_values[_subset_diam_rank(self, (i, j))]
 
     def points(self) -> range:
         return range(len(self.names))
@@ -516,9 +521,13 @@ class FiniteMetricSpace(_RankedMatrix):
 
 
 class FiniteUltrametricSpace(FiniteMetricSpace):
-    """A finite metric space satisfying the strong triangle inequality."""
+    """A finite metric space satisfying the strong triangle inequality, held as its order and gaps."""
 
     __slots__ = ()
+
+    def _assign(self, names: Iterable[str], values, rank) -> None:
+        super()._assign(names, values, rank)   # refuses a strong-triangle failure
+        self._rank = None   # accepted: the order and gaps are the space
 
     @classmethod
     def _from_gaps(cls, names: Iterable[str], values: Sequence[Fraction],
@@ -563,8 +572,8 @@ class FiniteUltrametricSpace(FiniteMetricSpace):
     def _check_triangle(self) -> None:
         w = self._strong_witness
         if w is not None:
-            i, j, k = w
-            names, d = self.names, self.distance
+            (i, j, k), rank = w, self.rank   # the rows: a refuted order proves nothing
+            names, d = self.names, lambda a, b: self.distance_values[rank[a][b]]
             raise SpaceValidationError(
                 "strong-triangle", w,
                 f"strong triangle fails on ({names[i]},{names[j]},{names[k]}): "
@@ -585,8 +594,8 @@ def make_space(names: Iterable[str], matrix) -> Space:
     """
     space = FiniteMetricSpace(names, matrix)
     if space._strong_witness is None:
-        # already checked by the single-linkage pass: retype, do not rebuild
-        space.__class__ = FiniteUltrametricSpace
+        # already checked by the single-linkage pass: retype, do not rebuild, let the rows go
+        space.__class__, space._rank = FiniteUltrametricSpace, None
     return space
 
 
@@ -666,10 +675,11 @@ def diam(space: FiniteMetricSpace, subset: Optional[Iterable[int]] = None) -> Fr
 
 
 def _subset_diam_rank(space: FiniteMetricSpace, pts: Sequence[int]) -> int:
-    # every member sees the rest of an ultrametric subset within its diameter
-    seen_from = pts[:1] if isinstance(space, FiniteUltrametricSpace) else pts
+    if isinstance(space, FiniteUltrametricSpace):   # the largest gap between its first and last places
+        at = _gather(pts)(space._places())
+        return max(space._gaps[min(at) + 1:max(at) + 1], default=0)
     rank = space.rank
-    return max(max(map(rank[a].__getitem__, pts)) for a in seen_from)
+    return max(max(map(rank[a].__getitem__, pts)) for a in pts)
 
 
 class MultipartitePartition:

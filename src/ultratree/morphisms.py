@@ -4,7 +4,7 @@ Two finite ultrametric spaces are isometric exactly when their labeled
 representing trees are isomorphic; the isometry and weak-similarity
 decisions compare integer codes of the ball tree every space holds, so
 they live beside it in `core`, and answer here too.  Checking a given
-bijection for weak similarity compares rank matrices.
+bijection for weak similarity reads the consecutive pairs of both orders.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Union
 
-from .core import (FiniteUltrametricSpace, parse_rational, _gather, _is_index, _positive, _rank_of,
-                   _same_ranked_tree, spaces_isometric, weakly_similar)
+from .core import (FiniteUltrametricSpace, _is_index, _positive, _rank_of, _require_ultrametric,
+                   parse_rational, _same_ranked_tree, _subset_diam_rank, spaces_isometric, weakly_similar)
 
 if TYPE_CHECKING:
     from .repr_tree import RootedLabeledTree
@@ -159,17 +159,19 @@ def weak_similarity_check(
     same way, for all quadruples: iff d(phi a, phi b) -> d(a, b) is a
     strictly increasing map of D(Y) onto D(X).  Such a map of finite
     sorted sets sends the i-th element to the i-th, so it exists iff
-    |D(X)| = |D(Y)| and phi carries the rank matrix of X onto that of Y.
-    On success it is returned as the scaling function.  Point ids must
-    be ints.
+    |D(X)| = |D(Y)| and phi keeps every rank: by the strong triangle
+    inequality along each order, iff phi keeps the ranks of X's consecutive
+    pairs and its inverse those of Y's.  On success the map is returned as
+    the scaling function.  Point ids must be ints.
     """
-    phi = tuple(bijection)
-    n = len(x)
-    if len(y) != n or not all(_is_index(v, n) for v in phi) or sorted(phi) != list(range(n)):
+    phi, n = tuple(bijection), len(_require_ultrametric(x, "weak similarity checks"))
+    if len(_require_ultrametric(y, "weak similarity checks")) != n or not all(
+            _is_index(v, n) for v in phi) or sorted(phi) != list(range(n)):
         raise ValueError("mapping must be a bijection between the point sets")
-    ry, get = y.rank, _gather(phi)
     if len(x.distance_values) != len(y.distance_values) or any(
-            row != get(ry[p]) for row, p in zip(x.rank, phi)):
+            _subset_diam_rank(b, (f[p], f[q])) != g
+            for a, b, f in ((x, y, phi), (y, x, sorted(range(n), key=phi.__getitem__)))
+            for p, q, g in zip(a._order, a._order[1:], a._gaps[1:])):
         return False, None
     return True, ScalingFunction(y.distance_values, x.distance_values)
 

@@ -20,8 +20,8 @@ from itertools import chain
 from operator import and_
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .core import (FiniteUltrametricSpace, _ball_tree, _classes_below, _document, _gap_rows, _gather,
-                   _is_index, _rank_of, _require_ultrametric, _subset_points)
+from .core import (FiniteUltrametricSpace, _ball_tree, _classes_below, _document, _is_index,
+                   _rank_of, _require_ultrametric, _rows_at, _subset_points)
 from .repr_tree import (MaxChain, MaxChainSpace, Representability, RootedLabeledTree,
                         _chains_and_partings, check_representable, is_monotone_labeling,
                         maximal_chains, reconstruct_space)
@@ -83,8 +83,8 @@ def path_max_metric(tree: RootedLabeledTree) -> Union[FiniteUltrametricSpace,
     names = [f"v{i}" for i in range(n)]
     for u, v in tree.edges:
         if ranks[u] == 0 and ranks[v] == 0:   # both labels 0
-            get = _gather(sorted(range(n), key=group[0].__getitem__))   # each vertex's place
-            matrix = [[values[r] for r in row] for row in map(get, get(_gap_rows(gaps)))]
+            rows = _rows_at(sorted(range(n), key=group[0].__getitem__), gaps)   # by each vertex's place
+            matrix = [[values[r] for r in row] for row in rows]
             return PseudoUltrametricSpace(names, matrix, (u, v))
     return FiniteUltrametricSpace._from_gaps(names, values, group[0], gaps)
 

@@ -44,6 +44,7 @@ from util import (
     perturbed,
     prim_single_linkage,
     random_ultrametric_matrix,
+    row_diam_rank,
     strong_triangle_witness,
     violates_strong_triangle,
 )
@@ -643,7 +644,7 @@ def test_unverified_diametrical_classes_match_the_verifying_partition():
             if len(pts) == 1:
                 assert parts is None
                 continue
-            t = core._subset_diam_rank(space, pts)
+            t = row_diam_rank(space, pts)
             want = sorted(sorted(c) for c in core._partition_below(space.rank, pts, t))
             assert [list(p) for p in parts.parts] == want
 

@@ -32,18 +32,25 @@ from ultratree import (
     ballean,
     bound_transform,
     build_representing_tree,
+    closed_ball,
+    diam,
     hausdorff_ball_space,
+    hausdorff_distance,
+    hausdorff_distance_direct,
+    make_space,
     padic_metric,
     padic_space,
     path_max_metric,
     quantize_binary,
     rank_transform,
     reconstruct_space,
+    smallest_enclosing_ball,
     space_from_sequence,
     spaces_isometric,
     sphere_plus_center_condition,
     threshold_function,
     tree_to_json,
+    weak_similarity_check,
     weakly_similar,
 )
 from ultratree import core
@@ -57,6 +64,8 @@ from util import (
     differential_spaces,
     first_point_hausdorff_ball_space,
     flat_matrix,
+    fraction_closed_ball,
+    fraction_weak_similarity_check,
     from_ranks,
     kruskal_fill_path_max_metric,
     padic_matrix,
@@ -67,6 +76,7 @@ from util import (
     random_monotone_tree,
     random_run_order,
     random_ultrametric_matrix,
+    row_diam_rank,
     running_min_reconstruct,
     walk_path_max_metric,
 )
@@ -438,10 +448,19 @@ def tree_only_steps(space):
             apply_preserving(space, lambda t: 2 * t)]
 
 
+def public_spaces(rng):
+    """Fresh spaces from the public constructor and `make_space`, no rank row read yet."""
+    matrices = [random_ultrametric_matrix(rng, rng.randint(1, 24)) for _ in range(12)]
+    matrices += [flat_matrix(32), caterpillar_matrix(48), padic_matrix(2, 5), padic_matrix(3, 3)]
+    return [build([f"p{i}" for i in range(len(m))], m)
+            for m in matrices for build in (FiniteUltrametricSpace, make_space)]
+
+
 def test_derived_rank_rows_are_built_on_first_read():
+    # so are those of a space from the public constructor or `make_space`
     derived = [got for got, _ in derived_pairs(random.Random(67))] + edge_case_spaces()
     derived = [s for s in derived if isinstance(s, FiniteUltrametricSpace)]
-    for space in derived:
+    for space in derived + public_spaces(random.Random(70)):
         assert space._rank is None
         for image in tree_only_steps(space):
             assert space._rank is None and image._rank is None
@@ -454,7 +473,8 @@ def test_derived_rank_rows_are_built_on_first_read():
 def test_ball_poset_reads_no_rank_rows_of_a_derived_space():
     rng = random.Random(68)
     derived = [got for got, _ in derived_pairs(rng)] + edge_case_spaces()
-    for space in [s for s in derived if isinstance(s, FiniteUltrametricSpace)]:
+    derived = [s for s in derived if isinstance(s, FiniteUltrametricSpace)]
+    for space in derived + public_spaces(rng):
         poset = ball_poset(space)
         pairs = [(rng.choice(poset.balls), rng.choice(poset.balls)) for _ in range(20)]
         got = [(poset.leq(a, b), poset.join(a, b), poset.meet(a, b)) for a, b in pairs]
@@ -463,3 +483,63 @@ def test_ball_poset_reads_no_rank_rows_of_a_derived_space():
             assert leq == (set(a.points) <= set(b.points))
             assert join == closed_ball_join(poset, a, b)
             assert meet == (a if leq else b if set(b.points) <= set(a.points) else None)
+
+
+def query_pairs(rng):
+    """(x, y, phi) on bushy, flat, caterpillar and p-adic shapes, public and derived, none read.
+
+    y is x's matrix moved by phi with every distance tripled, so phi is a weak
+    similarity of x onto y; a derived x or y comes from a public one through
+    `apply_preserving`, which reads no rank row.
+    """
+    for m in (random_ultrametric_matrix(rng, 40), flat_matrix(24), caterpillar_matrix(40),
+              padic_matrix(2, 5), padic_matrix(3, 3)):
+        n = len(m)
+        phi = rng.sample(range(n), n)
+        image = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                image[phi[i]][phi[j]] = 3 * m[i][j]
+        names = [f"p{i}" for i in range(n)]
+        for derive_x, derive_y in ((False, False), (True, False), (False, True), (True, True)):
+            x, y = FiniteUltrametricSpace(names, m), FiniteUltrametricSpace(names, image)
+            x = apply_preserving(x, lambda t: t / 2) if derive_x else x
+            y = apply_preserving(y, lambda t: t + t * t) if derive_y else y
+            yield x, y, phi
+
+
+def test_every_query_reads_the_order_and_gaps_as_the_row_oracles_do():
+    rng = random.Random(71)
+    verdicts = set()
+    for x, y, phi in query_pairs(rng):
+        n, values = len(x), x.distance_values
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+        subsets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(20)]
+        radii = [*values, *(v + Fraction(1, 7) for v in values)]
+        centers = [(rng.randrange(n), rng.choice(radii)) for _ in range(40)]
+        balls = ballean(x).balls
+        ball_pairs = [(rng.choice(balls), rng.choice(balls)) for _ in range(30)]
+        bijections = [phi] + [rng.sample(range(n), n) for _ in range(4)]
+        got = ([x.distance(i, j) for i, j in pairs], [diam(x, s) for s in subsets],
+               [closed_ball(x, c, r) for c, r in centers],
+               [smallest_enclosing_ball(x, s) for s in subsets],
+               [hausdorff_distance(x, a, b) for a, b in ball_pairs],
+               [weak_similarity_check(x, y, f) for f in bijections])
+        assert x._rank is None and y._rank is None
+        # the oracles read the rows
+        assert got[0] == [x.matrix[i][j] for i, j in pairs]
+        assert got[1] == [values[row_diam_rank(x, s)] for s in subsets]
+        for ball, (c, r) in zip(got[2], centers):
+            want = fraction_closed_ball(x, c, r)
+            assert (ball.points, ball.diameter, ball.witness_center) == (want.points, want.diameter, c)
+        for ball, s in zip(got[3], subsets):
+            want = fraction_closed_ball(x, min(s), values[row_diam_rank(x, s)])
+            assert (ball.points, ball.diameter) == (want.points, want.diameter)
+        assert got[4] == [hausdorff_distance_direct(x, a, b) for a, b in ball_pairs]
+        for (ok, psi), f in zip(got[5], bijections):
+            want, want_psi = fraction_weak_similarity_check(x, y, f)
+            assert ok is want and (psi is None) is (want_psi is None)
+            assert psi is None or (psi.domain, psi.values) == (want_psi.domain, want_psi.values)
+            verdicts.add(ok)
+        assert got[5][0][0]
+    assert verdicts == {True, False}

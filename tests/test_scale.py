@@ -17,10 +17,11 @@ from random import Random
 
 import pytest
 
-from ultratree import (FiniteUltrametricSpace, ball_poset, build_representing_tree,
-                       hausdorff_ball_space, padic_space, path_max_metric, quantize_binary,
-                       rank_transform, reconstruct_space, smallest_enclosing_ball,
-                       space_from_json, space_to_json, spaces_isometric, verify_tree_invariants)
+from ultratree import (FiniteUltrametricSpace, ball_poset, ballean, build_representing_tree,
+                       closed_ball, hausdorff_ball_space, hausdorff_distance, padic_space,
+                       path_max_metric, quantize_binary, rank_transform, reconstruct_space,
+                       smallest_enclosing_ball, space_from_json, space_to_json, spaces_isometric,
+                       verify_tree_invariants, weak_similarity_check)
 from util import nested_four_point_space, script
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench"))
@@ -89,13 +90,20 @@ def test_the_tree_audit_and_ball_joins_of_a_1000_leaf_caterpillar(caterpillar_10
             assert poset.join(s, t) == smallest_enclosing_ball(space, s.points + t.points)
 
 
-def test_a_reader_leaving_after_one_byte_gets_no_traceback(caterpillar_1000):
-    reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.buffer.read(1)"],
-                              stdin=subprocess.PIPE)
-    with reader:   # the reader's exit closes the pipe's only read end
-        proc = script("tree", caterpillar_1000, stdout=reader.stdin, stderr=subprocess.PIPE,
-                      text=True)
-    assert proc.returncode in (0, 3) and "Traceback" not in proc.stderr
+def test_a_reader_leaving_after_one_byte_gets_no_traceback(caterpillar_1000, monkeypatch):
+    # unbuffered, stdout's raw file once dropped the rest of a short write, and the call exited 0
+    for unbuffered in ("1", None):
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        reader = subprocess.Popen([sys.executable, "-c", "import sys; sys.stdin.buffer.read(1)"],
+                                  stdin=subprocess.PIPE)
+        with reader:   # the reader's exit closes the pipe's only read end
+            proc = script("tree", caterpillar_1000, stdout=reader.stdin, stderr=subprocess.PIPE,
+                          text=True)
+        assert proc.returncode == 3, (unbuffered, proc.stderr)
+        assert proc.stderr == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
 @pytest.mark.parametrize("verb", ["iso", "weaksim", "roundtrip"])
@@ -147,6 +155,28 @@ def test_the_hausdorff_space_of_2048_points_and_its_tree_hold_little():
     # about 2.5 MB; rank rows for the 4,095 balls would hold about 260 MB
     held = held_bytes(build)
     assert held < 16 * 2 ** 20, held
+
+
+def test_a_public_space_at_2048_points_holds_its_order_and_gaps():
+    h = gen.bushy(Random(5), 2048)
+    names, matrix = [str(x) for x in range(h.n)], h.matrix()
+    # once single linkage accepts, the rank rows, 32 MB, go; about 0.13 MB stays
+    held = held_bytes(lambda: FiniteUltrametricSpace(names, matrix))
+    assert held < 2 ** 20, held
+
+
+def test_ball_queries_and_weak_similarity_at_2048_points_read_no_rank_rows():
+    space = padic_space(range(2048), 2)
+    balls = ballean(space).balls
+    with within(1):   # each a run or a span of the order: about 1 ms in all
+        assert len(closed_ball(space, 5, "1/4")) == 512
+        assert len(smallest_enclosing_ball(space, [3, 700])) == 2048
+        assert hausdorff_distance(space, balls[1], balls[-1]) == 1
+    image = rank_transform(space)
+    with within(1):   # 2(n - 1) consecutive pairs; the rank rows took about 260 ms to build
+        ok, psi = weak_similarity_check(space, image, range(2048))
+    assert ok and psi.values == space.distance_values
+    assert space._rank is None and image._rank is None
 
 
 def test_the_ball_poset_of_2048_points_reads_no_rank_rows():

@@ -9,7 +9,8 @@ greedy top-down split of the tree audit, the chain-scan reconstruction,
 the triple-loop poset check, the frozenset root-path order, the
 `Fraction` path-max walk, the all-roots representability test, the
 per-call breadth-first walk, Prim's single-linkage loop, the `Fraction`
-weak-similarity and closed-ball scans, the rung-by-rung ladder snap,
+weak-similarity and closed-ball scans, the row-reading subset diameter
+(`row_diam_rank`), the rung-by-rung ladder snap,
 the rank-matrix route of derived spaces (`from_ranks`) and its scan for
 unused values, `padic_space`'s pairwise valuations, the generator-recursion
 canonical code, the `Fraction` monotone-labeling test, the transposed gap rows, the
@@ -46,7 +47,6 @@ from ultratree.core import (
     _ball_tree,
     _classes_below,
     _rank_of,
-    _subset_diam_rank,
     diametrical_partition,
     format_rational,
     parse_rational,
@@ -261,6 +261,17 @@ def count_calls(monkeypatch, module, names) -> dict[str, int]:
     return counts
 
 
+def row_diam_rank(space, pts) -> int:
+    """Oracle for `core._subset_diam_rank`: the largest rank in the subset's rank rows.
+
+    Every member of an ultrametric subset sees the rest within its
+    diameter, so one row is read there; any other space has every row read.
+    """
+    seen_from = pts[:1] if isinstance(space, FiniteUltrametricSpace) else pts
+    rank = space.rank
+    return max(max(map(rank[a].__getitem__, pts)) for a in seen_from)
+
+
 def top_down_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
     """The representing tree built top down from diametrical partitions.
 
@@ -272,7 +283,7 @@ def top_down_tree(space: FiniteUltrametricSpace) -> RootedLabeledTree:
 
     def build(points: tuple[int, ...]) -> int:
         vid = len(labels)
-        labels.append(space.distance_values[_subset_diam_rank(space, points)])
+        labels.append(space.distance_values[row_diam_rank(space, points)])
         payload.append(points)
         if len(points) > 1:
             for part in diametrical_partition(space, points):
@@ -293,7 +304,7 @@ def greedy_diametrical_splits(space: FiniteUltrametricSpace) -> dict:
     balls: dict = {}
     todo = [tuple(space.points())]
     for ball in todo:   # grows while it is read
-        t = _subset_diam_rank(space, ball)
+        t = row_diam_rank(space, ball)
         split = _classes_below(space.rank, ball, t) if t else ()   # none for a singleton
         balls[frozenset(ball)] = (space.distance_values[t], len(split))
         todo.extend(split)
@@ -914,7 +925,7 @@ def fraction_closed_ball(space: FiniteUltrametricSpace, center: int, radius) -> 
     radius = parse_rational(radius)
     row = space.matrix[center]
     members = tuple(x for x in space.points() if row[x] <= radius)
-    d = space.distance_values[_subset_diam_rank(space, members)]
+    d = space.distance_values[row_diam_rank(space, members)]
     return Ball(members, d, center, radius)
 
 
